@@ -16,8 +16,8 @@ from .errors import (EqIndexError, GroupBuildError, InconsistentDataError,
                      NotASubgroupError, OrderBoundError, PairingError,
                      RegularityError)
 from .groups import (FiniteGroup, Subgroup, SubgroupLattice, build_group,
-                     build_lattice, cyclic_group, diagonal_group, normalizer,
-                     perm_group, trivial_group)
+                     cyclic_group, diagonal_group, normalizer, perm_group,
+                     trivial_group)
 from .gspace import (GSimplicialComplex, StratifiedGData,
                      barycentric_subdivide, build_complex, chi_G_simplicial,
                      chi_G_stratified, chi_k_direct, chi_orbifold_direct,

@@ -28,16 +28,6 @@ class BurnsideElement:
         self.group = group
         self.coeffs = coeffs
 
-    @classmethod
-    def from_dict(cls, group: FiniteGroup, by_class: dict) -> "BurnsideElement":
-        out = [0] * group.lattice().num_classes
-        for c, a in by_class.items():
-            out[c] += a
-        return cls(group, out)
-
-    def coeff(self, class_index: int) -> int:
-        return self.coeffs[class_index]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

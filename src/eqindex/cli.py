@@ -32,9 +32,12 @@ def _read_payload(args):
         text = sys.stdin.read()
         source = "<stdin>"
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {source}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"payload in {source} must be a JSON object")
+    return payload
 
 
 def _flatten(obj, path, lines):
@@ -70,150 +73,130 @@ def _group(payload):
 
 
 # -- handlers -----------------------------------------------------------------
+# each takes the parsed arguments and the payload and returns the object to emit
 
-def cmd_group_info(args):
-    payload = _read_payload(args)
+def cmd_group_info(args, payload):
     group = jsonio.group_from_json(payload)
-    return _emit(args, {
+    return {
         "id": group.fingerprint,
         "order": group.order,
         "abelian": group.is_abelian,
         "elements": [group.element_repr(i) for i in group.elements()],
-    })
+    }
 
 
-def cmd_group_lattice(args):
-    payload = _read_payload(args)
+def cmd_group_lattice(args, payload):
     group = jsonio.group_from_json(payload)
-    return _emit(args, jsonio.lattice_to_json(group))
+    return jsonio.lattice_to_json(group)
 
 
-def cmd_burnside_marks(args):
-    payload = _read_payload(args)
+def cmd_burnside_marks(args, payload):
     group = _group(payload)
     lat = group.lattice()
-    return _emit(args, {
+    return {
         "group": group.fingerprint,
         "classes": list(lat.class_labels),
         "marks": [list(r) for r in burnside.table_of_marks(group).matrix],
-    })
+    }
 
 
-def cmd_burnside_mul(args):
-    payload = _read_payload(args)
+def cmd_burnside_mul(args, payload):
     group = _group(payload)
     a = jsonio.element_from_json(group, payload.get("a"))
     b = jsonio.element_from_json(group, payload.get("b"))
-    return _emit(args, jsonio.element_to_json(burnside.multiply(a, b)))
+    return jsonio.element_to_json(burnside.multiply(a, b))
 
 
-def cmd_burnside_restrict(args):
-    payload = _read_payload(args)
+def cmd_burnside_restrict(args, payload):
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
     sub = jsonio.subgroup_from_json(group, payload.get("subgroup"))
     res = burnside.restrict(b, sub)
     out = jsonio.element_to_json(res)
     out["subgroup"] = payload.get("subgroup")
-    return _emit(args, out)
+    return out
 
 
-def cmd_burnside_induce(args):
-    payload = _read_payload(args)
+def cmd_burnside_induce(args, payload):
     group = _group(payload)
     sub = jsonio.subgroup_from_json(group, payload.get("subgroup"))
     b = jsonio.element_from_json(sub.as_group(), payload.get("element"))
-    return _emit(args, jsonio.element_to_json(burnside.induce(b, group)))
+    return jsonio.element_to_json(burnside.induce(b, group))
 
 
-def cmd_burnside_rk(args):
-    payload = _read_payload(args)
+def cmd_burnside_rk(args, payload):
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
-    return _emit(args, {"k": args.k, "value": r_k(b, args.k)})
+    return {"k": args.k, "value": r_k(b, args.k)}
 
 
-def cmd_burnside_char(args):
-    payload = _read_payload(args)
+def cmd_burnside_char(args, payload):
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
-    return _emit(args, jsonio.class_function_to_json(
-        burnside.permutation_character(b)))
+    return jsonio.class_function_to_json(burnside.permutation_character(b))
 
 
-def cmd_euler_strat(args):
-    payload = _read_payload(args)
+def cmd_euler_strat(args, payload):
     group = _group(payload)
     data = jsonio.strata_from_json(group, payload.get("strata", []))
     chi = gspace.chi_G_stratified(data, reduced=args.reduced)
-    return _emit(args, jsonio.element_to_json(chi))
+    return jsonio.element_to_json(chi)
 
 
-def cmd_euler_simplicial(args):
-    payload = _read_payload(args)
+def cmd_euler_simplicial(args, payload):
     group = _group(payload)
     x = jsonio.complex_from_json(group, payload.get("complex", {}))
     chi = gspace.chi_G_simplicial(x)
     out = jsonio.element_to_json(chi)
     out["cardinality"] = cardinality(chi)
-    return _emit(args, out)
+    return out
 
 
-def cmd_euler_orbifold(args):
-    payload = _read_payload(args)
+def cmd_euler_orbifold(args, payload):
     group = _group(payload)
     x = jsonio.complex_from_json(group, payload.get("complex", {}))
-    return _emit(args, {"k": args.k, "value": gspace.chi_k_direct(x, args.k)})
+    return {"k": args.k, "value": gspace.chi_k_direct(x, args.k)}
 
 
-def cmd_index_from_strata(args):
-    payload = _read_payload(args)
+def cmd_index_from_strata(args, payload):
     group = _group(payload)
     data = jsonio.stratum_index_from_json(group, payload.get("entries", []))
-    return _emit(args, jsonio.element_to_json(indices.index_from_strata(data)))
+    return jsonio.element_to_json(indices.index_from_strata(data))
 
 
-def cmd_index_invert(args):
-    payload = _read_payload(args)
+def cmd_index_invert(args, payload):
     group = _group(payload)
     data = jsonio.fixed_indices_from_json(group, payload)
-    return _emit(args, jsonio.element_to_json(
-        indices.index_from_fixed_indices(data)))
+    return jsonio.element_to_json(indices.index_from_fixed_indices(data))
 
 
-def cmd_index_induce(args):
-    payload = _read_payload(args)
+def cmd_index_induce(args, payload):
     group = _group(payload)
     sub = jsonio.subgroup_from_json(group, payload.get("isotropy"))
     local = jsonio.element_from_json(sub.as_group(), payload.get("local"))
     datum = indices.SingularOrbitDatum(isotropy=sub, local_index=local)
-    return _emit(args, jsonio.element_to_json(
-        indices.induce_orbit_index(datum, group)))
+    return jsonio.element_to_json(indices.induce_orbit_index(datum, group))
 
 
-def cmd_index_ph_check(args):
-    payload = _read_payload(args)
+def cmd_index_ph_check(args, payload):
     group = _group(payload)
     chi = jsonio.element_from_json(group, payload.get("chi"))
     orbits = jsonio.orbit_data_from_json(group, payload.get("orbits", []))
     report = indices.poincare_hopf_check(chi, orbits)
-    return _emit(args, {
+    return {
         "pass": report.passed,
         "discrepancy": jsonio.element_to_json(report.discrepancy),
-    })
+    }
 
 
-def cmd_index_gsv(args):
-    payload = _read_payload(args)
+def cmd_index_gsv(args, payload):
     group = _group(payload)
     rad = jsonio.element_from_json(group, payload.get("radial"))
     chibar = jsonio.element_from_json(group, payload.get("chibar"))
-    return _emit(args, jsonio.element_to_json(
-        indices.gsv_from_radial(rad, chibar)))
+    return jsonio.element_to_json(indices.gsv_from_radial(rad, chibar))
 
 
-def cmd_poly_analyze(args):
-    payload = _read_payload(args)
+def cmd_poly_analyze(args, payload):
     f = jsonio.polynomial_from_json(payload)
     out = jsonio.polynomial_to_json(f)
     out["mu"] = invertible.milnor_number(f)
@@ -224,30 +207,28 @@ def cmd_poly_analyze(args):
         "generators": [[jsonio.rational_to_json(q) for q in g]
                        for g in diag.group.generator_keys],
     }
-    return _emit(args, out)
+    return out
 
 
-def cmd_poly_index(args):
-    payload = _read_payload(args)
+def cmd_poly_index(args, payload):
     f = jsonio.polynomial_from_json(payload)
     diag = invertible.symmetry_group(f)
     chi = invertible.chi_G_milnor(f, diag)
     ind = invertible.index_df(f, diag)
-    return _emit(args, {
+    return {
         "group": diag.group.fingerprint,
         "order": diag.order,
         "chi_milnor": jsonio.element_to_json(chi),
         "index": jsonio.element_to_json(ind),
         "cardinality": cardinality(ind),
         "mu": invertible.milnor_number(f),
-    })
+    }
 
 
-def cmd_poly_dual_check(args):
-    payload = _read_payload(args)
+def cmd_poly_dual_check(args, payload):
     f = jsonio.polynomial_from_json(payload)
     report = invertible.duality_check(f)
-    return _emit(args, jsonio.duality_report_to_json(report))
+    return jsonio.duality_report_to_json(report)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -258,10 +239,14 @@ def _add_common(p):
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
     p.add_argument("--out", dest="outfile", default=None, metavar="FILE")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface compatibility; batches run "
-                        "sequentially with deterministic output")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+
+
+def nonnegative_int(text) -> int:
+    """--k: the reduction order, an integer k >= 0."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("k must be >= 0")
+    return k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("restrict"); _add_common(p); p.set_defaults(func=cmd_burnside_restrict)
     p = bsub.add_parser("induce"); _add_common(p); p.set_defaults(func=cmd_burnside_induce)
     p = bsub.add_parser("rk"); _add_common(p)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=nonnegative_int, default=0)
     p.set_defaults(func=cmd_burnside_rk)
     p = bsub.add_parser("char"); _add_common(p); p.set_defaults(func=cmd_burnside_char)
 
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_euler_strat)
     p = esub.add_parser("simplicial"); _add_common(p); p.set_defaults(func=cmd_euler_simplicial)
     p = esub.add_parser("orbifold"); _add_common(p)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=nonnegative_int, default=1)
     p.set_defaults(func=cmd_euler_orbifold)
 
     index = top.add_parser("index", help="radial/GSV index assembly")
@@ -317,7 +302,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, args.func(args, _read_payload(args)))
     except EqIndexError as exc:
         error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(jsonio.dumps(error) + "\n")

@@ -133,10 +133,6 @@ class FiniteGroup:
             frontier = new
         return frozenset(members)
 
-    def centralizer(self, g: int) -> list[int]:
-        t = self.table
-        return [h for h in range(self.order) if t[g][h] == t[h][g]]
-
     def element_conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes of elements, each sorted, ordered by smallest member."""
         if self._element_classes is None:
@@ -523,7 +519,3 @@ def diagonal_group(phase_vectors) -> FiniteGroup:
 
 def trivial_group() -> FiniteGroup:
     return build_group({"kind": "table", "table": [[0]]})
-
-
-def build_lattice(group: FiniteGroup) -> SubgroupLattice:
-    return group.lattice()

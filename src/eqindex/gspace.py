@@ -209,10 +209,6 @@ def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
     vertices = [as_tuple[s] for s in old]
     simplices = []
     # chains via DFS over the face relation
-    by_size = {}
-    for s in old:
-        by_size.setdefault(len(s), []).append(s)
-
     def extend(chain, top):
         simplices.append(frozenset(as_tuple[s] for s in chain))
         for s in old:

@@ -30,29 +30,32 @@ DUALITY_ORDER_BOUND = 500
 # -- exact linear algebra -----------------------------------------------------
 
 def det_int(matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Gauss)."""
-    n = len(matrix)
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination.
+
+    After step k every entry below and right of the pivot is a (k+2)-minor of
+    the input, so the division by the previous pivot is exact and every
+    intermediate stays an integer; a row swap flips the sign.
+    """
+    m = [[int(x) for x in row] for row in matrix]
+    n = len(m)
     if n == 0:
         return 1
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * mk[k] - mi[k] * mk[j]) // prev
+        prev = mk[k]
+    return sign * m[n - 1][n - 1]
 
 
 def solve_exact(matrix, rhs_columns):
@@ -103,9 +106,6 @@ class InvertiblePolynomial:
 
     def monomials(self):
         return [tuple(row) for row in self.E]
-
-
-_MU_CACHE: dict = {}
 
 
 def validate(matrix) -> InvertiblePolynomial:
@@ -220,18 +220,13 @@ def _assign_heads(options, n):
 
 def milnor_number(f: InvertiblePolynomial) -> int:
     """Milnor number via the weighted-homogeneous product prod(1/q_i - 1)."""
-    cached = _MU_CACHE.get(f.E)
-    if cached is not None:
-        return cached
     mu = Fraction(1)
     for q in f.weights:
         mu *= 1 / q - 1
     if mu.denominator != 1 or mu < 0:
         raise InvalidPolynomialError(
             "Milnor product is not a non-negative integer")
-    result = int(mu)
-    _MU_CACHE[f.E] = result
-    return result
+    return int(mu)
 
 
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
@@ -277,85 +272,96 @@ def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
     return DiagonalGroup(group, f.n)
 
 
-def _check_membership(f: InvertiblePolynomial, phases, transposed: bool):
-    n = f.n
-    if len(phases) != n:
+def _as_integers(phase_vectors):
+    """Phase vectors as integer numerators over their least common denominator."""
+    den = math.lcm(*(p.denominator for v in phase_vectors for p in v))
+    return den, [[p.numerator * (den // p.denominator) for p in v]
+                 for v in phase_vectors]
+
+
+def _integral_image(matrix, vec, den) -> list:
+    """matrix . (vec / den) as an integer vector.
+
+    A phase vector phi is a symmetry of the polynomial with exponent matrix
+    M exactly when M phi is integral, so anything else is a PairingError.
+    """
+    if len(vec) != len(matrix):
         raise PairingError("phase vector has wrong dimension")
-    for i in range(n):
-        s = sum((f.E[j][i] if transposed else f.E[i][j]) * phases[j]
-                for j in range(n))
-        if s % 1 != 0:
+    out = []
+    for row in matrix:
+        s = sum(m * v for m, v in zip(row, vec))
+        if s % den:
             raise PairingError("phase vector is not a symmetry of the polynomial")
+        out.append(s // den)
+    return out
+
+
+def _pairing_numerators(f: InvertiblePolynomial, a_rows, den, b_vectors):
+    """<a, b> * den for integer rows a over `den` and phase vectors b of G_{f~}.
+
+    <a, b> = a^T (E^T b) mod 1, and E^T b is an integer vector exactly when
+    b is a symmetry of the transpose.
+    """
+    et = tuple(zip(*f.E))
+    den_b, b_rows = _as_integers(b_vectors)
+    images = [_integral_image(et, b, den_b) for b in b_rows]
+    return [[sum(x * y for x, y in zip(a, w)) % den for w in images]
+            for a in a_rows]
 
 
 def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     """The duality pairing <a, b> = a^T E^T b mod 1 for a in G_f, b in G_{f~}."""
-    _check_membership(f, a, transposed=False)
-    _check_membership(f, b, transposed=True)
-    n = f.n
-    total = Fraction(0)
-    for i in range(n):
-        if a[i] == 0:
-            continue
-        total += a[i] * sum(f.E[j][i] * b[j] for j in range(n))
-    return total % 1
+    den, a_rows = _as_integers([a])
+    _integral_image(f.E, a_rows[0], den)
+    return Fraction(_pairing_numerators(f, a_rows, den, [b])[0][0], den)
 
 
 def pairing_matrix(f: InvertiblePolynomial, gf: DiagonalGroup,
                    gft: DiagonalGroup):
-    """All pairings at once, over a common denominator (exact integers).
+    """All pairings at once as `(den, num)`: <a_i, b_j> = num[i][j] / den,
+    with 0 <= num[i][j] < den.
 
-    Membership of the group elements is guaranteed by construction, so the
-    per-call checks of `pairing` are skipped here.
+    Membership of G_f is guaranteed by construction and not checked here;
+    that of G_{f~} is, since each E^T b must be integral.
     """
-    n = f.n
-    denom = 1
-    for g in (gf, gft):
-        for i in range(g.order):
-            for p in g.phases(i):
-                denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    a_int = [[int(p * denom) for p in gf.phases(i)] for i in range(gf.order)]
-    b_int = [[int(p * denom) for p in gft.phases(j)] for j in range(gft.order)]
-    # u[j][i] = sum_l E[l][i] b_l, so <a, b> = (sum_i a_i u[j][i]) / denom^2
-    u = [[sum(f.E[l][i] * b[l] for l in range(n)) for i in range(n)]
-         for b in b_int]
-    d2 = denom * denom
-    out = []
-    for a in a_int:
-        row = []
-        for j in range(gft.order):
-            uj = u[j]
-            val = sum(a[i] * uj[i] for i in range(n))
-            row.append(Fraction(val % d2, d2))
-        out.append(row)
-    return out
+    den, a_rows = _as_integers([gf.phases(i) for i in range(gf.order)])
+    return den, _pairing_numerators(
+        f, a_rows, den, [gft.phases(j) for j in range(gft.order)])
+
+
+def _annihilator(num, members) -> frozenset:
+    """H^T = {b : <a, b> = 0 for every a in H}; |H| |H^T| = |G_f| must hold.
+
+    For H = G_f this is non-degeneracy: only the identity pairs to zero with
+    everything.
+    """
+    rows = [num[i] for i in members]
+    ann = frozenset(j for j in range(len(num[0]))
+                    if not any(row[j] for row in rows))
+    if len(ann) * len(rows) != len(num):
+        raise PairingError(
+            "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
+    return ann
 
 
 def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
-                          gft: DiagonalGroup):
-    """The induced map G_{f~} -> Hom(G_f, Q/Z) must be injective."""
+                          gft: DiagonalGroup) -> list:
+    """The induced map G_{f~} -> Hom(G_f, Q/Z) must be injective.
+
+    Returns the pairing numerators of `pairing_matrix`.
+    """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
-    p = pairing_matrix(f, gf, gft)
-    for j in range(gft.order):
-        if j == gft.group.identity:
-            continue
-        if all(p[i][j] == 0 for i in range(gf.order)):
-            raise PairingError(
-                "pairing is degenerate: a nontrivial dual element annihilates G_f")
+    _, num = pairing_matrix(f, gf, gft)
+    _annihilator(num, gf.group.elements())
+    return num
 
 
 def dual_subgroup(f: InvertiblePolynomial, gf: DiagonalGroup,
                   members, gft: DiagonalGroup) -> Subgroup:
     """H^T: the annihilator of H under the pairing; |H| * |H^T| = |G_f|."""
-    check_perfect_pairing(f, gf, gft)
-    mem = sorted(frozenset(members))
-    ann = [j for j in range(gft.order)
-           if all(pairing(f, gf.phases(i), gft.phases(j)) == 0 for i in mem)]
-    sub = Subgroup(gft.group, ann)
-    if sub.order * len(mem) != gf.order:
-        raise PairingError("annihilator order violates |H| |H^T| = |G|")
-    return sub
+    num = check_perfect_pairing(f, gf, gft)
+    return Subgroup(gft.group, _annihilator(num, frozenset(members)))
 
 
 # -- fixed loci and Milnor fibre data ------------------------------------------
@@ -388,26 +394,30 @@ def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
     return validate(sub)
 
 
-def chi_milnor_fixed(f: InvertiblePolynomial, diag: DiagonalGroup,
-                     members) -> int:
-    """chi of the Milnor fibre of f restricted to the fixed locus of H.
-
-    Empty locus gives 0; otherwise the fibre of an isolated m-variable
-    singularity is a wedge of mu spheres of dimension m-1.
-    """
-    locus = fixed_locus(diag, members)
-    if not locus:
-        return 0
-    mu = milnor_number(restrict_to(f, locus))
-    m = len(locus)
-    return 1 + (-1) ** (m - 1) * mu
-
-
-@dataclass
+@dataclass(frozen=True)
 class FixedMilnorEntry:
     locus: frozenset
     mu: int
     chi: int
+
+
+def _fixed_entry(f: InvertiblePolynomial, locus: frozenset) -> FixedMilnorEntry:
+    """Milnor number and fibre chi of f restricted to a fixed locus.
+
+    Empty locus gives 0; otherwise the fibre of an isolated m-variable
+    singularity is a wedge of mu spheres of dimension m-1.
+    """
+    if not locus:
+        return FixedMilnorEntry(locus=locus, mu=0, chi=0)
+    mu = milnor_number(restrict_to(f, locus))
+    return FixedMilnorEntry(locus=locus, mu=mu,
+                            chi=1 + (-1) ** (len(locus) - 1) * mu)
+
+
+def chi_milnor_fixed(f: InvertiblePolynomial, diag: DiagonalGroup,
+                     members) -> int:
+    """chi of the Milnor fibre of f restricted to the fixed locus of H."""
+    return _fixed_entry(f, fixed_locus(diag, members)).chi
 
 
 @dataclass
@@ -419,24 +429,19 @@ class MilnorData:
 
 
 def _fixed_entries(f: InvertiblePolynomial, diag: DiagonalGroup) -> dict:
-    lat = diag.group.lattice()
+    """Subgroup index -> FixedMilnorEntry; each of the at most 2^n distinct
+    loci is restricted to once."""
+    by_locus = {}
     entries = {}
-    for i, sub in enumerate(lat.subgroups):
+    for i, sub in enumerate(diag.group.lattice().subgroups):
         locus = fixed_locus(diag, sub.members)
-        if locus:
-            mu = milnor_number(restrict_to(f, locus))
-            chi = 1 + (-1) ** (len(locus) - 1) * mu
-        else:
-            mu = 0
-            chi = 0
-        entries[i] = FixedMilnorEntry(locus=locus, mu=mu, chi=chi)
+        if locus not in by_locus:
+            by_locus[locus] = _fixed_entry(f, locus)
+        entries[i] = by_locus[locus]
     return entries
 
 
-_VALIDATED_SYMMETRY: set = set()
-
-
-def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:
+def milnor_data(f: InvertiblePolynomial, diag: DiagonalGroup) -> MilnorData:
     """chi^G(M_f) over a diagonal symmetry group, by exact-isotropy counts.
 
     chi(M^{(K)}) = sum over L >= K of mu'(K, L) chi(M^L); the group acts
@@ -446,11 +451,11 @@ def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElemen
     group = diag.group
     if not group.is_abelian:
         raise NotASubgroupError("diagonal symmetry groups must be abelian")
-    token = (f.E, group.fingerprint)
-    if token not in _VALIDATED_SYMMETRY:
-        for i in group.elements():
-            _check_membership(f, diag.phases(i), transposed=False)
-        _VALIDATED_SYMMETRY.add(token)
+    # E phi in Z^n is additive, so the symmetries of f form a subgroup and
+    # checking the generators shows that every element is one
+    den, gens = _as_integers(group.generator_keys)
+    for g in gens:
+        _integral_image(f.E, g, den)
     lat = group.lattice()
     ns = len(lat.subgroups)
     entries = _fixed_entries(f, diag)
@@ -464,12 +469,13 @@ def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElemen
             raise IntegralityError(
                 "exact-isotropy Euler characteristic is not divisible by the orbit size")
         coeffs[lat.class_of[kk]] += num // n
-    return BurnsideElement(group, coeffs)
+    return MilnorData(diag=diag, per_subgroup=entries,
+                      chi_g=BurnsideElement(group, coeffs))
 
 
-def milnor_data(f: InvertiblePolynomial, diag: DiagonalGroup) -> MilnorData:
-    return MilnorData(diag=diag, per_subgroup=_fixed_entries(f, diag),
-                      chi_g=chi_G_milnor(f, diag))
+def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:
+    """chi^G(M_f) over a diagonal symmetry group; see `milnor_data`."""
+    return milnor_data(f, diag).chi_g
 
 
 def index_df(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:
@@ -498,9 +504,10 @@ class DualityPair:
     def sign_matches(self) -> bool:
         """Coincidence up to the global sign (-1)^n.
 
-        Empirically the orbifold indices coincide verbatim for even n and
-        differ by exactly (-1)^n in general; pairs failing `matches` but
-        passing this are flagged for review rather than treated as errors.
+        This is the theorem (Ebeling and Gusein-Zade, "Orbifold Euler
+        characteristics for dual invertible polynomials"): the orbifold
+        indices of dual pairs satisfy v = (-1)^n v_dual, so for even n they
+        coincide verbatim and for odd n one is minus the other.
         """
         return self.orbifold_index == \
             (-1) ** self.dimension * self.dual_orbifold_index
@@ -540,11 +547,7 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     ft = transpose(f)
     gf = symmetry_group(f)
     gft = symmetry_group(ft)
-    p = pairing_matrix(f, gf, gft)
-    for j in range(gft.order):
-        if j != gft.group.identity and all(p[i][j] == 0 for i in range(gf.order)):
-            raise PairingError(
-                "pairing is degenerate: a nontrivial dual element annihilates G_f")
+    num = check_perfect_pairing(f, gf, gft)
     r0 = r_k(index_df(f, gf), 0)
     r0_dual = r_k(index_df(ft, gft), 0)
     lat = gf.group.lattice()
@@ -558,13 +561,8 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
 
     pairs = []
     for i, sub in enumerate(lat.subgroups):
-        mem = sorted(sub.members)
-        ann = frozenset(j for j in range(gft.order)
-                        if all(p[a][j] == 0 for a in mem))
-        di = dual_lat.subgroup_index(ann)
+        di = dual_lat.subgroup_index(_annihilator(num, sub.members))
         dual_sub = dual_lat.subgroups[di]
-        if sub.order * dual_sub.order != gf.order:
-            raise PairingError("annihilator order violates |H| |H^T| = |G|")
         v = r_k(index_df(f, side_diag(gf, sub)), 1)
         v_dual = r_k(index_df(ft, side_diag(gft, dual_sub)), 1)
         pairs.append(DualityPair(

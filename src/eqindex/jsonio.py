@@ -24,14 +24,33 @@ def rational_to_json(q) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+def _int(value, what) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _int_rows(obj, what) -> list:
+    """A list of integer lists: an exponent matrix, a table, generators."""
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise InputError(f"{what} must be a list of integer lists")
+    return [[_int(x, what) for x in row] for row in obj]
+
+
 def rational_from_json(obj) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return Fraction(int(obj[0]), int(obj[1]))
-    if isinstance(obj, dict) and "num" in obj and "den" in obj:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    raise InputError(f"not a rational: {obj!r}")
+        num, den = obj
+    elif isinstance(obj, dict) and "num" in obj and "den" in obj:
+        num, den = obj["num"], obj["den"]
+    else:
+        raise InputError(f"not a rational: {obj!r}")
+    den = _int(den, "denominator")
+    if den == 0:
+        raise InputError(f"rational with zero denominator: {obj!r}")
+    return Fraction(_int(num, "numerator"), den)
 
 
 def group_from_json(obj) -> FiniteGroup:
@@ -39,11 +58,19 @@ def group_from_json(obj) -> FiniteGroup:
         raise InputError("group presentation must be an object")
     kind = obj.get("kind")
     if kind == "diagonal":
-        phases = [[rational_from_json(p) for p in vec]
-                  for vec in obj.get("phases", [])]
+        vectors = obj.get("phases", [])
+        if not isinstance(vectors, list) or \
+                not all(isinstance(v, list) for v in vectors):
+            raise InputError("phases must be a list of phase vectors")
+        phases = [[rational_from_json(p) for p in vec] for vec in vectors]
         return build_group({"kind": "diagonal", "phases": phases})
-    if kind in ("perm", "table"):
-        return build_group(obj)
+    if kind == "perm":
+        return build_group({
+            "kind": "perm", "degree": _int(obj.get("degree"), "degree"),
+            "generators": _int_rows(obj.get("generators"), "generators")})
+    if kind == "table":
+        return build_group({"kind": "table",
+                            "table": _int_rows(obj.get("table"), "table")})
     raise InputError(f"unknown group presentation kind: {kind!r}")
 
 
@@ -63,12 +90,8 @@ def element_from_json(group: FiniteGroup, obj) -> BurnsideElement:
     out = [0] * lat.num_classes
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputError("Burnside element must be {'coeffs': [...]}")
-    for item in obj["coeffs"]:
-        try:
-            c = lat.class_index_by_label(item["class"])
-        except Exception as exc:
-            raise InputError(f"bad coefficient entry {item!r}: {exc}") from None
-        out[c] += int(item["a"])
+    for c, a in _class_entries(group, obj["coeffs"], "a"):
+        out[c] += a
     return BurnsideElement(group, out)
 
 
@@ -116,59 +139,66 @@ def class_function_to_json(cf: ClassFunction) -> dict:
                        for cls, v in zip(classes, cf.values)]}
 
 
-def strata_from_json(group: FiniteGroup, obj) -> StratifiedGData:
+def _class_entries(group: FiniteGroup, obj, key) -> list:
+    """[(class index, integer)] from [{"class": label, key: integer}, ...]."""
+    if not isinstance(obj, list):
+        raise InputError(f"expected a list of {{'class', {key!r}}} entries")
     lat = group.lattice()
     entries = []
     for item in obj:
         try:
             entries.append((lat.class_index_by_label(item["class"]),
-                            int(item["chi"])))
+                            int(item[key])))
         except Exception as exc:
-            raise InputError(f"bad stratum entry {item!r}: {exc}") from None
-    return StratifiedGData(group, entries)
+            raise InputError(f"bad entry {item!r}: {exc}") from None
+    return entries
+
+
+def strata_from_json(group: FiniteGroup, obj) -> StratifiedGData:
+    return StratifiedGData(group, _class_entries(group, obj, "chi"))
 
 
 def stratum_index_from_json(group: FiniteGroup, obj) -> StratumIndexData:
-    lat = group.lattice()
-    entries = []
-    for item in obj:
-        try:
-            entries.append((lat.class_index_by_label(item["class"]),
-                            int(item["ind"])))
-        except Exception as exc:
-            raise InputError(f"bad stratum entry {item!r}: {exc}") from None
-    return StratumIndexData(group, entries)
+    return StratumIndexData(group, _class_entries(group, obj, "ind"))
 
 
 def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
     try:
         vertices = list(obj["vertices"])
         simplices = [frozenset(s) for s in obj["simplices"]]
+        sorted(set(vertices))  # build_complex needs them hashable and ordered
     except Exception as exc:
         raise InputError(f"bad complex payload: {exc}") from None
+    action = obj.get("action") or {}
+    if not isinstance(action, dict):
+        raise InputError("complex action must map generator labels to images")
     images = {}
-    for label, imgs in (obj.get("action") or {}).items():
+    for label, imgs in action.items():
         if not (label.startswith("g") and label[1:].isdigit()):
             raise InputError(f"unknown generator label {label!r}")
         pos = int(label[1:])
         if pos >= len(group.generators):
             raise InputError(f"generator label {label!r} out of range")
-        if len(imgs) != len(vertices):
+        if not isinstance(imgs, list) or len(imgs) != len(vertices):
             raise InputError(f"action for {label!r} has wrong length")
+        if any(v not in vertices for v in imgs):
+            raise InputError(f"action for {label!r} leaves the vertex set")
         images[pos] = dict(zip(vertices, imgs))
     return build_complex(group, vertices, simplices, images)
 
 
 def fixed_indices_from_json(group: FiniteGroup, obj) -> FixedSetIndexData:
     lat = group.lattice()
-    if not isinstance(obj, dict) or "per_subgroup" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("per_subgroup"), dict):
         raise InputError("fixed-set index data must contain 'per_subgroup'")
     per_subgroup = {}
     for label, v in obj["per_subgroup"].items():
         sub = subgroup_from_json(group, label)
-        per_subgroup[lat.subgroup_index(sub.members)] = int(v)
+        per_subgroup[lat.subgroup_index(sub.members)] = _int(v, label)
     per_class = None
     if obj.get("per_class") is not None:
+        if not isinstance(obj["per_class"], dict):
+            raise InputError("'per_class' must map class labels to integers")
         per_class = {}
         for label, v in obj["per_class"].items():
             try:
@@ -179,6 +209,8 @@ def fixed_indices_from_json(group: FiniteGroup, obj) -> FixedSetIndexData:
 
 
 def orbit_data_from_json(group: FiniteGroup, obj) -> list:
+    if not isinstance(obj, list) or not all(isinstance(i, dict) for i in obj):
+        raise InputError("orbits must be a list of objects")
     out = []
     for item in obj:
         sub = subgroup_from_json(group, item.get("isotropy"))
@@ -190,7 +222,7 @@ def orbit_data_from_json(group: FiniteGroup, obj) -> list:
 def polynomial_from_json(obj) -> InvertiblePolynomial:
     if not isinstance(obj, dict) or "E" not in obj:
         raise InputError("polynomial input must be {'E': [[...]]}")
-    return validate(obj["E"])
+    return validate(_int_rows(obj["E"], "E"))
 
 
 def polynomial_to_json(f: InvertiblePolynomial) -> dict:

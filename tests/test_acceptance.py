@@ -144,8 +144,8 @@ def test_criterion_7_duality_suite():
                 # the verbatim orbifold-index coincidence
                 assert p.matches, (f.E, p.subgroup_label)
             else:
-                # odd dimension: coincidence holds up to the sign (-1)^n;
-                # verbatim failures are reported, not asserted (see ledger)
+                # odd dimension: the theorem gives coincidence up to the
+                # sign (-1)^n; pairs that differ by the sign are counted
                 assert p.sign_matches, (f.E, p.subgroup_label)
                 if not p.matches:
                     flagged += 1

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -223,6 +226,41 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["burnside", "frobnicate"])
     assert exc.value.code == 2
+
+
+MALFORMED = {
+    "perm-without-degree": (["group", "info"], {"kind": "perm"}),
+    "zero-denominator": (["group", "info"],
+                         {"kind": "diagonal", "phases": [[[1, 0]]]}),
+    "table-not-a-matrix": (["group", "info"], {"kind": "table", "table": "ab"}),
+    "negative-k": (["burnside", "rk", "--k", "-1"],
+                   {"group": Z6_PRES, "element": {"coeffs": []}}),
+    "coefficient-not-int": (["burnside", "rk"],
+                            {"group": Z6_PRES, "element": {
+                                "coeffs": [{"class": "H1_0", "a": "x"}]}}),
+    "exponent-not-int": (["poly", "index"], {"E": [[2, "a"], [0, 3]]}),
+    "payload-not-object": (["poly", "analyze"], [[2, 0], [0, 3]]),
+    "image-outside-vertices": (["euler", "simplicial"], {
+        "group": Z6_PRES, "complex": {"vertices": [0], "simplices": [[0]],
+                                      "action": {"g0": [7]}}}),
+    "removed-jobs-flag": (["poly", "analyze", "--jobs", "2"], {"E": [[2]]}),
+    "removed-verbose-flag": (["poly", "analyze", "-v"], {"E": [[2]]}),
+}
+
+
+@pytest.mark.parametrize("argv, payload", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_input_exits_without_traceback(argv, payload):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqindex.cli", *argv, json.dumps(payload)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (1, 2), proc.stdout
+    if proc.returncode == 1:
+        assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 def test_tsv_format(capsys):

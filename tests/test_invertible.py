@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from eqindex import (InvalidPolynomialError, OrderBoundError, PairingError,
                      milnor_number, pairing, restrict_to, symmetry_group,
                      transpose, validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
-from eqindex.invertible import DiagonalGroup, check_perfect_pairing
+from eqindex.groups import diagonal_group
+from eqindex.invertible import DiagonalGroup, check_perfect_pairing, det_int
 
 from invertible_family import duality_family, mu_oracle_family
 from oracles import milnor_number_jacobian
@@ -63,6 +65,31 @@ def test_validate_rejects_zero_weight():
     # x z + z y + y: decomposes combinatorially but the weights leave (0, 1]
     with pytest.raises(InvalidPolynomialError):
         validate([[1, 0, 1], [0, 1, 1], [0, 1, 0]])
+
+
+# -- determinants -----------------------------------------------------------------
+
+def _det_cofactor(m):
+    """Laplace expansion along the first row: an independent reference."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * _det_cofactor([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_det_int_matches_cofactor_expansion():
+    rng = random.Random(7)
+    cases = [[], [[0, 1], [1, 0]], [[0, 0], [0, 5]], [[1, 2], [2, 4]],
+             [[0, 2, 1], [3, 0, 0], [1, 1, 1]]]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            m[0][0] = 0
+        cases.append(m)
+    for m in cases:
+        assert det_int(m) == _det_cofactor(m), m
 
 
 # -- Milnor numbers ----------------------------------------------------------------
@@ -230,6 +257,13 @@ def test_chi_G_milnor_fermat_pair():
 def test_chi_G_milnor_chain():
     gf = symmetry_group(CHAIN)
     assert chi_G_milnor(CHAIN, gf).coeffs == (-1, 1, 0, 0)
+
+
+def test_chi_G_milnor_rejects_non_symmetry_group():
+    # z -> (e^{2 pi i/5} x, y) does not preserve x^2 y + y^3
+    diag = DiagonalGroup(diagonal_group([(Fraction(1, 5), Fraction(0))]), 2)
+    with pytest.raises(PairingError):
+        chi_G_milnor(CHAIN, diag)
 
 
 def test_chi_G_milnor_dual_chain():

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import burnside, gspace, indices, invertible, jsonio
-from .burnside import cardinality, r_k
+from .burnside import cardinality, one, r_k
 from .errors import EqIndexError, InputError
 
 
@@ -214,7 +214,7 @@ def cmd_poly_index(args, payload):
     f = jsonio.polynomial_from_json(payload)
     diag = invertible.symmetry_group(f)
     chi = invertible.chi_G_milnor(f, diag)
-    ind = invertible.index_df(f, diag)
+    ind = one(diag.group) - chi  # ind_rad(df), as in invertible.index_df
     return {
         "group": diag.group.fingerprint,
         "order": diag.order,

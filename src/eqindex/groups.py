@@ -12,9 +12,7 @@ No floating point anywhere: phases are `fractions.Fraction` reduced mod 1.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,6 +44,33 @@ def _bfs_closure(identity, generators, compose, bound):
                     new.append(c)
         frontier = new
     return elems
+
+
+def _cayley_table(keys, index, identity, generators, compose):
+    """The multiplication table by row translation.
+
+    Only the generator rows are composed.  Every other element c = a * g is
+    reached from the identity by right multiplication (breadth first), and
+    its row is the row of a read through the row of g, since
+    (a g) x = a (g x): |G|^2 list lookups instead of |G|^2 compositions.
+    """
+    gen_rows = {index[g]: [index[compose(g, k)] for k in keys]
+                for g in generators}
+    rows = [None] * len(keys)
+    e = index[identity]
+    rows[e] = list(range(len(keys)))
+    frontier = [e]
+    while frontier:
+        new = []
+        for a in frontier:
+            row_a = rows[a]
+            for g, row_g in gen_rows.items():
+                c = row_a[g]
+                if rows[c] is None:
+                    rows[c] = [row_a[x] for x in row_g]
+                    new.append(c)
+        frontier = new
+    return rows
 
 
 class FiniteGroup:
@@ -422,7 +447,7 @@ def _build_perm(presentation):
     elems = _bfs_closure(identity, gens, compose, MAX_ORDER)
     keys = sorted(elems)
     index = {k: i for i, k in enumerate(keys)}
-    table = [[index[compose(a, b)] for b in keys] for a in keys]
+    table = _cayley_table(keys, index, identity, gens, compose)
     return FiniteGroup(keys, table, index[identity],
                        {"kind": "perm", "degree": degree,
                         "generators": [list(g) for g in gens]},
@@ -455,7 +480,7 @@ def _build_diagonal(presentation):
     elems = _bfs_closure(identity, int_gens, compose, MAX_ORDER)
     int_keys = sorted(elems)
     index = {k: i for i, k in enumerate(int_keys)}
-    table = [[index[compose(a, b)] for b in int_keys] for a in int_keys]
+    table = _cayley_table(int_keys, index, identity, int_gens, compose)
     keys = [tuple(Fraction(x, denom) for x in k) for k in int_keys]
     gen_keys = [tuple(Fraction(x, denom) for x in k) for k in int_gens]
     return FiniteGroup(keys, table, index[identity],
@@ -487,18 +512,33 @@ def _build_table(presentation):
             break
     if identity is None:
         raise GroupBuildError("table has no identity element")
-    if n <= 64:
-        triples = itertools.product(rng, rng, rng)
-    else:
-        r = random.Random(0)
-        triples = ((r.randrange(n), r.randrange(n), r.randrange(n))
-                   for _ in range(5000))
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise GroupBuildError("table is not associative")
+    _check_associative(table, identity)
     keys = rng
     return FiniteGroup(keys, table, identity,
                        {"kind": "table", "table": table}, keys)
+
+
+def _check_associative(table, identity):
+    """Light's associativity test on a greedily built generating set.
+
+    The elements g with (x g) y = x (g y) for all x, y are closed under
+    products, so checking generators is complete.  A generator is taken only
+    outside the right-multiplication closure of the earlier ones; while the
+    checks pass that closure is a subgroup, so each new generator at least
+    doubles it and at most log2(n) + 1 rows of n^2 products are checked.
+    """
+    gens = []
+    reached = {identity}
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        row_g = table[g]
+        for row_x in table:
+            if table[row_x[g]] != [row_x[y] for y in row_g]:
+                raise GroupBuildError("table is not associative")
+        gens.append(g)
+        reached = _bfs_closure(identity, gens, lambda a, b: table[a][b],
+                               len(table))
 
 
 # -- convenience constructors (used all over the tests and scripts) ---------

@@ -25,10 +25,11 @@ def rational_to_json(q) -> dict:
 
 
 def _int(value, what) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    """A JSON integer; floats, numeric strings and booleans are rejected,
+    not truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _int_rows(obj, what) -> list:
@@ -39,7 +40,7 @@ def _int_rows(obj, what) -> list:
 
 
 def rational_from_json(obj) -> Fraction:
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         num, den = obj
@@ -148,7 +149,7 @@ def _class_entries(group: FiniteGroup, obj, key) -> list:
     for item in obj:
         try:
             entries.append((lat.class_index_by_label(item["class"]),
-                            int(item[key])))
+                            _int(item[key], key)))
         except Exception as exc:
             raise InputError(f"bad entry {item!r}: {exc}") from None
     return entries
@@ -202,9 +203,10 @@ def fixed_indices_from_json(group: FiniteGroup, obj) -> FixedSetIndexData:
         per_class = {}
         for label, v in obj["per_class"].items():
             try:
-                per_class[lat.class_index_by_label(label)] = int(v)
+                c = lat.class_index_by_label(label)
             except Exception:
                 raise InputError(f"unknown class label {label!r}") from None
+            per_class[c] = _int(v, label)
     return FixedSetIndexData(group, per_subgroup, per_class)
 
 

@@ -15,12 +15,12 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               marks_vector, multiply, one, r_k, restrict)
 from eqindex.gspace import chi_G_simplicial, chi_k_direct, fixed_subcomplex
 from eqindex.indices import FixedSetIndexData
-from eqindex.invertible import milnor_number, transpose
+from eqindex.invertible import DiagonalGroup, milnor_number, transpose
 
 from complex_suite import suite
 from groups_pool import abelian_names, pool, random_elements
 from invertible_family import duality_family, mu_oracle_family
-from oracles import milnor_number_jacobian
+from oracles import milnor_number_jacobian, r_k_coset_oracle
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -91,8 +91,15 @@ def test_criterion_4_higher_order_consistency():
     checks = 0
     for name, x in suite():
         chi = chi_G_simplicial(x)
+        lat = x.group.lattice()
         for k in (0, 1, 2):
             assert chi_k_direct(x, k) == r_k(chi, k), (name, k)
+            # chi_k_direct and r_k share commuting_class_counts; the oracle
+            # enumerates commuting tuples on cosets by itself
+            oracle = sum(a * r_k_coset_oracle(
+                x.group, lat.subgroups[lat.representatives[c]].members, k)
+                for c, a in enumerate(chi.coeffs) if a)
+            assert chi_k_direct(x, k) == oracle, (name, k)
             checks += 1
     for name in abelian_names():
         g = pool()[name]
@@ -165,7 +172,7 @@ def test_criterion_8_restriction_compatibility():
         ind = index_df(f, diag)
         for sub in diag.group.lattice().subgroups:
             assert restrict(ind, sub) == \
-                index_df(f, diag.subgroup_diagonal(sub)), (f.E, sub.order)
+                index_df(f, DiagonalGroup(sub.as_group(), f.n)), (f.E, sub.order)
             checks += 1
     dt = time.time() - t0
     _line(8, "restriction-compatibility",

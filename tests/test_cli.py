@@ -239,6 +239,10 @@ MALFORMED = {
                             {"group": Z6_PRES, "element": {
                                 "coeffs": [{"class": "H1_0", "a": "x"}]}}),
     "exponent-not-int": (["poly", "index"], {"E": [[2, "a"], [0, 3]]}),
+    "exponent-float-or-numeric-string": (["poly", "analyze"],
+                                         {"E": [[2.7, 0], [0, "3"]]}),
+    "exponent-bool": (["poly", "analyze"], {"E": [[True, 0], [0, 3]]}),
+    "phase-bool": (["group", "info"], {"kind": "diagonal", "phases": [[True]]}),
     "payload-not-object": (["poly", "analyze"], [[2, 0], [0, 3]]),
     "image-outside-vertices": (["euler", "simplicial"], {
         "group": Z6_PRES, "complex": {"vertices": [0], "simplices": [[0]],

@@ -68,6 +68,58 @@ def test_bad_table_rejected():
         build_group({"kind": "table", "table": rps})
 
 
+def _switched_cyclic_table(n):
+    """Z/n (n even) with one intercalate switched: rows 1 and 1 + n/2 meet
+    columns 2 and 2 + n/2 in a 2x2 Latin subsquare, and swapping its two
+    symbols keeps a Latin square with identity 0 that is no longer a group
+    (two group tables of the same order differ in more than four cells)."""
+    h = n // 2
+    t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    t[1][2], t[1][2 + h] = t[1][2 + h], t[1][2]
+    t[1 + h][2], t[1 + h][2 + h] = t[1 + h][2 + h], t[1 + h][2]
+    return t
+
+
+def test_non_associative_table_above_order_64_rejected():
+    # a sample of triples can miss the few bad ones: at order 176 the
+    # 5000 triples of random.Random(0) do
+    t = _switched_cyclic_table(176)
+    assert any(t[t[a][b]][c] != t[a][t[b][c]]
+               for a in (1, 89) for b in range(176) for c in range(176))
+    with pytest.raises(GroupBuildError):
+        build_group({"kind": "table", "table": t})
+    # the unswitched table is the cyclic group
+    z = build_group({"kind": "table",
+                     "table": [[(x + y) % 176 for y in range(176)]
+                               for x in range(176)]})
+    assert z.order == 176 and z.is_abelian
+
+
+def _direct_table(group, compose):
+    return [[group.index[compose(a, b)] for b in group.keys]
+            for a in group.keys]
+
+
+def test_perm_tables_match_direct_composition():
+    compose = lambda a, b: tuple(a[x] for x in b)
+    s4 = perm_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    a5 = perm_group(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+    assert (s4.order, a5.order) == (24, 60)
+    for g in (s4, a5, pool()["D4"], pool()["S3"]):
+        assert g.table == _direct_table(g, compose)
+
+
+def test_diagonal_tables_match_direct_composition():
+    from invertible_family import duality_family
+    from eqindex import symmetry_group
+    compose = lambda a, b: tuple((x + y) % 1 for x, y in zip(a, b))
+    groups = [cyclic_group(6), diagonal_group([[Fraction(1, 2), 0],
+                                               [0, Fraction(1, 3)]])]
+    groups += [symmetry_group(f).group for f in duality_family(24, 3)[::9]]
+    for g in groups:
+        assert g.table == _direct_table(g, compose)
+
+
 # -- lattices ------------------------------------------------------------------
 
 def test_z6_lattice_is_divisor_lattice():

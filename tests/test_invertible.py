@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqindex import (InvalidPolynomialError, OrderBoundError, PairingError,
+from eqindex import (IntegralityError, InvalidPolynomialError,
+                     OrderBoundError, PairingError,
                      chi_G_milnor, chi_milnor_fixed, dual_subgroup,
                      duality_check, fixed_locus, index_df, milnor_data,
                      milnor_number, pairing, restrict_to, symmetry_group,
                      transpose, validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
 from eqindex.groups import diagonal_group
-from eqindex.invertible import DiagonalGroup, check_perfect_pairing, det_int
+from eqindex.invertible import (DiagonalGroup, _orbifold_indices,
+                                check_perfect_pairing, det_int)
 
 from invertible_family import duality_family, mu_oracle_family
 from oracles import milnor_number_jacobian
@@ -286,7 +288,7 @@ def test_index_df_ground_truth():
 def test_index_df_trivial_group_reduction():
     gf = symmetry_group(CHAIN)
     triv = gf.group.lattice().subgroups[0]
-    ind = index_df(CHAIN, gf.subgroup_diagonal(triv))
+    ind = index_df(CHAIN, DiagonalGroup(triv.as_group(), CHAIN.n))
     assert ind.coeffs == (4,)  # (-1)^n mu for n = 2
 
 
@@ -327,7 +329,7 @@ def test_restriction_compatibility_named_fixtures():
         gf = symmetry_group(f)
         ind = index_df(f, gf)
         for sub in gf.group.lattice().subgroups:
-            sub_ind = index_df(f, gf.subgroup_diagonal(sub))
+            sub_ind = index_df(f, DiagonalGroup(sub.as_group(), f.n))
             assert restrict(ind, sub) == sub_ind
 
 
@@ -375,3 +377,32 @@ def test_duality_even_dimension_matches_verbatim(f):
     assert rep.all_sign_match
     if f.n % 2 == 0:
         assert rep.all_match
+
+
+def test_duality_orbifold_indices_match_burnside_route():
+    # oracle: r_1 of the index of df over each subgroup, rebuilt as its own
+    # group with its own lattice and commuting-pair counts
+    pairs = 0
+    for f in duality_family(24, 3)[::3]:
+        rep = duality_check(f)
+        ft = transpose(f)
+        gf, gft = symmetry_group(f), symmetry_group(ft)
+        assert rep.orbit_index == r_k(index_df(f, gf), 0)
+        assert rep.dual_orbit_index == r_k(index_df(ft, gft), 0)
+        for p in rep.pairs:
+            for g, poly, label, v in (
+                    (gf, f, p.subgroup_label, p.orbifold_index),
+                    (gft, ft, p.dual_label, p.dual_orbifold_index)):
+                sub = g.group.lattice().subgroup_by_label(label)
+                assert v == r_k(index_df(
+                    poly, DiagonalGroup(sub.as_group(), f.n)), 1), (f.E, label)
+            pairs += 1
+    assert pairs > 500
+
+
+def test_orbifold_index_of_non_subgroup_is_integrality_error():
+    # {e, g} in Z/3 is not a subgroup: the pair average 3/2 is not integral
+    f = validate([[3]])
+    g = symmetry_group(f)
+    with pytest.raises(IntegralityError):
+        _orbifold_indices(f, g, [frozenset([0, 1])])

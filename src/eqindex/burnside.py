@@ -263,11 +263,11 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
 
     if k == 0:
         for g in all_elems:
-            counts[lat.class_index_of(group.closure([g]))] += 1
+            counts[lat.class_of[lat.cyclic_of[g]]] += 1
     elif k == 1:
         # <g,h> for commuting g,h is the product set <g><h>; memoize joins
         # over the pair of cyclic subgroups
-        cyc = [lat.subgroup_index(group.closure([g])) for g in all_elems]
+        cyc = lat.cyclic_of
         join_cls = {}
         for g in all_elems:
             cg = cyc[g]
@@ -312,7 +312,10 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
 
 def r_k(b: BurnsideElement, k: int) -> int:
     """The reduction r_G^(k): averaged fixed-point count over commuting
-    (k+1)-tuples.  r_0 counts orbits; r_1 is the orbifold reduction."""
+    (k+1)-tuples.  r_0 counts orbits, so it is the sum of the coefficients
+    (r_0 [G/H] = 1); r_1 is the orbifold reduction."""
+    if k == 0:
+        return sum(b.coeffs)
     counts = commuting_class_counts(b.group, k)
     mv = marks_vector(b)
     total = sum(c * v for c, v in zip(counts, mv))
@@ -357,5 +360,5 @@ def permutation_character(b: BurnsideElement) -> ClassFunction:
     values = []
     for cls in group.element_conjugacy_classes():
         g = cls[0]
-        values.append(mv[lat.class_index_of(group.closure([g]))])
+        values.append(mv[lat.class_of[lat.cyclic_of[g]]])
     return ClassFunction(group, values)

@@ -92,16 +92,10 @@ class FiniteGroup:
         self.parent = parent
         self.parent_index = parent_index
         self.order = len(self.keys)
-        inv = [None] * self.order
-        for i in range(self.order):
-            row = self.table[i]
-            for j in range(self.order):
-                if row[j] == identity:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
-            raise GroupBuildError("some element has no inverse")
-        self.inverse = inv
+        try:
+            self.inverse = [row.index(identity) for row in self.table]
+        except ValueError:
+            raise GroupBuildError("some element has no inverse") from None
         self._lattice = None
         self._marks = None
         self._element_classes = None
@@ -222,6 +216,15 @@ class Subgroup:
             raise NotASubgroupError("member set is not a subgroup")
         self._group = None
 
+    @classmethod
+    def _known(cls, parent: FiniteGroup, members: frozenset) -> "Subgroup":
+        """A member set that is a subgroup by construction; not re-checked."""
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.members = members
+        sub._group = None
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.members)
@@ -262,9 +265,14 @@ class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, normalizers, and the
     Moebius functions of both posets (Sub G and ConjSub G).
 
-    Subgroups are enumerated by closing the cyclic subgroups under pairwise
-    join and then sorted canonically (by order, then by sorted member ids);
-    the representative of each conjugacy class is its minimal subgroup.
+    Subgroups are enumerated from the cyclic subgroups: every subgroup is a
+    join of cyclic ones, so each known subgroup A is joined only with the
+    cyclic subgroups C that neither contain A nor lie in A.  They are then
+    sorted canonically (by order, then by sorted member ids); the
+    representative of each conjugacy class is its minimal subgroup.
+
+    `cyclic_of[g]` is the index of <g>, and `cyclic_generators` maps the
+    index of each cyclic subgroup to one generator of it.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -273,27 +281,27 @@ class SubgroupLattice:
                 f"subgroup enumeration limited to order {MAX_ORDER}")
         self.group = group
         abelian = group.is_abelian
-        table = group.table
-        subs = {group.closure([g]) for g in group.elements()}
+        cyclic_of, cyclics = _cyclic_subgroups(group)
+        subs = set(cyclics.values())
         work = list(subs)
         while work:
             a = work.pop()
-            for b in list(subs):
-                if a <= b or b <= a:
+            for g, c in cyclics.items():
+                if c <= a or a <= c:
                     continue
-                if abelian:
-                    # in an abelian group the join is the product set
-                    j = frozenset(table[x][y] for x in a for y in b)
-                else:
-                    j = group.closure(a | b)
+                j = _coset_join(group.table, a, g) if abelian \
+                    else group.closure(a | {g})
                 if j not in subs:
                     subs.add(j)
                     work.append(j)
         order_key = lambda m: (len(m), tuple(sorted(m)))
         canonical = sorted(subs, key=order_key)
-        self.subgroups = [Subgroup(group, m) for m in canonical]
-        ns = len(self.subgroups)
+        self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
+        self.cyclic_of = [self.member_index[c] for c in cyclic_of]
+        self.cyclic_generators = {self.member_index[c]: g
+                                  for g, c in cyclics.items()}
+        ns = len(self.subgroups)
         self.leq = [[s.members <= t.members for t in self.subgroups]
                     for s in self.subgroups]
 
@@ -327,36 +335,21 @@ class SubgroupLattice:
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
 
-        # Moebius function of Sub G (canonical index order extends inclusion)
-        self.mu_sub = [[0] * ns for _ in range(ns)]
-        for h in range(ns):
-            self.mu_sub[h][h] = 1
-            leq_h = self.leq[h]
-            for l in range(h + 1, ns):
-                if not leq_h[l]:
-                    continue
-                self.mu_sub[h][l] = -sum(
-                    self.mu_sub[h][k] for k in range(h, l)
-                    if leq_h[k] and self.leq[k][l])
-
-        # zeta and Moebius of ConjSub G
+        # Moebius functions of Sub G and ConjSub G (canonical index order
+        # extends inclusion); for abelian G every class is one subgroup
+        self.mu_sub = _moebius(self.leq)
         nc = self.num_classes
-        self.zeta_conj = [[0] * nc for _ in range(nc)]
-        for a in range(nc):
-            rep = self.representatives[a]
-            for b in range(nc):
-                if any(self.leq[rep][j] for j in self.classes[b]):
-                    self.zeta_conj[a][b] = 1
-        self.mu_conj = [[0] * nc for _ in range(nc)]
-        for a in range(nc):
-            self.mu_conj[a][a] = 1
-            zeta_a = self.zeta_conj[a]
-            for b in range(a + 1, nc):
-                if not zeta_a[b]:
-                    continue
-                self.mu_conj[a][b] = -sum(
-                    self.mu_conj[a][k] for k in range(a, b)
-                    if zeta_a[k] and self.zeta_conj[k][b])
+        if abelian:
+            self.zeta_conj = [[int(x) for x in row] for row in self.leq]
+            self.mu_conj = [list(row) for row in self.mu_sub]
+        else:
+            self.zeta_conj = [[0] * nc for _ in range(nc)]
+            for a in range(nc):
+                rep = self.representatives[a]
+                for b in range(nc):
+                    if any(self.leq[rep][j] for j in self.classes[b]):
+                        self.zeta_conj[a][b] = 1
+            self.mu_conj = _moebius(self.zeta_conj)
 
         self.labels = [f"H{s.order}_{i}" for i, s in enumerate(self.subgroups)]
         self.class_labels = [self.labels[r] for r in self.representatives]
@@ -392,6 +385,64 @@ class SubgroupLattice:
 
     def normalizer_order(self, i: int) -> int:
         return self.subgroups[self.normalizers[i]].order
+
+
+def _moebius(zeta) -> list:
+    """The Moebius function of a finite poset from its zeta matrix, whose
+    index order must extend the partial order."""
+    n = len(zeta)
+    mu = [[0] * n for _ in range(n)]
+    for h in range(n):
+        above = [k for k in range(h, n) if zeta[h][k]]
+        mu_h = mu[h]
+        mu_h[h] = 1
+        for i in range(1, len(above)):
+            l = above[i]
+            mu_h[l] = -sum(mu_h[k] for k in above[:i] if zeta[k][l])
+    return mu
+
+
+def _cyclic_subgroups(group: FiniteGroup):
+    """Per element its cyclic subgroup, and {generator: members} with one
+    generator per cyclic subgroup.
+
+    <g> is found by walking the powers of g along its table row; once <g>
+    of order k is known, every g^i with gcd(i, k) = 1 generates the same
+    subgroup and is not walked again.
+    """
+    table, e = group.table, group.identity
+    cyclic_of = [None] * group.order
+    cyclics = {}
+    for g in group.elements():
+        if cyclic_of[g] is not None:
+            continue
+        row = table[g]
+        powers = [e]
+        x = g
+        while x != e:
+            powers.append(x)
+            x = row[x]
+        members = frozenset(powers)
+        k = len(powers)
+        for i, x in enumerate(powers):
+            if math.gcd(i, k) == 1:
+                cyclic_of[x] = members
+        cyclics[g] = members
+    return cyclic_of, cyclics
+
+
+def _coset_join(table, a: frozenset, g: int) -> frozenset:
+    """A + <g> in an abelian group: the cosets A, A + g, A + 2g, ... up to the
+    first multiple of g that lies in A, at a cost of |A + <g>|."""
+    row = table[g]
+    coset = list(a)
+    joined = set(a)
+    x = g
+    while x not in a:
+        coset = [row[y] for y in coset]
+        joined.update(coset)
+        x = row[x]
+    return frozenset(joined)
 
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
@@ -481,13 +532,16 @@ def _build_diagonal(presentation):
     int_keys = sorted(elems)
     index = {k: i for i, k in enumerate(int_keys)}
     table = _cayley_table(int_keys, index, identity, int_gens, compose)
-    keys = [tuple(Fraction(x, denom) for x in k) for k in int_keys]
-    gen_keys = [tuple(Fraction(x, denom) for x in k) for k in int_gens]
-    return FiniteGroup(keys, table, index[identity],
-                       {"kind": "diagonal",
-                        "phases": [[[p.numerator, p.denominator] for p in g]
-                                   for g in gens]},
-                       gen_keys)
+    fractions = [Fraction(x, denom) for x in range(denom)]
+    keys = [tuple(fractions[x] for x in k) for k in int_keys]
+    gen_keys = [tuple(fractions[x] for x in k) for k in int_gens]
+    group = FiniteGroup(keys, table, index[identity],
+                        {"kind": "diagonal",
+                         "phases": [[[p.numerator, p.denominator] for p in g]
+                                    for g in gens]},
+                        gen_keys)
+    group._abelian = True
+    return group
 
 
 def _build_table(presentation):

@@ -22,6 +22,7 @@ read off at most 2^n fixed loci without rebuilding H as a group.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,24 +69,34 @@ def det_int(matrix) -> int:
 
 
 def solve_exact(matrix, rhs_columns):
-    """Solve M X = B over the rationals; columns of B given as sequences."""
+    """Solve M X = B over the rationals for an integer matrix M and integer
+    columns of B, given as sequences.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [M | B]: every row but the pivot
+    row is eliminated at each step, the division by the previous pivot stays
+    exact, and at the end [M | B] has become [d I | adj(M) B] up to the row
+    order, with d = +-det M.  Only X = adj(M) B / d is a fraction.
+    """
     n = len(matrix)
     width = len(rhs_columns)
-    aug = [[Fraction(matrix[r][c]) for c in range(n)]
-           + [Fraction(rhs_columns[k][r]) for k in range(width)]
-           for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    aug = [[operator.index(x) for x in matrix[r]]
+           + [operator.index(col[r]) for col in rhs_columns] for r in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
             raise InvalidPolynomialError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[r][n + k] for r in range(n)] for k in range(width)]
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        row_k = aug[k]
+        p = row_k[k]
+        for i in range(n):
+            if i != k:
+                row_i = aug[i]
+                f = row_i[k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_k)]
+        prev = p
+    return [[Fraction(aug[r][n + k], prev) for r in range(n)]
+            for k in range(width)]
 
 
 # -- polynomial shape ---------------------------------------------------------
@@ -339,39 +350,46 @@ def pairing_matrix(f: InvertiblePolynomial, gf: DiagonalGroup,
         f, a_rows, den, [gft.phases(j) for j in range(gft.order)])
 
 
-def _annihilator(num, members) -> frozenset:
-    """H^T = {b : <a, b> = 0 for every a in H}; |H| |H^T| = |G_f| must hold.
-
-    For H = G_f this is non-degeneracy: only the identity pairs to zero with
-    everything.
-    """
-    rows = [num[i] for i in members]
-    ann = frozenset(j for j in range(len(num[0]))
-                    if not any(row[j] for row in rows))
-    if len(ann) * len(rows) != len(num):
-        raise PairingError(
-            "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
-    return ann
-
-
 def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
-                          gft: DiagonalGroup) -> list:
+                          gft: DiagonalGroup):
     """The induced map G_{f~} -> Hom(G_f, Q/Z) must be injective.
 
-    Returns the pairing numerators of `pairing_matrix`.
+    Returns the annihilator map, member set H of G_f -> H^T = {b : <a, b> = 0
+    for every a in H}, which enforces |H| |H^T| = |G_f|; for H = G_f this is
+    non-degeneracy, checked here.  The pairing is additive in a, so H^T is the
+    intersection of ann(c) over the cyclic subgroups <c> <= H, and one row of
+    pairings per cyclic generator c of G_f is all that is computed.  Each
+    E^T b must be integral, so every b is checked to be a symmetry of the
+    transpose.
     """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
-    _, num = pairing_matrix(f, gf, gft)
-    _annihilator(num, gf.group.elements())
-    return num
+    lat = gf.group.lattice()
+    gens = lat.cyclic_generators
+    den, a_rows = _as_integers([gf.phases(c) for c in gens.values()])
+    rows = _pairing_numerators(f, a_rows, den,
+                               [gft.phases(j) for j in range(gft.order)])
+    zeros = {s: frozenset(j for j, v in enumerate(row) if not v)
+             for s, row in zip(gens, rows)}
+    everything = frozenset(range(gft.order))
+
+    def annihilator(members) -> frozenset:
+        members = frozenset(members)
+        ann = everything.intersection(
+            *(zeros[s] for s in {lat.cyclic_of[m] for m in members}))
+        if len(ann) * len(members) != gf.order:
+            raise PairingError(
+                "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
+        return ann
+
+    annihilator(gf.group.elements())
+    return annihilator
 
 
 def dual_subgroup(f: InvertiblePolynomial, gf: DiagonalGroup,
                   members, gft: DiagonalGroup) -> Subgroup:
     """H^T: the annihilator of H under the pairing; |H| * |H^T| = |G_f|."""
-    num = check_perfect_pairing(f, gf, gft)
-    return Subgroup(gft.group, _annihilator(num, frozenset(members)))
+    return Subgroup(gft.group, check_perfect_pairing(f, gf, gft)(members))
 
 
 # -- fixed loci and Milnor fibre data ------------------------------------------
@@ -582,10 +600,10 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     ft = transpose(f)
     gf = symmetry_group(f)
     gft = symmetry_group(ft)
-    num = check_perfect_pairing(f, gf, gft)
+    annihilator = check_perfect_pairing(f, gf, gft)
     lat = gf.group.lattice()
     dual_lat = gft.group.lattice()
-    dual_of = [dual_lat.subgroup_index(_annihilator(num, sub.members))
+    dual_of = [dual_lat.subgroup_index(annihilator(sub.members))
                for sub in lat.subgroups]
     r0, v = _orbifold_indices(f, gf, [s.members for s in lat.subgroups])
     r0_dual, v_dual = _orbifold_indices(

@@ -172,3 +172,57 @@ def r_k_coset_oracle(group, members, k) -> int:
                      if all(rep_of[group.table[g][r]] == r for g in tup))
     assert total % group.order == 0
     return total // group.order
+
+
+# -- subgroup lattice by all-pairs joins ----------------------------------------
+
+def subgroup_lattice_oracle(group):
+    """(member sets, labels, mu_sub, class_of) of Sub G by the all-pairs join.
+
+    Starts from the cyclic subgroups <g> of every element and joins every
+    pair of known subgroups (the product set when G is abelian, the closure
+    otherwise) until nothing new appears.  Uses only `group.table` and
+    `group.closure`.
+    """
+    table = group.table
+    n = len(table)
+    abelian = all(table[i][j] == table[j][i]
+                  for i in range(n) for j in range(i + 1, n))
+    subs = {group.closure([g]) for g in range(n)}
+    work = list(subs)
+    while work:
+        a = work.pop()
+        for b in list(subs):
+            if a <= b or b <= a:
+                continue
+            if abelian:
+                j = frozenset(table[x][y] for x in a for y in b)
+            else:
+                j = group.closure(a | b)
+            if j not in subs:
+                subs.add(j)
+                work.append(j)
+    members = sorted(subs, key=lambda m: (len(m), tuple(sorted(m))))
+    index = {m: i for i, m in enumerate(members)}
+    ns = len(members)
+    leq = [[s <= t for t in members] for s in members]
+    mu = [[0] * ns for _ in range(ns)]
+    for h in range(ns):
+        mu[h][h] = 1
+        for l in range(h + 1, ns):
+            if leq[h][l]:
+                mu[h][l] = -sum(mu[h][k] for k in range(h, l)
+                                if leq[h][k] and leq[k][l])
+    identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
+    inverse = [table[i].index(identity) for i in range(n)]
+    class_of = [-1] * ns
+    classes = 0
+    for i, m in enumerate(members):
+        if class_of[i] >= 0:
+            continue
+        for g in range(n):
+            img = frozenset(table[table[inverse[g]][x]][g] for x in m)
+            class_of[index[img]] = classes
+        classes += 1
+    labels = [f"H{len(m)}_{i}" for i, m in enumerate(members)]
+    return members, labels, mu, class_of

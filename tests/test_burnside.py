@@ -211,6 +211,19 @@ def test_r0_of_basis_elements_is_one():
             assert r_k(basis_element(g, c), 0) == 1
 
 
+def test_r0_is_the_burnside_lemma_orbit_count():
+    # the coset oracle averages fixed cosets over G (Burnside's lemma), so
+    # with k = 0 it counts the orbits of each basis G-set
+    for seed, name in enumerate(POOL_NAMES):
+        g = pool()[name]
+        lat = g.lattice()
+        orbits = [r_k_coset_oracle(
+                      g, lat.subgroups[lat.representatives[c]].members, 0)
+                  for c in range(lat.num_classes)]
+        for b in random_elements(g, 10, seed=seed):
+            assert r_k(b, 0) == sum(a * o for a, o in zip(b.coeffs, orbits))
+
+
 def test_abelian_r_k_is_subgroup_order_power():
     for name in abelian_names():
         g = pool()[name]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqindex import cli, jsonio
 from eqindex.burnside import basis_element, one
@@ -306,3 +307,93 @@ def test_group_json_roundtrip():
     g = jsonio.group_from_json(Z6_PRES)
     h = jsonio.group_from_json(jsonio.group_to_json(g))
     assert g.same_group(h)
+
+
+# -- payload-shape fuzzing ------------------------------------------------------------
+
+Z2_PRES = {"kind": "perm", "degree": 2, "generators": [[1, 0]]}
+H2_1 = {"coeffs": [{"class": "H2_1", "a": 1}]}  # [G/H2_1], in S3 and in Z6
+CIRCLE = {"vertices": [0, 1, 2, 3], "simplices": [[0, 1], [1, 2], [2, 3], [3, 0]],
+          "action": {"g0": [0, 3, 2, 1]}}
+
+# one accepted payload per subcommand, the starting points of the mutations
+VALID_PAYLOADS = {
+    ("group", "info"): S3_PRES,
+    ("group", "lattice"): Z6_PRES,
+    ("burnside", "marks"): {"group": S3_PRES},
+    ("burnside", "mul"): {"group": S3_PRES, "a": H2_1, "b": H2_1},
+    ("burnside", "restrict"): {"group": Z6_PRES, "subgroup": "H2_1",
+                               "element": H2_1},
+    ("burnside", "induce"): {"group": Z6_PRES, "subgroup": "H2_1",
+                             "element": H2_1},
+    ("burnside", "rk"): {"group": S3_PRES, "element": H2_1},
+    ("burnside", "char"): {"group": S3_PRES, "element": H2_1},
+    ("euler", "strat"): {"group": Z6_PRES,
+                         "strata": [{"class": "H1_0", "chi": -1},
+                                    {"class": "H2_1", "chi": 1}]},
+    ("euler", "simplicial"): {"group": Z2_PRES, "complex": CIRCLE},
+    ("euler", "orbifold"): {"group": Z2_PRES, "complex": CIRCLE},
+    ("index", "from-strata"): {"group": Z6_PRES,
+                               "entries": [{"class": "H6_3", "ind": 1},
+                                           {"class": "H2_1", "ind": -3}]},
+    ("index", "invert"): {"group": Z6_PRES,
+                          "per_subgroup": {"H1_0": 1, "H2_1": 1,
+                                           "H3_2": 1, "H6_3": 1}},
+    ("index", "induce"): {"group": Z6_PRES, "isotropy": "H2_1",
+                          "local": H2_1},
+    ("index", "ph-check"): {"group": Z2_PRES,
+                            "chi": {"coeffs": [{"class": "H2_1", "a": 2}]},
+                            "orbits": [{"isotropy": "H2_1", "local": {
+                                "coeffs": [{"class": "H2_1", "a": 1}]}}]},
+    ("index", "gsv"): {"group": Z6_PRES, "radial": H2_1, "chibar": H2_1},
+    ("poly", "analyze"): {"E": [[2, 1], [0, 3]]},
+    ("poly", "index"): {"E": [[2, 0], [0, 3]]},
+    ("poly", "dual-check"): {"E": [[2, 1], [0, 3]]},
+}
+
+# small leaves, so that a mutated payload stays a small computation
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6),
+    st.floats(-2, 6, allow_nan=False), st.text(max_size=3),
+    st.sampled_from(["H1_0", "H2_1", "H3_2", "perm", "diagonal", "table",
+                     "coeffs", "class", "a", "num", "den"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _mutate(value, data):
+    """Replace one subtree of a JSON value, or drop one key of an object."""
+    children = list(value) if isinstance(value, dict) else \
+        list(range(len(value))) if isinstance(value, list) else []
+    if not children or data.draw(st.integers(0, 3)) == 0:
+        return data.draw(JSON_VALUES)
+    key = data.draw(st.sampled_from(children))
+    out = dict(value) if isinstance(value, dict) else list(value)
+    if isinstance(out, dict) and data.draw(st.integers(0, 4)) == 0:
+        del out[key]
+    else:
+        out[key] = _mutate(value[key], data)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(VALID_PAYLOADS)), st.data())
+def test_fuzzed_payloads_exit_cleanly(capsys, command, data):
+    payload = _mutate(VALID_PAYLOADS[command], data)
+    argv = [*command, json.dumps(payload)]
+    if command in (("burnside", "rk"), ("euler", "orbifold")):
+        argv += ["--k", str(data.draw(st.integers(-1, 2)))]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        obj = json.loads(out)
+        assert (code == 1) == ("error" in obj), out

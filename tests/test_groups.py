@@ -7,6 +7,7 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      normalizer, perm_group, trivial_group)
 
 from groups_pool import pool
+from oracles import subgroup_lattice_oracle
 
 
 def test_cyclic_closure_from_3cycle():
@@ -178,6 +179,79 @@ def test_class_size_is_index_of_normalizer():
         for c, cls in enumerate(lat.classes):
             i = lat.representatives[c]
             assert len(cls) == g.order // lat.normalizer_order(i)
+
+
+def _diagonal_power(n, rank):
+    """(Z/n)^rank as a diagonal group."""
+    return diagonal_group([[Fraction(1, n) if i == j else 0
+                            for j in range(rank)] for i in range(rank)])
+
+
+def _q8():
+    """The quaternion group in its regular permutation representation."""
+    return perm_group(8, [[1, 3, 5, 6, 2, 7, 0, 4], [2, 4, 3, 7, 6, 1, 5, 0]])
+
+
+# group -> (builder, number of subgroups)
+ORACLE_GROUPS = {
+    "S3": (lambda: pool()["S3"], 6),
+    "D4": (lambda: pool()["D4"], 10),
+    "Q8": (_q8, 6),
+    "S4": (lambda: perm_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), 30),
+    "A5": (lambda: perm_group(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]), 59),
+    "S5": (lambda: perm_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]), 156),
+    "Z2^5": (lambda: _diagonal_power(2, 5), 374),
+    "Z6^3": (lambda: _diagonal_power(6, 3), 448),
+    "Z10xZ50": (lambda: diagonal_group([[Fraction(1, 10), 0],
+                                        [0, Fraction(1, 50)]]), 70),
+}
+
+
+def _assert_lattice_matches_oracle(group):
+    lat = group.lattice()
+    members, labels, mu_sub, class_of = subgroup_lattice_oracle(group)
+    assert [s.members for s in lat.subgroups] == members
+    assert lat.labels == labels
+    assert lat.mu_sub == mu_sub
+    assert lat.class_of == class_of
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_lattice_matches_all_pairs_oracle(name):
+    build, count = ORACLE_GROUPS[name]
+    group = build()
+    _assert_lattice_matches_oracle(group)
+    assert len(group.lattice().subgroups) == count
+
+
+def test_q8_is_the_quaternion_group():
+    g = _q8()
+    involutions = [i for i in g.elements()
+                   if i != g.identity and g.mul(i, i) == g.identity]
+    assert g.order == 8 and not g.is_abelian and len(involutions) == 1
+
+
+def test_lattice_matches_all_pairs_oracle_on_symmetry_groups():
+    from invertible_family import duality_family
+    from eqindex import symmetry_group
+    for f in duality_family(24, 3)[::9]:
+        _assert_lattice_matches_oracle(symmetry_group(f).group)
+
+
+def test_lattice_records_cyclic_subgroups_and_generators():
+    for name in ("S4", "Z6^3"):
+        group = ORACLE_GROUPS[name][0]()
+        lat = group.lattice()
+        for g in group.elements():
+            assert lat.subgroups[lat.cyclic_of[g]].members == \
+                group.closure([g])
+        assert sorted(lat.cyclic_generators) == sorted(set(lat.cyclic_of))
+        for s, g in lat.cyclic_generators.items():
+            assert lat.cyclic_of[g] == s
+
+
+def test_z8_cubed_has_802_subgroups():
+    assert len(_diagonal_power(8, 3).lattice().subgroups) == 802
 
 
 def test_lattice_construction_is_deterministic():

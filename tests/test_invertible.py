@@ -13,7 +13,7 @@ from eqindex import (IntegralityError, InvalidPolynomialError,
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
 from eqindex.groups import diagonal_group
 from eqindex.invertible import (DiagonalGroup, _orbifold_indices,
-                                check_perfect_pairing, det_int)
+                                check_perfect_pairing, det_int, solve_exact)
 
 from invertible_family import duality_family, mu_oracle_family
 from oracles import milnor_number_jacobian
@@ -92,6 +92,45 @@ def test_det_int_matches_cofactor_expansion():
         cases.append(m)
     for m in cases:
         assert det_int(m) == _det_cofactor(m), m
+
+
+def _solve_fraction(m, columns):
+    """Gauss-Jordan over Fraction: an independent reference for solve_exact."""
+    n = len(m)
+    aug = [[Fraction(x) for x in m[r]] + [Fraction(c[r]) for c in columns]
+           for r in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [[aug[r][n + k] for r in range(n)] for k in range(len(columns))]
+
+
+def test_solve_exact_matches_fraction_gauss_jordan():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            m[0][0] = 0
+        if _det_cofactor(m) == 0:
+            continue
+        columns = [[rng.randint(-9, 9) for _ in range(n)]
+                   for _ in range(rng.randint(1, 3))]
+        assert solve_exact(m, columns) == _solve_fraction(m, columns), m
+        checked += 1
+
+
+def test_solve_exact_rejects_singular_matrices():
+    for m in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 5]],
+              [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+        with pytest.raises(InvalidPolynomialError):
+            solve_exact(m, [[1] * len(m)])
 
 
 # -- Milnor numbers ----------------------------------------------------------------
@@ -212,6 +251,57 @@ def test_dual_subgroup_involution_and_order_product():
             assert sub.order * dual.order == gf.order
             back = dual_subgroup(ft, gft, dual.members, gf)
             assert back.members == sub.members
+
+
+def _zero_set(f, gf, gft, members):
+    """{b in G_{f~} : a^T E^T b = 0 mod 1 for every a in H}, in Fractions over
+    every member of H."""
+    n = f.n
+    zeros = set()
+    for j in range(gft.order):
+        b = gft.phases(j)
+        etb = [sum(f.E[r][i] * b[r] for r in range(n)) for i in range(n)]
+        if all(sum(x * y for x, y in zip(gf.phases(m), etb)) % 1 == 0
+               for m in members):
+            zeros.add(j)
+    return frozenset(zeros)
+
+
+def test_annihilators_match_fraction_zero_sets():
+    for f in duality_family(24, 3)[::5]:
+        gf, gft = symmetry_group(f), symmetry_group(transpose(f))
+        lat, dual_lat = gf.group.lattice(), gft.group.lattice()
+        annihilator = check_perfect_pairing(f, gf, gft)
+        report = duality_check(f)
+        for i, sub in enumerate(lat.subgroups):
+            expected = _zero_set(f, gf, gft, sub.members)
+            assert annihilator(sub.members) == expected
+            assert dual_subgroup(f, gf, sub.members, gft).members == expected
+            pair = report.pairs[i]
+            assert pair.subgroup_label == lat.labels[i]
+            assert pair.dual_label == \
+                dual_lat.labels[dual_lat.subgroup_index(expected)]
+
+
+def test_degenerate_pairing_is_rejected():
+    # x^2 + y^2 with G_f cut down to <(1/2, 0)> and G_{f~} to <(0, 1/2)>:
+    # equal orders, every b a symmetry of the transpose, but <a, b> = 0
+    f = validate([[2, 0], [0, 2]])
+    half = Fraction(1, 2)
+    gf = DiagonalGroup(diagonal_group([[half, 0]]), 2)
+    gft = DiagonalGroup(diagonal_group([[0, half]]), 2)
+    with pytest.raises(PairingError):
+        check_perfect_pairing(f, gf, gft)
+
+
+def test_annihilator_of_non_subgroup_violates_order_product():
+    gf, gft = symmetry_group(CHAIN), symmetry_group(DUAL_CHAIN)
+    g = gf.group
+    order3 = next(i for i in g.elements()
+                  if i != g.identity and g.mul(i, g.mul(i, i)) == g.identity)
+    # {e, a} with a of order 3 annihilates like <a>: |H^T| = 2, 2 * 2 != 6
+    with pytest.raises(PairingError):
+        dual_subgroup(CHAIN, gf, {g.identity, order3}, gft)
 
 
 # -- fixed loci and restriction ----------------------------------------------------------

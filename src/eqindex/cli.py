@@ -204,8 +204,8 @@ def cmd_poly_analyze(args, payload):
     out["group"] = {
         "id": diag.group.fingerprint,
         "order": diag.order,
-        "generators": [[jsonio.rational_to_json(q) for q in g]
-                       for g in diag.group.generator_keys],
+        "generators": [[jsonio.rational_to_json(q) for q in diag.phases(g)]
+                       for g in diag.group.generators],
     }
     return out
 

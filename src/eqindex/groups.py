@@ -6,7 +6,10 @@ fully enumerated at construction time.  Element keys are sorted into a
 canonical order, so subgroup lattices, conjugacy classes and every Burnside
 coefficient downstream are deterministic across runs.
 
-No floating point anywhere: phases are `fractions.Fraction` reduced mod 1.
+No floating point anywhere.  A diagonal group's elements are integer vectors
+over one common denominator (the phases x / denominator mod 1); phases as
+`fractions.Fraction` appear only at the edges: `FiniteGroup.phases`,
+`element_repr` and `fingerprint`.
 """
 
 from __future__ import annotations
@@ -23,54 +26,70 @@ MAX_PERM_DEGREE = 16
 MAX_PHASE_DENOMINATOR = 10**6
 
 
-def _bfs_closure(identity, generators, compose, bound):
-    """Enumerate the group generated by `generators` under `compose`."""
-    elems = {identity}
-    frontier = [identity]
-    for g in generators:
-        if g not in elems:
-            elems.add(g)
-            frontier.append(g)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                c = compose(a, g)
-                if c not in elems:
-                    if len(elems) >= bound:
-                        raise OrderBoundError(
-                            f"generated order exceeds the bound {bound}")
-                    elems.add(c)
-                    new.append(c)
-        frontier = new
-    return elems
+def _enumerate(identity, generators, compose):
+    """The keys in canonical (sorted) order, the multiplication table and the
+    index of the identity, from one breadth-first walk.
 
-
-def _cayley_table(keys, index, identity, generators, compose):
-    """The multiplication table by row translation.
-
-    Only the generator rows are composed.  Every other element c = a * g is
-    reached from the identity by right multiplication (breadth first), and
-    its row is the row of a read through the row of g, since
-    (a g) x = a (g x): |G|^2 list lookups instead of |G|^2 compositions.
+    The walk reaches every element as c = g * a, a generator times an
+    element already found, so its compositions are exactly the entries of
+    the generator rows.  Every other row is a translation, since
+    (g a) x = g (a x): the row of c is the row of a read through the row of
+    g, |G|^2 list lookups instead of |G|^2 compositions.
     """
-    gen_rows = {index[g]: [index[compose(g, k)] for k in keys]
-                for g in generators}
-    rows = [None] * len(keys)
-    e = index[identity]
-    rows[e] = list(range(len(keys)))
-    frontier = [e]
+    gens = list(dict.fromkeys(generators))
+    found = {identity: 0}
+    walk = [identity]
+    steps = [None]  # per element after the identity: (generator, parent)
+    rows = [[] for _ in gens]
+    for i, a in enumerate(walk):  # walk grows while it is read
+        for k, g in enumerate(gens):
+            c = compose(g, a)
+            j = found.get(c)
+            if j is None:
+                if len(walk) >= MAX_ORDER:
+                    raise OrderBoundError(
+                        f"generated order exceeds the bound {MAX_ORDER}")
+                j = found[c] = len(walk)
+                walk.append(c)
+                steps.append((k, i))
+            rows[k].append(j)
+    n = len(walk)
+    order = sorted(range(n), key=walk.__getitem__)
+    pos = [0] * n
+    for p, w in enumerate(order):
+        pos[w] = p
+    gen_rows = []
+    for row in rows:
+        canon = [0] * n
+        for w, x in enumerate(row):
+            canon[pos[w]] = pos[x]
+        gen_rows.append(canon)
+    table = [None] * n
+    table[pos[0]] = list(range(n))
+    for w in range(1, n):
+        k, a = steps[w]
+        row_g = gen_rows[k]
+        table[pos[w]] = [row_g[y] for y in table[pos[a]]]
+    return [walk[w] for w in order], table, pos[0]
+
+
+def _closure(table, identity, seed) -> set:
+    """The elements reached from the identity by right multiplication with
+    the elements of `seed`: in a group, the subgroup they generate."""
+    seed = list(seed)
+    members = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
-            row_a = rows[a]
-            for g, row_g in gen_rows.items():
-                c = row_a[g]
-                if rows[c] is None:
-                    rows[c] = [row_a[x] for x in row_g]
+            row = table[a]
+            for g in seed:
+                c = row[g]
+                if c not in members:
+                    members.add(c)
                     new.append(c)
         frontier = new
-    return rows
+    return members
 
 
 class FiniteGroup:
@@ -78,11 +97,12 @@ class FiniteGroup:
 
     Elements are referred to by index into `keys`.  `table[i][j]` is the index
     of the product keys[i] * keys[j]; for permutations the product is
-    "apply j first, then i".
+    "apply j first, then i".  A diagonal group has a `denominator`: its keys
+    are integer vectors x standing for the phases x / denominator mod 1.
     """
 
     def __init__(self, keys, table, identity, presentation, generator_keys,
-                 parent=None, parent_index=None):
+                 parent=None, parent_index=None, denominator=None):
         self.keys = list(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.table = table
@@ -91,6 +111,7 @@ class FiniteGroup:
         self.generator_keys = list(generator_keys)
         self.parent = parent
         self.parent_index = parent_index
+        self.denominator = denominator
         self.order = len(self.keys)
         try:
             self.inverse = [row.index(identity) for row in self.table]
@@ -101,7 +122,7 @@ class FiniteGroup:
         self._element_classes = None
         self._tuple_counts = {}
         self._fingerprint = None
-        self._abelian = None
+        self._abelian = True if denominator is not None else None
 
     # -- basic structure ---------------------------------------------------
 
@@ -133,24 +154,7 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> frozenset:
         """The subgroup generated by the element indices in `seed`."""
-        members = {self.identity}
-        gens = [s for s in seed]
-        frontier = list(members)
-        for s in gens:
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-        while frontier:
-            new = []
-            for a in frontier:
-                row = self.table[a]
-                for g in gens:
-                    c = row[g]
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(members)
+        return frozenset(_closure(self.table, self.identity, seed))
 
     def element_conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes of elements, each sorted, ordered by smallest member."""
@@ -167,20 +171,29 @@ class FiniteGroup:
             self._element_classes = classes
         return self._element_classes
 
+    def phases(self, i: int) -> tuple:
+        """The phase vector of element i of a diagonal group, as Fractions
+        reduced mod 1."""
+        if self.denominator is None:
+            raise TypeError("only diagonal groups have phase vectors")
+        return tuple(Fraction(x, self.denominator) for x in self.keys[i])
+
     def element_repr(self, i: int):
         """JSON-able canonical representation of an element."""
+        if self.denominator is not None:
+            return [[q.numerator, q.denominator] for q in self.phases(i)]
         k = self.keys[i]
-        if isinstance(k, tuple) and k and isinstance(k[0], Fraction):
-            return [[q.numerator, q.denominator] for q in k]
-        if isinstance(k, tuple):
-            return list(k)
-        return k
+        return list(k) if isinstance(k, tuple) else k
 
     @property
     def fingerprint(self) -> str:
+        """An id hashed from the elements (phase vectors of a diagonal group
+        as Fractions) and the table."""
         if self._fingerprint is None:
+            keys = self.keys if self.denominator is None else \
+                [self.phases(i) for i in self.elements()]
             h = hashlib.sha1()
-            h.update(repr(self.keys).encode())
+            h.update(repr(keys).encode())
             h.update(repr(self.table).encode())
             self._fingerprint = f"G{self.order}-{h.hexdigest()[:10]}"
         return self._fingerprint
@@ -188,7 +201,8 @@ class FiniteGroup:
     def same_group(self, other: "FiniteGroup") -> bool:
         if self is other:
             return True
-        return self.keys == other.keys and self.table == other.table
+        return (self.denominator == other.denominator
+                and self.keys == other.keys and self.table == other.table)
 
     def lattice(self) -> "SubgroupLattice":
         if self._lattice is None:
@@ -235,8 +249,9 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """This subgroup as a standalone group.
 
-        Element keys are inherited from the parent (so phase vectors stay
-        phase vectors) and the canonical order is the parent's, restricted.
+        Element keys and the denominator are inherited from the parent (so
+        phase vectors stay phase vectors) and the canonical order is the
+        parent's, restricted.
         """
         if self._group is None:
             idxs = sorted(self.members)
@@ -247,7 +262,8 @@ class Subgroup:
             self._group = FiniteGroup(
                 keys, table, child_of[self.parent.identity],
                 {"kind": "table", "derived": "subgroup"},
-                keys, parent=self.parent, parent_index=idxs)
+                keys, parent=self.parent, parent_index=idxs,
+                denominator=self.parent.denominator)
         return self._group
 
     def __eq__(self, other):
@@ -493,13 +509,9 @@ def _build_perm(presentation):
         if sorted(t) != list(range(degree)):
             raise GroupBuildError(f"generator {g!r} is not a permutation")
         gens.append(t)
-    identity = tuple(range(degree))
-    compose = lambda a, b: tuple(a[x] for x in b)
-    elems = _bfs_closure(identity, gens, compose, MAX_ORDER)
-    keys = sorted(elems)
-    index = {k: i for i, k in enumerate(keys)}
-    table = _cayley_table(keys, index, identity, gens, compose)
-    return FiniteGroup(keys, table, index[identity],
+    keys, table, identity = _enumerate(
+        tuple(range(degree)), gens, lambda a, b: tuple(a[x] for x in b))
+    return FiniteGroup(keys, table, identity,
                        {"kind": "perm", "degree": degree,
                         "generators": [list(g) for g in gens]},
                        gens)
@@ -520,28 +532,17 @@ def _build_diagonal(presentation):
     if any(len(g) != n for g in gens):
         raise GroupBuildError("phase vectors have inconsistent dimension")
     # enumerate in integer phase space over the common denominator
-    denom = 1
-    for g in gens:
-        for p in g:
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
+    denom = math.lcm(*(p.denominator for g in gens for p in g))
     int_gens = [tuple(p.numerator * (denom // p.denominator) for p in g)
                 for g in gens]
-    identity = (0,) * n
-    compose = lambda a, b: tuple((x + y) % denom for x, y in zip(a, b))
-    elems = _bfs_closure(identity, int_gens, compose, MAX_ORDER)
-    int_keys = sorted(elems)
-    index = {k: i for i, k in enumerate(int_keys)}
-    table = _cayley_table(int_keys, index, identity, int_gens, compose)
-    fractions = [Fraction(x, denom) for x in range(denom)]
-    keys = [tuple(fractions[x] for x in k) for k in int_keys]
-    gen_keys = [tuple(fractions[x] for x in k) for k in int_gens]
-    group = FiniteGroup(keys, table, index[identity],
-                        {"kind": "diagonal",
-                         "phases": [[[p.numerator, p.denominator] for p in g]
-                                    for g in gens]},
-                        gen_keys)
-    group._abelian = True
-    return group
+    keys, table, identity = _enumerate(
+        (0,) * n, int_gens,
+        lambda a, b: tuple((x + y) % denom for x, y in zip(a, b)))
+    return FiniteGroup(keys, table, identity,
+                       {"kind": "diagonal",
+                        "phases": [[[p.numerator, p.denominator] for p in g]
+                                   for g in gens]},
+                       int_gens, denominator=denom)
 
 
 def _build_table(presentation):
@@ -591,8 +592,7 @@ def _check_associative(table, identity):
             if table[row_x[g]] != [row_x[y] for y in row_g]:
                 raise GroupBuildError("table is not associative")
         gens.append(g)
-        reached = _bfs_closure(identity, gens, lambda a, b: table[a][b],
-                               len(table))
+        reached = _closure(table, identity, gens)
 
 
 # -- convenience constructors (used all over the tests and scripts) ---------

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .burnside import (BurnsideElement, commuting_class_counts, one,
-                       TUPLE_ENUM_BOUND)
-from .errors import (InconsistentDataError, IntegralityError, OrderBoundError,
-                     RegularityError)
+from .burnside import BurnsideElement, commuting_class_counts, one
+from .errors import InconsistentDataError, IntegralityError, RegularityError
 from .groups import FiniteGroup, Subgroup, trivial_group
 
 
@@ -232,10 +230,8 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     """
     x.check_regular()
     group = x.group
-    if group.order ** (k + 1) > TUPLE_ENUM_BOUND:
-        raise OrderBoundError("commuting-tuple enumeration out of bounds")
+    counts = commuting_class_counts(group, k)  # checks k and the tuple bound
     lat = group.lattice()
-    counts = commuting_class_counts(group, k)
     total = 0
     for c, count in enumerate(counts):
         if count == 0:

@@ -8,8 +8,8 @@ invertible.
 
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
-assembled from fixed-locus data by Moebius inversion over the (abelian)
-subgroup lattice, and the index of df is [G/G] - chi^G(M_f).
+the Burnside element whose mark at K is chi(M_f^K), and the index of df is
+[G/G] - chi^G(M_f).
 
 The duality check needs the orbifold index r_1 of df over every subgroup H
 of G_f and of its dual.  Restriction from G to H keeps marks, the mark of
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .burnside import BurnsideElement, one, r_k
+from .burnside import BurnsideElement, element_from_marks, one, r_k
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError)
 from .groups import FiniteGroup, Subgroup, build_group
@@ -259,12 +259,13 @@ def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
 
 @dataclass(frozen=True)
 class DiagonalGroup:
-    """A finite group of diagonal scalings, with exact rational phases."""
+    """A finite group of diagonal scalings: integer phase vectors over the
+    group's denominator."""
     group: FiniteGroup
     dimension: int
 
     def phases(self, i: int) -> tuple:
-        return self.group.keys[i]
+        return self.group.phases(i)
 
     @property
     def order(self) -> int:
@@ -294,7 +295,8 @@ def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
 
 
 def _as_integers(phase_vectors):
-    """Phase vectors as integer numerators over their least common denominator."""
+    """Fraction phase vectors as integer numerators over their least common
+    denominator."""
     den = math.lcm(*(p.denominator for v in phase_vectors for p in v))
     return den, [[p.numerator * (den // p.denominator) for p in v]
                  for v in phase_vectors]
@@ -317,14 +319,14 @@ def _integral_image(matrix, vec, den) -> list:
     return out
 
 
-def _pairing_numerators(f: InvertiblePolynomial, a_rows, den, b_vectors):
-    """<a, b> * den for integer rows a over `den` and phase vectors b of G_{f~}.
+def _pairing_numerators(f: InvertiblePolynomial, a_rows, den, b_rows, den_b):
+    """<a, b> * den for integer rows a over `den` and integer rows b over
+    `den_b`, the phase vectors of G_{f~}.
 
     <a, b> = a^T (E^T b) mod 1, and E^T b is an integer vector exactly when
     b is a symmetry of the transpose.
     """
     et = tuple(zip(*f.E))
-    den_b, b_rows = _as_integers(b_vectors)
     images = [_integral_image(et, b, den_b) for b in b_rows]
     return [[sum(x * y for x, y in zip(a, w)) % den for w in images]
             for a in a_rows]
@@ -334,7 +336,9 @@ def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     """The duality pairing <a, b> = a^T E^T b mod 1 for a in G_f, b in G_{f~}."""
     den, a_rows = _as_integers([a])
     _integral_image(f.E, a_rows[0], den)
-    return Fraction(_pairing_numerators(f, a_rows, den, [b])[0][0], den)
+    den_b, b_rows = _as_integers([b])
+    return Fraction(_pairing_numerators(f, a_rows, den, b_rows, den_b)[0][0],
+                    den)
 
 
 def pairing_matrix(f: InvertiblePolynomial, gf: DiagonalGroup,
@@ -345,9 +349,9 @@ def pairing_matrix(f: InvertiblePolynomial, gf: DiagonalGroup,
     Membership of G_f is guaranteed by construction and not checked here;
     that of G_{f~} is, since each E^T b must be integral.
     """
-    den, a_rows = _as_integers([gf.phases(i) for i in range(gf.order)])
-    return den, _pairing_numerators(
-        f, a_rows, den, [gft.phases(j) for j in range(gft.order)])
+    den = gf.group.denominator
+    return den, _pairing_numerators(f, gf.group.keys, den, gft.group.keys,
+                                    gft.group.denominator)
 
 
 def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
@@ -366,9 +370,10 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
         raise PairingError("dual symmetry groups have different orders")
     lat = gf.group.lattice()
     gens = lat.cyclic_generators
-    den, a_rows = _as_integers([gf.phases(c) for c in gens.values()])
-    rows = _pairing_numerators(f, a_rows, den,
-                               [gft.phases(j) for j in range(gft.order)])
+    keys = gf.group.keys
+    rows = _pairing_numerators(f, [keys[c] for c in gens.values()],
+                               gf.group.denominator, gft.group.keys,
+                               gft.group.denominator)
     zeros = {s: frozenset(j for j, v in enumerate(row) if not v)
              for s, row in zip(gens, rows)}
     everything = frozenset(range(gft.order))
@@ -469,35 +474,20 @@ def _fixed_entries(f: InvertiblePolynomial, diag: DiagonalGroup) -> dict:
 
 
 def milnor_data(f: InvertiblePolynomial, diag: DiagonalGroup) -> MilnorData:
-    """chi^G(M_f) over a diagonal symmetry group, by exact-isotropy counts.
-
-    chi(M^{(K)}) = sum over L >= K of mu'(K, L) chi(M^L); the group acts
-    freely on each exact-isotropy piece modulo K, so every orbit count
-    (|K|/|G|) chi(M^{(K)}) must be an integer.
-    """
+    """chi^G(M_f) over a diagonal symmetry group, from its marks: the mark
+    at K is chi(M_f^K).  A mark vector outside the image of the Burnside
+    ring is an IntegralityError."""
     group = diag.group
-    if not group.is_abelian:
-        raise NotASubgroupError("diagonal symmetry groups must be abelian")
+    if group.denominator is None:
+        raise NotASubgroupError("not a diagonal group: no phase vectors")
     # E phi in Z^n is additive, so the symmetries of f form a subgroup and
     # checking the generators shows that every element is one
-    den, gens = _as_integers(group.generator_keys)
-    for g in gens:
-        _integral_image(f.E, g, den)
-    lat = group.lattice()
-    ns = len(lat.subgroups)
+    for g in group.generator_keys:
+        _integral_image(f.E, g, group.denominator)
     entries = _fixed_entries(f, diag)
-    coeffs = [0] * lat.num_classes
-    n = group.order
-    for kk in range(ns):
-        exact = sum(lat.mu_sub[kk][l] * entries[l].chi
-                    for l in range(ns) if lat.leq[kk][l])
-        num = lat.subgroups[kk].order * exact
-        if num % n:
-            raise IntegralityError(
-                "exact-isotropy Euler characteristic is not divisible by the orbit size")
-        coeffs[lat.class_of[kk]] += num // n
+    marks = [entries[r].chi for r in group.lattice().representatives]
     return MilnorData(diag=diag, per_subgroup=entries,
-                      chi_g=BurnsideElement(group, coeffs))
+                      chi_g=element_from_marks(group, marks))
 
 
 def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:

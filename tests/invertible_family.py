@@ -77,7 +77,10 @@ def block_diagonal(blocks):
 
 @lru_cache(maxsize=None)
 def duality_family(max_det=60, max_vars=3):
-    atoms = _atoms_upto(max_det, max_vars)
+    # (|det|, kind, exps), scanned in order of |det| so that a scan can stop
+    # at the first atom whose determinant no longer fits
+    atoms = sorted((abs(atom_det(kind, exps)), kind, exps)
+                   for kind, exps in _atoms_upto(max_det, max_vars))
     seen = set()
     out = []
 
@@ -99,12 +102,12 @@ def duality_family(max_det=60, max_vars=3):
         if combo:
             add(combo)
         for i in range(start, len(atoms)):
-            kind, exps = atoms[i]
+            d, kind, exps = atoms[i]
+            if det * d > max_det:
+                break
             size = len(exps)
-            d = abs(atom_det(kind, exps))
-            if used_vars + size > max_vars or det * d > max_det:
-                continue
-            rec(i, combo + [(kind, exps)], used_vars + size, det * d)
+            if used_vars + size <= max_vars:
+                rec(i, combo + [(kind, exps)], used_vars + size, det * d)
 
     rec(0, [], 0, 1)
     out.sort(key=lambda f: (f.n, abs(f.det), f.E))

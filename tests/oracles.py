@@ -4,7 +4,9 @@ Nothing here shares code with the package paths it checks: the Milnor-number
 oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
 the reduction oracle averages fixed-coset counts over commuting tuples
-directly on cosets.
+directly on cosets; the exact-isotropy oracle assembles chi^G from
+fixed-point Euler characteristics by Moebius sums, not through the table of
+marks.
 """
 
 from fractions import Fraction
@@ -226,3 +228,30 @@ def subgroup_lattice_oracle(group):
         classes += 1
     labels = [f"H{len(m)}_{i}" for i, m in enumerate(members)]
     return members, labels, mu, class_of
+
+
+# -- chi^G from fixed-point Euler characteristics -------------------------------
+
+def chi_G_exact_isotropy_oracle(group, chi_fixed) -> BurnsideElement:
+    """chi^G(X) of an abelian G-space X from chi(X^K) for every subgroup K
+    (`chi_fixed[k]` for the k-th subgroup of the lattice).
+
+    chi(X^{(K)}) = sum over L >= K of mu(K, L) chi(X^L) counts the points of
+    isotropy exactly K, on which G/K acts freely, so [G/K] has coefficient
+    |K| chi(X^{(K)}) / |G|.  mu is recomputed here from the inclusions of
+    the member sets.
+    """
+    lat = group.lattice()
+    members = [s.members for s in lat.subgroups]
+    coeffs = [0] * lat.num_classes
+    for k, mk in enumerate(members):
+        mu = {}
+        for l, ml in enumerate(members):  # the order extends inclusion
+            if mk <= ml:
+                mu[l] = 1 if l == k else \
+                    -sum(v for m, v in mu.items() if members[m] <= ml)
+        exact = sum(v * chi_fixed[l] for l, v in mu.items())
+        num = len(mk) * exact
+        assert num % group.order == 0
+        coeffs[lat.class_of[k]] += num // group.order
+    return BurnsideElement(group, coeffs)

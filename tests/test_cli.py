@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -111,6 +112,18 @@ def test_euler_simplicial_and_orbifold(capsys):
 
     code, out = run(capsys, ["euler", "orbifold", "--k", "1"], payload)
     assert json.loads(out) == {"k": 1, "value": 3}
+
+
+def test_orbifold_k_beyond_the_bound_is_rejected_at_once(capsys):
+    hexagon = {"vertices": list(range(6)),
+               "simplices": [[i, (i + 1) % 6] for i in range(6)],
+               "action": {"g0": [1, 2, 3, 4, 5, 0]}}
+    start = time.perf_counter()
+    code, out = run(capsys, ["euler", "orbifold", "--k", "1000000000"],
+                    {"group": Z6_PRES, "complex": hexagon})
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "OrderBoundError"
 
 
 def test_index_pipeline(capsys):

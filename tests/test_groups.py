@@ -96,9 +96,11 @@ def test_non_associative_table_above_order_64_rejected():
     assert z.order == 176 and z.is_abelian
 
 
-def _direct_table(group, compose):
-    return [[group.index[compose(a, b)] for b in group.keys]
-            for a in group.keys]
+def _direct_table(elements, compose):
+    """The table of the listed elements (in group index order), each product
+    composed and looked up."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[compose(a, b)] for b in elements] for a in elements]
 
 
 def test_perm_tables_match_direct_composition():
@@ -107,10 +109,11 @@ def test_perm_tables_match_direct_composition():
     a5 = perm_group(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
     assert (s4.order, a5.order) == (24, 60)
     for g in (s4, a5, pool()["D4"], pool()["S3"]):
-        assert g.table == _direct_table(g, compose)
+        assert g.table == _direct_table(g.keys, compose)
 
 
 def test_diagonal_tables_match_direct_composition():
+    # phases composed as Fractions mod 1, independent of the integer keys
     from invertible_family import duality_family
     from eqindex import symmetry_group
     compose = lambda a, b: tuple((x + y) % 1 for x, y in zip(a, b))
@@ -118,7 +121,33 @@ def test_diagonal_tables_match_direct_composition():
                                                [0, Fraction(1, 3)]])]
     groups += [symmetry_group(f).group for f in duality_family(24, 3)[::9]]
     for g in groups:
-        assert g.table == _direct_table(g, compose)
+        phases = [g.phases(i) for i in g.elements()]
+        assert g.table == _direct_table(phases, compose)
+
+
+def test_ids_are_pinned():
+    # literal ids: a diagonal group's id hashes its phases as Fractions
+    z6 = cyclic_group(6)
+    assert z6.fingerprint == "G6-8d4588526e"
+    assert [s.as_group().fingerprint for s in z6.lattice().subgroups] == \
+        ["G1-17bd330ce7", "G2-4b1f7ec94a", "G3-1d1d2725ac", "G6-8d4588526e"]
+    assert diagonal_group([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) \
+        .fingerprint == "G6-7616eab582"
+
+
+def test_diagonal_keys_are_integers_over_the_denominator():
+    g = diagonal_group([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert g.denominator == 6
+    assert g.keys == sorted((3 * i, 2 * j) for i in range(2) for j in range(3))
+    assert g.generator_keys == [(3, 0), (0, 2)]
+    assert g.phases(g.index[(3, 4)]) == (Fraction(1, 2), Fraction(2, 3))
+    assert g.element_repr(g.index[(3, 4)]) == [[1, 2], [2, 3]]
+    assert g.is_abelian
+    # a table group with the same table is another group
+    t = build_group({"kind": "table", "table": g.table})
+    assert not t.same_group(g) and t.denominator is None
+    with pytest.raises(TypeError):
+        t.phases(0)
 
 
 # -- lattices ------------------------------------------------------------------
@@ -308,6 +337,7 @@ def test_subgroup_as_group_inherits_keys():
     child = h.as_group()
     assert child.order == 2
     assert child.keys == [z6.keys[i] for i in sorted(h.members)]
+    assert child.denominator == z6.denominator
     assert child.parent is z6
 
 

@@ -16,7 +16,7 @@ from eqindex.invertible import (DiagonalGroup, _orbifold_indices,
                                 check_perfect_pairing, det_int, solve_exact)
 
 from invertible_family import duality_family, mu_oracle_family
-from oracles import milnor_number_jacobian
+from oracles import chi_G_exact_isotropy_oracle, milnor_number_jacobian
 
 FERMAT = validate([[2, 0], [0, 3]])        # x^2 + y^3
 CHAIN = validate([[2, 1], [0, 3]])         # x^2 y + y^3
@@ -169,13 +169,13 @@ def test_symmetry_group_chain_is_cyclic_6():
     g = symmetry_group(CHAIN)
     assert g.order == 6
     gen = (Fraction(5, 6), Fraction(1, 3))  # -1/6 mod 1 = 5/6
-    assert gen in set(g.group.keys)
+    assert gen in {g.phases(i) for i in range(6)}
 
 
 def test_symmetry_group_dual_chain():
     g = symmetry_group(DUAL_CHAIN)
     assert g.order == 6
-    assert (Fraction(1, 2), Fraction(5, 6)) in set(g.group.keys)
+    assert (Fraction(1, 2), Fraction(5, 6)) in {g.phases(i) for i in range(6)}
 
 
 def test_symmetry_group_order_bound():
@@ -405,6 +405,15 @@ def test_mark_identity_for_chi_G_milnor():
             assert mv[lat.class_of[i]] == chi_milnor_fixed(f, gf, sub.members)
 
 
+def test_chi_G_milnor_matches_exact_isotropy_oracle():
+    for f in duality_family(24, 3)[::3]:
+        gf = symmetry_group(f)
+        chi_fixed = [chi_milnor_fixed(f, gf, s.members)
+                     for s in gf.group.lattice().subgroups]
+        assert chi_G_milnor(f, gf) == \
+            chi_G_exact_isotropy_oracle(gf.group, chi_fixed), f.E
+
+
 def test_index_cardinality_is_signed_milnor_number():
     for f in duality_family(30, 3):
         gf = symmetry_group(f)
@@ -424,6 +433,11 @@ def test_restriction_compatibility_named_fixtures():
 
 
 # -- duality ---------------------------------------------------------------------------------
+
+def test_duality_family_sizes():
+    assert [len(duality_family(*args))
+            for args in ((60, 3), (24, 3), (20, 2))] == [1452, 378, 98]
+
 
 def test_duality_check_chain_fixture():
     rep = duality_check(CHAIN)

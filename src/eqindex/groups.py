@@ -526,22 +526,36 @@ def _build_diagonal(presentation):
                              if isinstance(p, (list, tuple)) else p)
             for p in vec)
         gens.append(phases)
-    if not gens:
-        raise GroupBuildError("diagonal presentation needs >= 1 generator")
-    n = len(gens[0])
-    if any(len(g) != n for g in gens):
-        raise GroupBuildError("phase vectors have inconsistent dimension")
-    # enumerate in integer phase space over the common denominator
     denom = math.lcm(*(p.denominator for g in gens for p in g))
-    int_gens = [tuple(p.numerator * (denom // p.denominator) for p in g)
-                for g in gens]
+    return diagonal_group_from_integers(
+        [[p.numerator * (denom // p.denominator) for p in g] for g in gens],
+        denom)
+
+
+def diagonal_group_from_integers(vectors, denominator: int) -> FiniteGroup:
+    """The diagonal group generated by the phase vectors v / denominator
+    mod 1, for integer vectors v and a positive integer denominator.
+
+    Entries are reduced mod the denominator and then, with it, by their
+    common gcd, so the group's denominator is the least one over which its
+    generators are integral (as the lcm of their reduced Fraction phases).
+    """
+    vecs = [[x % denominator for x in v] for v in vectors]
+    if not vecs:
+        raise GroupBuildError("diagonal presentation needs >= 1 generator")
+    n = len(vecs[0])
+    if any(len(v) != n for v in vecs):
+        raise GroupBuildError("phase vectors have inconsistent dimension")
+    g = math.gcd(denominator, *(x for v in vecs for x in v))
+    denom = denominator // g
+    int_gens = [tuple(x // g for x in v) for v in vecs]
     keys, table, identity = _enumerate(
         (0,) * n, int_gens,
         lambda a, b: tuple((x + y) % denom for x, y in zip(a, b)))
+    phases = [[[x // math.gcd(x, denom), denom // math.gcd(x, denom)]
+               for x in v] for v in int_gens]
     return FiniteGroup(keys, table, identity,
-                       {"kind": "diagonal",
-                        "phases": [[[p.numerator, p.denominator] for p in g]
-                                   for g in gens]},
+                       {"kind": "diagonal", "phases": phases},
                        int_gens, denominator=denom)
 
 

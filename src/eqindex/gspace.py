@@ -223,10 +223,14 @@ def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
 
 
 def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
-    """chi^(k)(X, G) by direct enumeration of commuting (k+1)-tuples.
+    """chi^(k)(X, G) averaged over commuting (k+1)-tuples on fixed
+    subcomplexes.
 
     Averages chi(X^{<g_0..g_k>}) over all pairwise-commuting tuples; must
-    agree with r_k(chi_G_simplicial(X)).
+    agree with r_k(chi_G_simplicial(X)).  The tuples are not enumerated
+    here: the count per subgroup class comes from `commuting_class_counts`,
+    which `r_k` shares, so only the fixed-subcomplex side is independent of
+    it (the coset oracle in the tests checks both).
     """
     x.check_regular()
     group = x.group

@@ -9,12 +9,16 @@ invertible.
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
 the Burnside element whose mark at K is chi(M_f^K), and the index of df is
-[G/G] - chi^G(M_f).
+[G/G] - chi^G(M_f).  A fixed locus L holds every chain variable together
+with its tail, so the monomials of f inside L keep f's weight equations and
+    chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
+over f's own weights q_i (0 for empty L), without restricting f.
 
-The duality check needs the orbifold index r_1 of df over every subgroup H
-of G_f and of its dual.  Restriction from G to H keeps marks, the mark of
+The duality check needs the orbifold indices of df over G_f, over its dual
+and over every subgroup H.  Restriction from G to H keeps marks, the mark of
 chi^H(M_f) at K is chi(M_f^K), and Fix <g, h> = Fix g & Fix h; so with c_a
-elements of H whose fixed-coordinate bitmask is a,
+elements of H whose fixed-coordinate bitmask is a, Burnside's lemma gives
+    r_0 = 1 - (sum_a c_a chi(M_f^a)) / |G|          (H = G),
     r_1 = |H| - (sum_{a,b} c_a c_b chi(M_f^{a & b})) / |H|,
 read off at most 2^n fixed loci without rebuilding H as a group.
 """
@@ -28,10 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .burnside import BurnsideElement, element_from_marks, one, r_k
+from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError)
-from .groups import FiniteGroup, Subgroup, build_group
+from .groups import FiniteGroup, Subgroup, diagonal_group_from_integers
 
 SYMMETRY_ORDER_BOUND = 2000
 DUALITY_ORDER_BOUND = 500
@@ -68,14 +72,13 @@ def det_int(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_exact(matrix, rhs_columns):
-    """Solve M X = B over the rationals for an integer matrix M and integer
-    columns of B, given as sequences.
+def _fraction_free_solve(matrix, rhs_columns):
+    """(d, columns of adj(M) B up to the sign of d) with M X = B exactly
+    when X = columns / d, for an integer matrix M and integer columns of B.
 
     Fraction-free Gauss-Jordan (Bareiss) on [M | B]: every row but the pivot
     row is eliminated at each step, the division by the previous pivot stays
-    exact, and at the end [M | B] has become [d I | adj(M) B] up to the row
-    order, with d = +-det M.  Only X = adj(M) B / d is a fraction.
+    exact, and at the end [M | B] has become [d I | d X] with d = +-det M.
     """
     n = len(matrix)
     width = len(rhs_columns)
@@ -95,8 +98,15 @@ def solve_exact(matrix, rhs_columns):
                 f = row_i[k]
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_k)]
         prev = p
-    return [[Fraction(aug[r][n + k], prev) for r in range(n)]
-            for k in range(width)]
+    return prev, [[aug[r][n + k] for r in range(n)] for k in range(width)]
+
+
+def solve_exact(matrix, rhs_columns):
+    """Solve M X = B over the rationals for an integer matrix M and integer
+    columns of B, given as sequences; see `_fraction_free_solve`.  Only the
+    final X = adj(M) B / det M is a fraction."""
+    d, columns = _fraction_free_solve(matrix, rhs_columns)
+    return [[Fraction(x, d) for x in col] for col in columns]
 
 
 # -- polynomial shape ---------------------------------------------------------
@@ -238,15 +248,23 @@ def _assign_heads(options, n):
     return rec(0, set(), set(), [])
 
 
-def milnor_number(f: InvertiblePolynomial) -> int:
-    """Milnor number via the weighted-homogeneous product prod(1/q_i - 1)."""
-    mu = Fraction(1)
-    for q in f.weights:
-        mu *= 1 / q - 1
-    if mu.denominator != 1 or mu < 0:
+def _milnor_product(weights) -> int:
+    """prod(1/q - 1) over the weights q = p/r, in integers: prod(r - p) over
+    prod(p), which must be a non-negative integer."""
+    num = den = 1
+    for q in weights:
+        num *= q.denominator - q.numerator
+        den *= q.numerator
+    mu, rem = divmod(num, den)
+    if rem or mu < 0:
         raise InvalidPolynomialError(
             "Milnor product is not a non-negative integer")
-    return int(mu)
+    return mu
+
+
+def milnor_number(f: InvertiblePolynomial) -> int:
+    """Milnor number via the weighted-homogeneous product prod(1/q_i - 1)."""
+    return _milnor_product(f.weights)
 
 
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
@@ -279,7 +297,9 @@ class DiagonalGroup:
 
 
 def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
-    """G_f, generated by the columns of E^{-1} mod 1; order |det E|."""
+    """G_f, generated by the columns of E^{-1} = adj(E) / det E mod 1, as
+    integer vectors over |det E| (reduced by their common gcd); order
+    |det E|."""
     if f.n == 0:
         raise InvalidPolynomialError("empty polynomial has no ambient space")
     if abs(f.det) > SYMMETRY_ORDER_BOUND:
@@ -287,8 +307,10 @@ def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
             f"symmetry group order {abs(f.det)} exceeds {SYMMETRY_ORDER_BOUND}")
     identity_cols = [[1 if r == c else 0 for r in range(f.n)]
                      for c in range(f.n)]
-    inv_cols = solve_exact(f.E, identity_cols)
-    group = build_group({"kind": "diagonal", "phases": inv_cols})
+    d, cols = _fraction_free_solve(f.E, identity_cols)
+    if d < 0:
+        d, cols = -d, [[-x for x in col] for col in cols]
+    group = diagonal_group_from_integers(cols, d)
     if group.order != abs(f.det):
         raise IntegralityError("symmetry group order does not match |det E|")
     return DiagonalGroup(group, f.n)
@@ -362,20 +384,26 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
     for every a in H}, which enforces |H| |H^T| = |G_f|; for H = G_f this is
     non-degeneracy, checked here.  The pairing is additive in a, so H^T is the
     intersection of ann(c) over the cyclic subgroups <c> <= H, and one row of
-    pairings per cyclic generator c of G_f is all that is computed.  Each
-    E^T b must be integral, so every b is checked to be a symmetry of the
-    transpose.
+    pairings per cyclic generator c of G_f is all that is computed: with
+    u_c = E c / den_c, an integer vector, <c, b> = 0 exactly when
+    u_c . b = 0 mod den_b.  Each generator of G_{f~} is checked to be a
+    symmetry of the transpose (E^T b integral), which is complete because
+    that condition is additive in b.
     """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
+    dual = gft.group
+    et = tuple(zip(*f.E))
+    for b in dual.generator_keys:
+        _integral_image(et, b, dual.denominator)
     lat = gf.group.lattice()
-    gens = lat.cyclic_generators
-    keys = gf.group.keys
-    rows = _pairing_numerators(f, [keys[c] for c in gens.values()],
-                               gf.group.denominator, gft.group.keys,
-                               gft.group.denominator)
-    zeros = {s: frozenset(j for j, v in enumerate(row) if not v)
-             for s, row in zip(gens, rows)}
+    keys, den = gf.group.keys, gf.group.denominator
+    zeros = {}
+    for s, c in lat.cyclic_generators.items():
+        u = _integral_image(f.E, keys[c], den)
+        zeros[s] = frozenset(
+            j for j, b in enumerate(dual.keys)
+            if not sum(x * y for x, y in zip(u, b)) % dual.denominator)
     everything = frozenset(range(gft.order))
 
     def annihilator(members) -> frozenset:
@@ -416,14 +444,20 @@ def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
     hard error.
     """
     cols = sorted(coords)
-    colset = set(cols)
+    sub = tuple(tuple(f.E[i][j] for j in cols) for i in _fixed_rows(f, cols))
+    return validate(sub)
+
+
+def _fixed_rows(f: InvertiblePolynomial, coords) -> list:
+    """The monomials (rows of E) supported inside the coordinate set; there
+    must be as many as coordinates."""
+    colset = set(coords)
     rows = [i for i, row in enumerate(f.E)
             if all(j in colset for j, v in enumerate(row) if v)]
-    if len(rows) != len(cols):
+    if len(rows) != len(coords):
         raise InvalidPolynomialError(
             "restriction is not square; the coordinate set is not a fixed locus")
-    sub = tuple(tuple(f.E[i][j] for j in cols) for i in rows)
-    return validate(sub)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -437,11 +471,16 @@ def _fixed_entry(f: InvertiblePolynomial, locus: frozenset) -> FixedMilnorEntry:
     """Milnor number and fibre chi of f restricted to a fixed locus.
 
     Empty locus gives 0; otherwise the fibre of an isolated m-variable
-    singularity is a wedge of mu spheres of dimension m-1.
+    singularity is a wedge of mu spheres of dimension m-1.  A fixed locus
+    holds every chain variable together with its tail, so the restricted
+    monomials are square (anything else is a hard error) and satisfy the
+    same weight equations: mu(f^L) = prod_{i in L} (1/q_i - 1) over f's own
+    weights, and `restrict_to` is never needed.
     """
     if not locus:
         return FixedMilnorEntry(locus=locus, mu=0, chi=0)
-    mu = milnor_number(restrict_to(f, locus))
+    _fixed_rows(f, locus)
+    mu = _milnor_product(f.weights[i] for i in locus)
     return FixedMilnorEntry(locus=locus, mu=mu,
                             chi=1 + (-1) ** (len(locus) - 1) * mu)
 
@@ -557,21 +596,36 @@ class DualityReport:
 
 def _orbifold_indices(f: InvertiblePolynomial, diag: DiagonalGroup,
                       member_sets) -> tuple:
-    """r_0 of ind^G(df), and r_1 of ind^H(df) for each member set H by the
-    mask formula of the module docstring.
+    """r_0 of ind^G(df), and r_1 of ind^H(df) for each member set H, by the
+    mask formulas of the module docstring.
 
-    Each locus a & b is Fix <g, h> for a subgroup of G, so milnor_data has
-    its chi; a non-integral average is an IntegralityError.
+    chi(M_f^L) is computed once per distinct mask L; a non-integral average
+    is an IntegralityError.
     """
-    data = milnor_data(f, diag)
-    r0 = r_k(one(diag.group) - data.chi_g, 0)
-    chi_of = {sum(1 << j for j in entry.locus): entry.chi
-              for entry in data.per_subgroup.values()}
+    group = diag.group
+    # E phi in Z^n is additive: checking the generators covers every element
+    for g in group.generator_keys:
+        _integral_image(f.E, g, group.denominator)
+    n = diag.dimension
+    chi_of = {}
+
+    def chi(mask):
+        c = chi_of.get(mask)
+        if c is None:
+            locus = frozenset(j for j in range(n) if mask >> j & 1)
+            c = chi_of[mask] = _fixed_entry(f, locus).chi
+        return c
+
     masks = diag.fixed_masks
+    total = sum(c * chi(a) for a, c in Counter(masks).items())
+    if total % group.order:
+        raise IntegralityError(
+            "orbit count of the Milnor fibre is not an integer")
+    r0 = 1 - total // group.order
     values = []
     for members in member_sets:
         counts = Counter(masks[m] for m in members)
-        total = sum(ca * cb * chi_of[a & b]
+        total = sum(ca * cb * chi(a & b)
                     for a, ca in counts.items() for b, cb in counts.items())
         h = len(members)
         if total % h:

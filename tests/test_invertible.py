@@ -11,8 +11,10 @@ from eqindex import (IntegralityError, InvalidPolynomialError,
                      milnor_number, pairing, restrict_to, symmetry_group,
                      transpose, validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
-from eqindex.groups import diagonal_group
-from eqindex.invertible import (DiagonalGroup, _orbifold_indices,
+from eqindex import invertible
+from eqindex.groups import build_group, diagonal_group
+from eqindex.invertible import (DiagonalGroup, InvertiblePolynomial,
+                                _fixed_entry, _orbifold_indices,
                                 check_perfect_pairing, det_int, solve_exact)
 
 from invertible_family import duality_family, mu_oracle_family
@@ -155,6 +157,14 @@ def test_milnor_matches_jacobian_oracle_on_family():
         assert milnor_number(f) == milnor_number_jacobian(f.E), f.E
 
 
+def test_milnor_product_must_be_a_non_negative_integer():
+    for weights in ((Fraction(2, 3),), (Fraction(-1, 2),),
+                    (Fraction(1, 3), Fraction(3, 4))):
+        f = InvertiblePolynomial(E=(), atoms=(), weights=weights, det=1)
+        with pytest.raises(InvalidPolynomialError):
+            milnor_number(f)
+
+
 # -- symmetry groups ----------------------------------------------------------------
 
 def test_symmetry_group_fermat_pair():
@@ -181,6 +191,25 @@ def test_symmetry_group_dual_chain():
 def test_symmetry_group_order_bound():
     with pytest.raises(OrderBoundError):
         symmetry_group(validate([[2023]]))
+
+
+def test_symmetry_group_matches_fraction_inverse_route():
+    # G_f from adj(E) / |det E| in integers against build_group on the
+    # Fraction columns of E^-1; edge cases: det -4, denominator 2 while
+    # |det| is 4, order 1
+    edges = [validate(E) for E in ([[1, 2], [2, 0]], [[2, 0], [0, 2]], [[1]])]
+    for f in edges + list(duality_family(24, 3)):
+        g = symmetry_group(f).group
+        identity = [[int(r == c) for r in range(f.n)] for c in range(f.n)]
+        h = build_group({"kind": "diagonal",
+                         "phases": solve_exact(f.E, identity)})
+        assert g.keys == h.keys, f.E
+        assert g.denominator == h.denominator, f.E
+        assert g.generator_keys == h.generator_keys, f.E
+        assert g.presentation == h.presentation, f.E
+        assert g.fingerprint == h.fingerprint, f.E
+    assert [symmetry_group(f).group.denominator for f in edges] == [4, 2, 1]
+    assert [symmetry_group(f).order for f in edges] == [4, 4, 1]
 
 
 # -- transpose -----------------------------------------------------------------------
@@ -294,6 +323,17 @@ def test_degenerate_pairing_is_rejected():
         check_perfect_pairing(f, gf, gft)
 
 
+def test_pairing_rejects_groups_that_are_not_symmetries():
+    gf, gft = symmetry_group(CHAIN), symmetry_group(DUAL_CHAIN)
+    # (1/6, 0) generates a group of order 6 that does not preserve the
+    # transpose x^2 + x y^3, nor x^2 y + y^3 itself
+    z6 = DiagonalGroup(diagonal_group([[Fraction(1, 6), 0]]), 2)
+    with pytest.raises(PairingError):
+        check_perfect_pairing(CHAIN, gf, z6)
+    with pytest.raises(PairingError):
+        check_perfect_pairing(CHAIN, z6, gft)
+
+
 def test_annihilator_of_non_subgroup_violates_order_product():
     gf, gft = symmetry_group(CHAIN), symmetry_group(DUAL_CHAIN)
     g = gf.group
@@ -327,6 +367,29 @@ def test_restrict_to_examples():
 def test_restrict_to_non_fixed_locus_is_hard_error():
     with pytest.raises(InvalidPolynomialError):
         restrict_to(CHAIN, {0})  # x-axis is not a fixed locus of the chain
+
+
+def test_fixed_entry_weight_product_matches_restriction():
+    # oracle: restrict f to the locus, validate it again and take its own
+    # Milnor product; every fixed locus of every subgroup, both sides
+    loci = 0
+    for f in duality_family(60, 3)[::4]:
+        for g in (f, transpose(f)):
+            diag = symmetry_group(g)
+            seen = {fixed_locus(diag, sub.members)
+                    for sub in diag.group.lattice().subgroups}
+            for locus in seen - {frozenset()}:
+                expected = milnor_number(restrict_to(g, locus))
+                entry = _fixed_entry(g, locus)
+                assert entry.mu == expected, (g.E, locus)
+                assert entry.chi == 1 + (-1) ** (len(locus) - 1) * expected
+                loci += 1
+    assert loci > 1500
+
+
+def test_fixed_entry_of_non_fixed_locus_is_hard_error():
+    with pytest.raises(InvalidPolynomialError):
+        _fixed_entry(CHAIN, frozenset({0}))
 
 
 def test_chi_milnor_fixed_examples():
@@ -502,6 +565,33 @@ def test_duality_orbifold_indices_match_burnside_route():
                     poly, DiagonalGroup(sub.as_group(), f.n)), 1), (f.E, label)
             pairs += 1
     assert pairs > 500
+
+
+def test_non_integral_orbit_count_is_integrality_error(monkeypatch):
+    # x^3 over Z/3: r_0 = 1 - (chi(M_f) + 2 chi(empty)) / 3 = 1 - 3/3; a
+    # chi(M_f) one too large makes the orbit count 4/3
+    f = validate([[3]])
+    g = symmetry_group(f)
+    assert _orbifold_indices(f, g, [])[0] == 0
+    real = invertible._fixed_entry
+
+    def off_by_one(poly, locus):
+        entry = real(poly, locus)
+        return invertible.FixedMilnorEntry(entry.locus, entry.mu,
+                                           entry.chi + bool(locus))
+
+    monkeypatch.setattr(invertible, "_fixed_entry", off_by_one)
+    with pytest.raises(IntegralityError):
+        _orbifold_indices(f, g, [])
+
+
+def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called from duality_check")
+
+    for name in ("restrict_to", "milnor_data", "element_from_marks", "one"):
+        monkeypatch.setattr(invertible, name, forbidden)
+    assert duality_check(CHAIN).all_match
 
 
 def test_orbifold_index_of_non_subgroup_is_integrality_error():

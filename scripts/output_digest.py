@@ -7,7 +7,10 @@ Hashes, in order:
     keys, presentation, id) and the coefficients of index_df(f, G_f);
   * the stdout and exit code of `poly analyze`, `poly index` and
     `poly dual-check`, in json and tsv, on every fixture of
-    duality_family(24, 3) (run in-process through `cli.main`).
+    duality_family(24, 3) (run in-process through `cli.main`);
+  * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5, as canonical JSON: the table of
+    marks, the restriction of every basis element to every subgroup, and
+    the induction of every basis element of every subgroup.
 
 Two source trees whose digests agree produce byte-identical outputs on these
 inputs.  Run from anywhere:
@@ -20,14 +23,16 @@ import hashlib
 import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from eqindex import cli, jsonio  # noqa: E402
+from eqindex import burnside, cli, jsonio  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 symmetry_group)
+from groups_pool import larger, pool  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
 
 
@@ -53,11 +58,25 @@ def cli_lines():
                 yield f"{sub} {fmt} {code}\n{out.getvalue()}"
 
 
+def burnside_lines():
+    groups = {**pool(), "S4": larger()["S4"], "A5": larger()["A5"]}
+    for name, g in groups.items():
+        yield jsonio.dumps({"group": name,
+                            "marks": burnside.table_of_marks(g).matrix})
+        lat = g.lattice()
+        for sub in lat.subgroups:
+            child = sub.as_group()
+            for c in range(lat.num_classes):
+                yield jsonio.dumps(jsonio.element_to_json(
+                    burnside.restrict(burnside.basis_element(g, c), sub)))
+            for c in range(child.lattice().num_classes):
+                yield jsonio.dumps(jsonio.element_to_json(
+                    burnside.induce(burnside.basis_element(child, c), g)))
+
+
 def main():
     h = hashlib.sha256()
-    for line in library_lines():
-        h.update(line.encode() + b"\0")
-    for line in cli_lines():
+    for line in chain(library_lines(), cli_lines(), burnside_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -1,11 +1,20 @@
 """The Burnside ring B(G) of a finite group.
 
 Elements are integer vectors over the conjugacy classes of subgroups in the
-canonical lattice order.  Multiplication goes through the table of marks
-(fixed-coset counts): multiply the mark vectors componentwise, then invert
-the triangular marks matrix.  Any non-integral coefficient on the way back
-is a hard error -- integrality is a theorem, so a violation means a bug or
-inconsistent input.
+canonical lattice order.  Every map is read from the subgroup lattice:
+
+  * marks: mark(G/K, H) = |N_G(K):K| * #{K' in [K] : H <= K'}, since gK is
+    fixed by H exactly when H <= gKg^-1 and each conjugate of K comes from
+    |N_G(K):K| cosets (for abelian G, |G:K| [H <= K]);
+  * products: multiply the mark vectors componentwise, then invert the
+    triangular table of marks;
+  * restriction to H: the marks at each K <= H are those of b at K's class
+    in G, inverted over the table of marks of H;
+  * induction from H: [H/K] -> [G/K], through the same class map.
+
+The tests check marks and restriction against coset-walk oracles.  Any
+non-integral coefficient on the way back is a hard error -- integrality is a
+theorem, so a violation means a bug or inconsistent input.
 """
 
 from __future__ import annotations
@@ -105,46 +114,22 @@ def basis_element(group: FiniteGroup, class_index: int) -> BurnsideElement:
 
 
 class TableOfMarks:
-    """marks[k][h] = |(G/K)^H| over conjugacy classes in canonical order."""
+    """marks[k][h] = |(G/K)^H| = |N_G(K):K| * #{K' in [K] : H <= K'}, over
+    conjugacy classes in canonical order."""
 
     def __init__(self, group: FiniteGroup):
         lat = group.lattice()
         nc = lat.num_classes
-        n = group.order
+        ratio = [lat.normalizer_order(r) // lat.subgroups[r].order
+                 for r in lat.representatives]
         matrix = [[0] * nc for _ in range(nc)]
-        if group.is_abelian:
-            # every coset of K has isotropy exactly K
-            for k in range(nc):
-                korder = lat.class_order(k)
-                for h in range(nc):
-                    if lat.leq[lat.representatives[h]][lat.representatives[k]]:
-                        matrix[k][h] = n // korder
-        else:
-            reps = [sorted(lat.subgroups[lat.representatives[c]].members)
-                    for c in range(nc)]
-            for k in range(nc):
-                kmembers = frozenset(reps[k])
-                # left cosets gK, one representative each
-                seen = [False] * n
-                coset_reps = []
-                for g in range(n):
-                    if seen[g]:
-                        continue
-                    coset_reps.append(g)
-                    for m in kmembers:
-                        seen[group.table[g][m]] = True
-                for h in range(nc):
-                    hmembers = reps[h]
-                    count = 0
-                    for g in coset_reps:
-                        if all(group.conj(x, g) in kmembers for x in hmembers):
-                            count += 1
-                    matrix[k][h] = count
+        for h, r in enumerate(lat.representatives):
+            for j, above in enumerate(lat.leq[r]):
+                if above:
+                    k = lat.class_of[j]
+                    matrix[k][h] += ratio[k]
         self.group = group
         self.matrix = matrix
-
-    def mark(self, k_class: int, h_class: int) -> int:
-        return self.matrix[k_class][h_class]
 
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:
@@ -188,42 +173,29 @@ def cardinality(b: BurnsideElement) -> int:
     return marks_vector(b)[0]
 
 
+def _parent_classes(child: FiniteGroup, group: FiniteGroup) -> list:
+    """For each conjugacy class of subgroups of `child`, a subgroup of
+    `group`, the class of `group` that contains it."""
+    lat = group.lattice()
+    child_lat = child.lattice()
+    return [lat.class_index_of(
+                frozenset(child.parent_index[i]
+                          for i in child_lat.subgroups[r].members))
+            for r in child_lat.representatives]
+
+
 def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:
-    """R^G_H: the same G-set viewed as an H-set, over ConjSub(H)."""
+    """R^G_H: the same G-set viewed as an H-set, over ConjSub(H).
+
+    Its mark at K <= H is the mark of b at K, read at K's class in G.
+    """
     group = b.group
     if sub.parent is not group and not sub.parent.same_group(group):
         raise NotASubgroupError("subgroup belongs to a different group")
     child = sub.as_group()
-    child_lat = child.lattice()
-    child_of = {p: c for c, p in enumerate(child.parent_index)}
-    lat = group.lattice()
-    out = [0] * child_lat.num_classes
-    hmembers = sorted(sub.members)
-    for k_cls, a in enumerate(b.coeffs):
-        if a == 0:
-            continue
-        kmembers = sorted(lat.subgroups[lat.representatives[k_cls]].members)
-        # coset rep of each element: min of its coset gK
-        rep_of = {}
-        for g in range(group.order):
-            if g in rep_of:
-                continue
-            coset = [group.table[g][m] for m in kmembers]
-            r = min(coset)
-            for x in coset:
-                rep_of[x] = r
-        done = set()
-        for g in range(group.order):
-            r = rep_of[g]
-            if r in done:
-                continue
-            orbit_reps = {rep_of[group.table[h][r]] for h in hmembers}
-            done |= orbit_reps
-            stab = frozenset(h for h in hmembers
-                             if rep_of[group.table[h][r]] == r)
-            cls = child_lat.class_index_of(frozenset(child_of[x] for x in stab))
-            out[cls] += a
-    return BurnsideElement(child, out)
+    marks = marks_vector(b)
+    return element_from_marks(
+        child, [marks[p] for p in _parent_classes(child, group)])
 
 
 def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
@@ -234,15 +206,9 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
     if child.parent is None or not (child.parent is group
                                     or child.parent.same_group(group)):
         raise NotASubgroupError("element's group is not a subgroup of the target")
-    lat = group.lattice()
-    child_lat = child.lattice()
-    out = [0] * lat.num_classes
-    for c_cls, a in enumerate(b.coeffs):
-        if a == 0:
-            continue
-        kc = child_lat.subgroups[child_lat.representatives[c_cls]].members
-        kp = frozenset(child.parent_index[i] for i in kc)
-        out[lat.class_index_of(kp)] += a
+    out = [0] * group.lattice().num_classes
+    for a, p in zip(b.coeffs, _parent_classes(child, group)):
+        out[p] += a
     return BurnsideElement(group, out)
 
 

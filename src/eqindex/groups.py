@@ -288,7 +288,9 @@ class SubgroupLattice:
     representative of each conjugacy class is its minimal subgroup.
 
     `cyclic_of[g]` is the index of <g>, and `cyclic_generators` maps the
-    index of each cyclic subgroup to one generator of it.
+    index of each cyclic subgroup to one generator of it.  `leq[i][j]` is 1
+    when subgroup i lies in subgroup j and 0 otherwise; for an abelian group
+    `zeta_conj` and `mu_conj` are the very lists `leq` and `mu_sub`.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -318,8 +320,8 @@ class SubgroupLattice:
         self.cyclic_generators = {self.member_index[c]: g
                                   for g, c in cyclics.items()}
         ns = len(self.subgroups)
-        self.leq = [[s.members <= t.members for t in self.subgroups]
-                    for s in self.subgroups]
+        self.leq = [[1 if s.members <= t.members else 0
+                     for t in self.subgroups] for s in self.subgroups]
 
         # conjugacy classes of subgroups and normalizers
         if abelian:
@@ -352,12 +354,13 @@ class SubgroupLattice:
         self.representatives = [cls[0] for cls in self.classes]
 
         # Moebius functions of Sub G and ConjSub G (canonical index order
-        # extends inclusion); for abelian G every class is one subgroup
+        # extends inclusion); for abelian G every class is one subgroup, so
+        # the two posets share one zeta and one Moebius matrix
         self.mu_sub = _moebius(self.leq)
         nc = self.num_classes
         if abelian:
-            self.zeta_conj = [[int(x) for x in row] for row in self.leq]
-            self.mu_conj = [list(row) for row in self.mu_sub]
+            self.zeta_conj = self.leq
+            self.mu_conj = self.mu_sub
         else:
             self.zeta_conj = [[0] * nc for _ in range(nc)]
             for a in range(nc):

@@ -11,7 +11,6 @@ hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .burnside import BurnsideElement, induce, r_k
@@ -147,16 +146,9 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
     group = data.group
     lat = group.lattice()
     ns = len(lat.subgroups)
-    coeffs_sub = []
-    for c in range(lat.num_classes):
-        h = lat.representatives[c]
-        total = sum(lat.mu_sub[h][kk] * data.per_subgroup[kk]
-                    for kk in range(ns) if lat.leq[h][kk])
-        a = Fraction(lat.subgroups[h].order * total, lat.normalizer_order(h))
-        if a.denominator != 1:
-            raise IntegralityError(
-                "subgroup-poset inversion produced a non-integer coefficient")
-        coeffs_sub.append(int(a))
+    coeffs_sub = _invert_over_sub(
+        lat, [data.per_subgroup[kk] for kk in range(ns)],
+        "subgroup-poset inversion produced a non-integer coefficient")
     result = BurnsideElement(group, coeffs_sub)
     if data.per_class is not None:
         n = group.order
@@ -164,11 +156,11 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
         for c in range(lat.num_classes):
             total = sum(lat.mu_conj[c][k] * data.per_class[k]
                         for k in range(lat.num_classes) if lat.zeta_conj[c][k])
-            a = Fraction(lat.class_order(c) * total, n)
-            if a.denominator != 1:
+            a, r = divmod(lat.class_order(c) * total, n)
+            if r:
                 raise IntegralityError(
                     "class-poset inversion produced a non-integer coefficient")
-            coeffs_conj.append(int(a))
+            coeffs_conj.append(a)
         if tuple(coeffs_conj) != result.coeffs:
             raise InconsistentDataError(
                 "the two Moebius inversions disagree; input data is inconsistent")
@@ -220,20 +212,26 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
         if fixed_dims[i] > k and i not in dims:
             raise InconsistentDataError(
                 f"missing dimension entry for subgroup {lat.labels[i]}")
+    values = [0 if fixed_dims[kk] <= k
+              else (-1) ** (fixed_dims[kk] - k) * int(dims[kk])
+              for kk in range(ns)]
+    return BurnsideElement(group, _invert_over_sub(
+        lat, values, "GSV assembly produced a non-integer coefficient"))
+
+
+def _invert_over_sub(lat, values, message) -> list:
+    """a_[H] = (|H|/|N_G(H)|) sum over K >= H of mu'(H, K) values[K], for
+    each class representative H; a non-integer quotient raises `message`."""
     coeffs = []
-    for c in range(lat.num_classes):
-        h = lat.representatives[c]
-        total = 0
-        for kk in range(ns):
-            if not lat.leq[h][kk] or fixed_dims[kk] <= k:
-                continue
-            sign = -1 if (fixed_dims[kk] - k) % 2 else 1
-            total += lat.mu_sub[h][kk] * sign * int(dims[kk])
-        a = Fraction(lat.subgroups[h].order * total, lat.normalizer_order(h))
-        if a.denominator != 1:
-            raise IntegralityError("GSV assembly produced a non-integer coefficient")
-        coeffs.append(int(a))
-    return BurnsideElement(group, coeffs)
+    for h in lat.representatives:
+        leq_h, mu_h = lat.leq[h], lat.mu_sub[h]
+        total = sum(mu_h[kk] * values[kk]
+                    for kk in range(len(values)) if leq_h[kk])
+        a, r = divmod(lat.subgroups[h].order * total, lat.normalizer_order(h))
+        if r:
+            raise IntegralityError(message)
+        coeffs.append(a)
+    return coeffs
 
 
 def equivariant_milnor(chibar: BurnsideElement, n: int) -> BurnsideElement:

@@ -18,6 +18,15 @@ def pool():
     }
 
 
+@lru_cache(maxsize=None)
+def larger():
+    return {
+        "S4": perm_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]),
+        "A5": perm_group(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),
+        "S5": perm_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+    }
+
+
 def abelian_names():
     return ["Z2", "Z6", "Z2xZ2"]
 

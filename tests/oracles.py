@@ -3,6 +3,7 @@
 Nothing here shares code with the package paths it checks: the Milnor-number
 oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
+the marks and restriction oracles count fixed cosets and H-orbits on G/K;
 the reduction oracle averages fixed-coset counts over commuting tuples
 directly on cosets; the exact-isotropy oracle assembles chi^G from
 fixed-point Euler characteristics by Moebius sums, not through the table of
@@ -158,6 +159,48 @@ def burnside_product_oracle(group, class_a, class_b) -> BurnsideElement:
         seen |= orbit
         coeffs[lat.class_index_of(frozenset(stab))] += 1
     return BurnsideElement(group, coeffs)
+
+
+def marks_coset_oracle(group) -> list:
+    """The table of marks, m[k][h] = |(G/K)^H|, by counting the cosets gK
+    with h gK = gK for every h in H, over class representatives K and H."""
+    lat = group.lattice()
+    reps = [sorted(lat.subgroups[r].members) for r in lat.representatives]
+    matrix = []
+    for kmembers in reps:
+        rep_of = _coset_reps(group, kmembers)
+        cosets = sorted(set(rep_of.values()))
+        matrix.append([sum(1 for r in cosets
+                           if all(rep_of[group.table[h][r]] == r
+                                  for h in hmembers))
+                       for hmembers in reps])
+    return matrix
+
+
+def restrict_coset_oracle(b, sub) -> BurnsideElement:
+    """b restricted to the subgroup `sub`, by splitting each G/K into
+    H-orbits and classifying each orbit's stabilizer in H."""
+    group = b.group
+    lat = group.lattice()
+    child = sub.as_group()
+    child_lat = child.lattice()
+    child_of = {p: c for c, p in enumerate(child.parent_index)}
+    hmembers = sorted(sub.members)
+    coeffs = [0] * child_lat.num_classes
+    for k, a in enumerate(b.coeffs):
+        if a == 0:
+            continue
+        rep_of = _coset_reps(
+            group, sorted(lat.subgroups[lat.representatives[k]].members))
+        seen = set()
+        for r in sorted(set(rep_of.values())):
+            if r in seen:
+                continue
+            seen |= {rep_of[group.table[h][r]] for h in hmembers}
+            stab = frozenset(child_of[h] for h in hmembers
+                             if rep_of[group.table[h][r]] == r)
+            coeffs[child_lat.class_index_of(stab)] += a
+    return BurnsideElement(child, coeffs)
 
 
 def r_k_coset_oracle(group, members, k) -> int:

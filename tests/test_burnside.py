@@ -8,9 +8,12 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               element_from_marks, induce, marks_vector,
                               multiply, one, permutation_character, r_k,
                               restrict, table_of_marks, zero)
+from eqindex.invertible import symmetry_group
 
-from groups_pool import abelian_names, pool, random_elements
-from oracles import burnside_product_oracle, r_k_coset_oracle
+from groups_pool import abelian_names, larger, pool, random_elements
+from invertible_family import duality_family
+from oracles import (burnside_product_oracle, marks_coset_oracle,
+                     r_k_coset_oracle, restrict_coset_oracle)
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -48,6 +51,11 @@ def test_marks_triangular_wrt_zeta():
             for h in range(lat.num_classes):
                 if m[k][h] != 0:
                     assert lat.zeta_conj[h][k] == 1
+
+
+def test_marks_match_coset_oracle():
+    for g in [*pool().values(), *larger().values()]:
+        assert table_of_marks(g).matrix == marks_coset_oracle(g), g
 
 
 # -- ring operations --------------------------------------------------------------
@@ -166,6 +174,18 @@ def test_restrict_is_ring_homomorphism(name, data):
     sub = lat.subgroups[data.draw(st.integers(0, len(lat.subgroups) - 1))]
     assert restrict(a * b, sub) == multiply(restrict(a, sub), restrict(b, sub))
     assert restrict(a + b, sub) == restrict(a, sub) + restrict(b, sub)
+
+
+def test_restrict_matches_coset_oracle():
+    groups = [*pool().values(), larger()["S4"], larger()["A5"]]
+    groups += [symmetry_group(f).group for f in duality_family(24, 3)[::3]]
+    for g in groups:
+        lat = g.lattice()
+        for sub in lat.subgroups:
+            for c in range(lat.num_classes):
+                b = basis_element(g, c)
+                assert restrict(b, sub) == restrict_coset_oracle(b, sub), \
+                    (g, c, sub)
 
 
 def test_induce_examples():

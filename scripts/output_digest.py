@@ -39,12 +39,11 @@ from invertible_family import duality_family  # noqa: E402
 def library_lines():
     for f in duality_family(60, 3):
         yield jsonio.dumps(jsonio.duality_report_to_json(duality_check(f)))
-        diag = symmetry_group(f)
-        g = diag.group
+        g = symmetry_group(f)
         yield repr((g.keys, g.denominator, g.generator_keys))
         yield json.dumps(g.presentation, sort_keys=True)
         yield g.fingerprint
-        yield repr(index_df(f, diag).coeffs)
+        yield repr(index_df(f, g).coeffs)
 
 
 def cli_lines():

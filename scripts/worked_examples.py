@@ -22,12 +22,12 @@ def describe(name, matrix):
     f = validate(matrix)
     print(f"  blocks: {[(a.kind, a.exponents) for a in f.atoms]}")
     print(f"  weights: {tuple(str(q) for q in f.weights)}   mu = {milnor_number(f)}")
-    diag = symmetry_group(f)
-    lat = diag.group.lattice()
-    print(f"  |G_f| = {diag.order}, subgroup orders "
+    group = symmetry_group(f)
+    lat = group.lattice()
+    print(f"  |G_f| = {group.order}, subgroup orders "
           f"{[s.order for s in lat.subgroups]}")
-    chi = chi_G_milnor(f, diag)
-    ind = index_df(f, diag)
+    chi = chi_G_milnor(f, group)
+    ind = index_df(f, group)
     print(f"  chi^G(M_f)   = {chi}")
     print(f"  ind_rad(df)  = {ind}")
     print(f"  |ind| = {cardinality(ind)}   r_0 = {r_k(ind, 0)}   "

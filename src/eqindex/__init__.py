@@ -28,10 +28,9 @@ from .indices import (FixedSetIndexData, PoincareHopfReport,
                       gsv_from_radial, higher_order_index, index_from_strata,
                       index_from_quotient, index_from_fixed_indices,
                       induce_orbit_index, poincare_hopf_check)
-from .invertible import (Atom, DiagonalGroup, DualityReport,
-                         InvertiblePolynomial, MilnorData, chi_G_milnor,
-                         chi_milnor_fixed, dual_subgroup, duality_check,
-                         fixed_locus, index_df, milnor_data, milnor_number,
+from .invertible import (Atom, DualityReport, InvertiblePolynomial,
+                         chi_G_milnor, chi_milnor_fixed, dual_subgroup,
+                         duality_check, fixed_locus, index_df, milnor_number,
                          pairing, restrict_to, symmetry_group, transpose,
                          validate)
 

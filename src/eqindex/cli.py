@@ -21,19 +21,21 @@ def _read_payload(args):
     if getattr(args, "inline", None):
         text = args.inline
         source = "<inline>"
-    elif args.infile:
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.infile}: {exc}") from None
-        source = args.infile
     else:
-        text = sys.stdin.read()
-        source = "<stdin>"
+        source = args.infile or "<stdin>"
+        try:
+            if args.infile:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            else:
+                text = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {source}: {exc}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers beyond the int-string digit limit;
+        # RecursionError is nesting too deep for the parser
         raise InputError(f"malformed JSON in {source}: {exc}") from None
     if not isinstance(payload, dict):
         raise InputError(f"payload in {source} must be a JSON object")
@@ -59,8 +61,11 @@ def _emit(args, obj) -> int:
     else:
         text = jsonio.dumps(obj) + "\n"
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.outfile}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -200,24 +205,24 @@ def cmd_poly_analyze(args, payload):
     f = jsonio.polynomial_from_json(payload)
     out = jsonio.polynomial_to_json(f)
     out["mu"] = invertible.milnor_number(f)
-    diag = invertible.symmetry_group(f)
+    group = invertible.symmetry_group(f)
     out["group"] = {
-        "id": diag.group.fingerprint,
-        "order": diag.order,
-        "generators": [[jsonio.rational_to_json(q) for q in diag.phases(g)]
-                       for g in diag.group.generators],
+        "id": group.fingerprint,
+        "order": group.order,
+        "generators": [[jsonio.rational_to_json(q) for q in group.phases(g)]
+                       for g in group.generators],
     }
     return out
 
 
 def cmd_poly_index(args, payload):
     f = jsonio.polynomial_from_json(payload)
-    diag = invertible.symmetry_group(f)
-    chi = invertible.chi_G_milnor(f, diag)
-    ind = one(diag.group) - chi  # ind_rad(df), as in invertible.index_df
+    group = invertible.symmetry_group(f)
+    chi = invertible.chi_G_milnor(f, group)
+    ind = one(group) - chi  # ind_rad(df), as in invertible.index_df
     return {
-        "group": diag.group.fingerprint,
-        "order": diag.order,
+        "group": group.fingerprint,
+        "order": group.order,
         "chi_milnor": jsonio.element_to_json(chi),
         "index": jsonio.element_to_json(ind),
         "cardinality": cardinality(ind),

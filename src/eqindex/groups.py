@@ -92,6 +92,20 @@ def _closure(table, identity, seed) -> set:
     return members
 
 
+def _greedy_generators(table, identity):
+    """Yield elements in index order, each outside the right-multiplication
+    closure of the ones before it.  While that closure is a subgroup, each
+    new element at least doubles it, so at most log2(n) + 1 are yielded and
+    together they generate the group."""
+    gens = []
+    reached = {identity}
+    for g in range(len(table)):
+        if g not in reached:
+            yield g
+            gens.append(g)
+            reached = _closure(table, identity, gens)
+
+
 class FiniteGroup:
     """A finite group with a canonical element order and full product table.
 
@@ -251,7 +265,8 @@ class Subgroup:
 
         Element keys and the denominator are inherited from the parent (so
         phase vectors stay phase vectors) and the canonical order is the
-        parent's, restricted.
+        parent's, restricted.  The generator keys are a greedy generating
+        set of at most log2|H| + 1 elements.
         """
         if self._group is None:
             idxs = sorted(self.members)
@@ -259,10 +274,12 @@ class Subgroup:
             keys = [self.parent.keys[p] for p in idxs]
             table = [[child_of[self.parent.table[a][b]] for b in idxs]
                      for a in idxs]
+            identity = child_of[self.parent.identity]
+            gens = [keys[g] for g in _greedy_generators(table, identity)]
             self._group = FiniteGroup(
-                keys, table, child_of[self.parent.identity],
+                keys, table, identity,
                 {"kind": "table", "derived": "subgroup"},
-                keys, parent=self.parent, parent_index=idxs,
+                gens, parent=self.parent, parent_index=idxs,
                 denominator=self.parent.denominator)
         return self._group
 
@@ -594,22 +611,16 @@ def _check_associative(table, identity):
     """Light's associativity test on a greedily built generating set.
 
     The elements g with (x g) y = x (g y) for all x, y are closed under
-    products, so checking generators is complete.  A generator is taken only
-    outside the right-multiplication closure of the earlier ones; while the
-    checks pass that closure is a subgroup, so each new generator at least
-    doubles it and at most log2(n) + 1 rows of n^2 products are checked.
+    products, so checking generators is complete.  Each generator of
+    `_greedy_generators` is checked before the next is taken; while the
+    checks pass the closure is a subgroup, so at most log2(n) + 1 rows of
+    n^2 products are checked.
     """
-    gens = []
-    reached = {identity}
-    for g in range(len(table)):
-        if g in reached:
-            continue
+    for g in _greedy_generators(table, identity):
         row_g = table[g]
         for row_x in table:
             if table[row_x[g]] != [row_x[y] for y in row_g]:
                 raise GroupBuildError("table is not associative")
-        gens.append(g)
-        reached = _closure(table, identity, gens)
 
 
 # -- convenience constructors (used all over the tests and scripts) ---------

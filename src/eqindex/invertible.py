@@ -6,13 +6,20 @@ standard Fermat/chain/loop block shapes are accepted, which guarantees that
 restricting to the fixed subspace of any diagonal symmetry subgroup stays
 invertible.
 
+`symmetry_group` returns G_f as a plain diagonal `FiniteGroup` (integer
+vectors over its denominator; n is the length of a key).  A phase vector a
+is a symmetry of f exactly when E a is integral, and the duality pairing of
+a in G_f with b in G_{f~} is
+    <a, b> = (E a) . b mod 1.
+
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
 the Burnside element whose mark at K is chi(M_f^K), and the index of df is
 [G/G] - chi^G(M_f).  A fixed locus L holds every chain variable together
 with its tail, so the monomials of f inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
-over f's own weights q_i (0 for empty L), without restricting f.
+over f's own weights q_i (0 for empty L), without restricting f.  Loci
+are coordinate bitmasks, each distinct one evaluated once per call.
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
@@ -29,8 +36,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cache, partial, reduce
 
 from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
@@ -43,53 +50,29 @@ DUALITY_ORDER_BOUND = 500
 
 # -- exact linear algebra -----------------------------------------------------
 
-def det_int(matrix) -> int:
-    """Exact determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination.
-
-    After step k every entry below and right of the pivot is a (k+2)-minor of
-    the input, so the division by the previous pivot is exact and every
-    intermediate stays an integer; a row swap flips the sign.
-    """
-    m = [[int(x) for x in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * mk[k] - mi[k] * mk[j]) // prev
-        prev = mk[k]
-    return sign * m[n - 1][n - 1]
-
-
 def _fraction_free_solve(matrix, rhs_columns):
-    """(d, columns of adj(M) B up to the sign of d) with M X = B exactly
-    when X = columns / d, for an integer matrix M and integer columns of B.
+    """(det M, columns of adj(M) B) for an integer matrix M and integer
+    columns of B, or (0, None) when M is singular; M X = B exactly when
+    X = columns / det M.
 
     Fraction-free Gauss-Jordan (Bareiss) on [M | B]: every row but the pivot
-    row is eliminated at each step, the division by the previous pivot stays
-    exact, and at the end [M | B] has become [d I | d X] with d = +-det M.
+    row is eliminated at each step, and after step k every entry right of
+    the pivot column in the rows not yet pivoted is a (k+2)-minor of the
+    input, so the division by the previous pivot stays exact.  At the end
+    [M | B] has become [d I | d X] with d = +-det M, the sign flipped by
+    each row swap.
     """
     n = len(matrix)
-    width = len(rhs_columns)
     aug = [[operator.index(x) for x in matrix[r]]
            + [operator.index(col[r]) for col in rhs_columns] for r in range(n)]
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
-            raise InvalidPolynomialError("matrix is singular")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
+            return 0, None
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
         row_k = aug[k]
         p = row_k[k]
         for i in range(n):
@@ -98,7 +81,14 @@ def _fraction_free_solve(matrix, rhs_columns):
                 f = row_i[k]
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_k)]
         prev = p
-    return prev, [[aug[r][n + k] for r in range(n)] for k in range(width)]
+    return sign * prev, [[sign * aug[r][n + k] for r in range(n)]
+                         for k in range(len(rhs_columns))]
+
+
+def det_int(matrix) -> int:
+    """Exact determinant of a square integer matrix; see
+    `_fraction_free_solve`."""
+    return _fraction_free_solve(matrix, [])[0]
 
 
 def solve_exact(matrix, rhs_columns):
@@ -106,6 +96,8 @@ def solve_exact(matrix, rhs_columns):
     columns of B, given as sequences; see `_fraction_free_solve`.  Only the
     final X = adj(M) B / det M is a fraction."""
     d, columns = _fraction_free_solve(matrix, rhs_columns)
+    if columns is None:
+        raise InvalidPolynomialError("matrix is singular")
     return [[Fraction(x, d) for x in col] for col in columns]
 
 
@@ -152,7 +144,7 @@ def validate(matrix) -> InvertiblePolynomial:
         raise InvalidPolynomialError("exponent matrix must be square")
     if any(x < 0 for row in E for x in row):
         raise InvalidPolynomialError("exponents must be non-negative")
-    d = det_int(E)
+    d, adj_ones = _fraction_free_solve(E, [[1] * n])
     if d == 0:
         raise InvalidPolynomialError("exponent matrix has determinant zero")
 
@@ -213,8 +205,7 @@ def validate(matrix) -> InvertiblePolynomial:
                           tuple(E[head_row[v]][v] for v in cycle)))
     atoms.sort(key=lambda a: a.variables[0])
 
-    ones = [1] * n
-    weights = tuple(solve_exact(E, [ones])[0])
+    weights = tuple(Fraction(x, d) for x in adj_ones[0])
     for q in weights:
         if not 0 < q <= 1:
             raise InvalidPolynomialError(
@@ -275,31 +266,10 @@ def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
 
 # -- the diagonal symmetry group ----------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalGroup:
-    """A finite group of diagonal scalings: integer phase vectors over the
-    group's denominator."""
-    group: FiniteGroup
-    dimension: int
-
-    def phases(self, i: int) -> tuple:
-        return self.group.phases(i)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    @cached_property
-    def fixed_masks(self) -> list:
-        """Per element, the bitmask of the coordinates it acts trivially on."""
-        return [sum(1 << j for j, p in enumerate(k) if p == 0)
-                for k in self.group.keys]
-
-
-def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
-    """G_f, generated by the columns of E^{-1} = adj(E) / det E mod 1, as
-    integer vectors over |det E| (reduced by their common gcd); order
-    |det E|."""
+def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
+    """G_f as a diagonal group, generated by the columns of
+    E^{-1} = adj(E) / det E mod 1, as integer vectors over |det E| (reduced
+    by their common gcd); order |det E|."""
     if f.n == 0:
         raise InvalidPolynomialError("empty polynomial has no ambient space")
     if abs(f.det) > SYMMETRY_ORDER_BOUND:
@@ -313,7 +283,7 @@ def symmetry_group(f: InvertiblePolynomial) -> DiagonalGroup:
     group = diagonal_group_from_integers(cols, d)
     if group.order != abs(f.det):
         raise IntegralityError("symmetry group order does not match |det E|")
-    return DiagonalGroup(group, f.n)
+    return group
 
 
 def _as_integers(phase_vectors):
@@ -341,69 +311,62 @@ def _integral_image(matrix, vec, den) -> list:
     return out
 
 
-def _pairing_numerators(f: InvertiblePolynomial, a_rows, den, b_rows, den_b):
-    """<a, b> * den for integer rows a over `den` and integer rows b over
-    `den_b`, the phase vectors of G_{f~}.
+def _check_symmetries(matrix, group: FiniteGroup) -> None:
+    """Every element of a diagonal group is a symmetry of the polynomial
+    with exponent matrix `matrix`.  M phi in Z^n is additive in phi, so the
+    symmetries form a subgroup and checking the generators is complete."""
+    if group.denominator is None:
+        raise NotASubgroupError("not a diagonal group: no phase vectors")
+    for g in group.generator_keys:
+        _integral_image(matrix, g, group.denominator)
 
-    <a, b> = a^T (E^T b) mod 1, and E^T b is an integer vector exactly when
-    b is a symmetry of the transpose.
-    """
-    et = tuple(zip(*f.E))
-    images = [_integral_image(et, b, den_b) for b in b_rows]
-    return [[sum(x * y for x, y in zip(a, w)) % den for w in images]
-            for a in a_rows]
+
+def _pairings(f: InvertiblePolynomial, a_rows, den_a, b_rows, den_b) -> list:
+    """<a, b> * den_b for integer rows a over `den_a` (symmetries of f) and
+    integer rows b over `den_b`: <a, b> = (E a) . b mod 1, and E a is an
+    integer vector exactly when a is a symmetry of f."""
+    images = [_integral_image(f.E, a, den_a) for a in a_rows]
+    return [[sum(x * y for x, y in zip(u, b)) % den_b for b in b_rows]
+            for u in images]
 
 
 def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
-    """The duality pairing <a, b> = a^T E^T b mod 1 for a in G_f, b in G_{f~}."""
-    den, a_rows = _as_integers([a])
-    _integral_image(f.E, a_rows[0], den)
+    """The duality pairing <a, b> = (E a) . b mod 1 for a in G_f, b in
+    G_{f~}; b must be a symmetry of the transpose (E^T b integral)."""
+    den_a, a_rows = _as_integers([a])
     den_b, b_rows = _as_integers([b])
-    return Fraction(_pairing_numerators(f, a_rows, den, b_rows, den_b)[0][0],
-                    den)
+    _integral_image(tuple(zip(*f.E)), b_rows[0], den_b)
+    return Fraction(_pairings(f, a_rows, den_a, b_rows, den_b)[0][0], den_b)
 
 
-def pairing_matrix(f: InvertiblePolynomial, gf: DiagonalGroup,
-                   gft: DiagonalGroup):
+def pairing_matrix(f: InvertiblePolynomial, gf: FiniteGroup, gft: FiniteGroup):
     """All pairings at once as `(den, num)`: <a_i, b_j> = num[i][j] / den,
-    with 0 <= num[i][j] < den.
-
-    Membership of G_f is guaranteed by construction and not checked here;
-    that of G_{f~} is, since each E^T b must be integral.
-    """
-    den = gf.group.denominator
-    return den, _pairing_numerators(f, gf.group.keys, den, gft.group.keys,
-                                    gft.group.denominator)
+    with 0 <= num[i][j] < den, the denominator of G_{f~}."""
+    _check_symmetries(tuple(zip(*f.E)), gft)
+    den = gft.denominator
+    return den, _pairings(f, gf.keys, gf.denominator, gft.keys, den)
 
 
-def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
-                          gft: DiagonalGroup):
+def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
+                          gft: FiniteGroup):
     """The induced map G_{f~} -> Hom(G_f, Q/Z) must be injective.
 
     Returns the annihilator map, member set H of G_f -> H^T = {b : <a, b> = 0
     for every a in H}, which enforces |H| |H^T| = |G_f|; for H = G_f this is
     non-degeneracy, checked here.  The pairing is additive in a, so H^T is the
     intersection of ann(c) over the cyclic subgroups <c> <= H, and one row of
-    pairings per cyclic generator c of G_f is all that is computed: with
-    u_c = E c / den_c, an integer vector, <c, b> = 0 exactly when
-    u_c . b = 0 mod den_b.  Each generator of G_{f~} is checked to be a
-    symmetry of the transpose (E^T b integral), which is complete because
-    that condition is additive in b.
+    pairings per cyclic generator c of G_f is all that is computed.  G_{f~}
+    is checked to consist of symmetries of the transpose.
     """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
-    dual = gft.group
-    et = tuple(zip(*f.E))
-    for b in dual.generator_keys:
-        _integral_image(et, b, dual.denominator)
-    lat = gf.group.lattice()
-    keys, den = gf.group.keys, gf.group.denominator
-    zeros = {}
-    for s, c in lat.cyclic_generators.items():
-        u = _integral_image(f.E, keys[c], den)
-        zeros[s] = frozenset(
-            j for j, b in enumerate(dual.keys)
-            if not sum(x * y for x, y in zip(u, b)) % dual.denominator)
+    _check_symmetries(tuple(zip(*f.E)), gft)
+    lat = gf.lattice()
+    cyclics = list(lat.cyclic_generators.items())
+    rows = _pairings(f, [gf.keys[c] for _, c in cyclics], gf.denominator,
+                     gft.keys, gft.denominator)
+    zeros = {s: frozenset(j for j, v in enumerate(row) if not v)
+             for (s, _), row in zip(cyclics, rows)}
     everything = frozenset(range(gft.order))
 
     def annihilator(members) -> frozenset:
@@ -415,25 +378,33 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: DiagonalGroup,
                 "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
         return ann
 
-    annihilator(gf.group.elements())
+    annihilator(gf.elements())
     return annihilator
 
 
-def dual_subgroup(f: InvertiblePolynomial, gf: DiagonalGroup,
-                  members, gft: DiagonalGroup) -> Subgroup:
+def dual_subgroup(f: InvertiblePolynomial, gf: FiniteGroup,
+                  members, gft: FiniteGroup) -> Subgroup:
     """H^T: the annihilator of H under the pairing; |H| * |H^T| = |G_f|."""
-    return Subgroup(gft.group, check_perfect_pairing(f, gf, gft)(members))
+    return Subgroup(gft, check_perfect_pairing(f, gf, gft)(members))
 
 
 # -- fixed loci and Milnor fibre data ------------------------------------------
 
-def fixed_locus(diag: DiagonalGroup, members) -> frozenset:
+def _fixed_masks(group: FiniteGroup) -> list:
+    """Per element of a diagonal group, the bitmask of the coordinates it
+    acts trivially on."""
+    return [sum(1 << j for j, x in enumerate(k) if x == 0) for k in group.keys]
+
+
+def _locus_mask(masks, members) -> int:
+    """The bitmask of the coordinates fixed by every listed element."""
+    return reduce(operator.and_, map(masks.__getitem__, members), -1)
+
+
+def fixed_locus(group: FiniteGroup, members) -> frozenset:
     """Coordinates on which every element of the subgroup acts trivially."""
-    mask = (1 << diag.dimension) - 1
-    masks = diag.fixed_masks
-    for i in members:
-        mask &= masks[i]
-    return frozenset(j for j in range(diag.dimension) if mask >> j & 1)
+    mask = _locus_mask(_fixed_masks(group), members)
+    return frozenset(j for j in range(len(group.keys[0])) if mask >> j & 1)
 
 
 def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
@@ -460,15 +431,9 @@ def _fixed_rows(f: InvertiblePolynomial, coords) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class FixedMilnorEntry:
-    locus: frozenset
-    mu: int
-    chi: int
-
-
-def _fixed_entry(f: InvertiblePolynomial, locus: frozenset) -> FixedMilnorEntry:
-    """Milnor number and fibre chi of f restricted to a fixed locus.
+def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
+    """chi of the Milnor fibre of f restricted to the fixed locus whose
+    coordinate bitmask is `mask`.
 
     Empty locus gives 0; otherwise the fibre of an isolated m-variable
     singularity is a wedge of mu spheres of dimension m-1.  A fixed locus
@@ -477,66 +442,37 @@ def _fixed_entry(f: InvertiblePolynomial, locus: frozenset) -> FixedMilnorEntry:
     same weight equations: mu(f^L) = prod_{i in L} (1/q_i - 1) over f's own
     weights, and `restrict_to` is never needed.
     """
+    locus = [j for j in range(f.n) if mask >> j & 1]
     if not locus:
-        return FixedMilnorEntry(locus=locus, mu=0, chi=0)
+        return 0
     _fixed_rows(f, locus)
-    mu = _milnor_product(f.weights[i] for i in locus)
-    return FixedMilnorEntry(locus=locus, mu=mu,
-                            chi=1 + (-1) ** (len(locus) - 1) * mu)
+    mu = _milnor_product(f.weights[j] for j in locus)
+    return 1 + (-1) ** (len(locus) - 1) * mu
 
 
-def chi_milnor_fixed(f: InvertiblePolynomial, diag: DiagonalGroup,
+def chi_milnor_fixed(f: InvertiblePolynomial, group: FiniteGroup,
                      members) -> int:
     """chi of the Milnor fibre of f restricted to the fixed locus of H."""
-    return _fixed_entry(f, fixed_locus(diag, members)).chi
+    return _fixed_chi(f, _locus_mask(_fixed_masks(group), members))
 
 
-@dataclass
-class MilnorData:
-    """Per-subgroup fixed-locus Milnor data plus the assembled chi^G(M_f)."""
-    diag: DiagonalGroup
-    per_subgroup: dict  # subgroup index -> FixedMilnorEntry
-    chi_g: BurnsideElement
-
-
-def _fixed_entries(f: InvertiblePolynomial, diag: DiagonalGroup) -> dict:
-    """Subgroup index -> FixedMilnorEntry; each of the at most 2^n distinct
-    loci is restricted to once."""
-    by_locus = {}
-    entries = {}
-    for i, sub in enumerate(diag.group.lattice().subgroups):
-        locus = fixed_locus(diag, sub.members)
-        if locus not in by_locus:
-            by_locus[locus] = _fixed_entry(f, locus)
-        entries[i] = by_locus[locus]
-    return entries
-
-
-def milnor_data(f: InvertiblePolynomial, diag: DiagonalGroup) -> MilnorData:
+def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
     """chi^G(M_f) over a diagonal symmetry group, from its marks: the mark
-    at K is chi(M_f^K).  A mark vector outside the image of the Burnside
-    ring is an IntegralityError."""
-    group = diag.group
-    if group.denominator is None:
-        raise NotASubgroupError("not a diagonal group: no phase vectors")
-    # E phi in Z^n is additive, so the symmetries of f form a subgroup and
-    # checking the generators shows that every element is one
-    for g in group.generator_keys:
-        _integral_image(f.E, g, group.denominator)
-    entries = _fixed_entries(f, diag)
-    marks = [entries[r].chi for r in group.lattice().representatives]
-    return MilnorData(diag=diag, per_subgroup=entries,
-                      chi_g=element_from_marks(group, marks))
+    at K is chi(M_f^K), read at each class representative and computed once
+    per distinct fixed locus.  A mark vector outside the image of the
+    Burnside ring is an IntegralityError."""
+    _check_symmetries(f.E, group)
+    chi = cache(partial(_fixed_chi, f))
+    masks = _fixed_masks(group)
+    lat = group.lattice()
+    marks = [chi(_locus_mask(masks, lat.subgroups[r].members))
+             for r in lat.representatives]
+    return element_from_marks(group, marks)
 
 
-def chi_G_milnor(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:
-    """chi^G(M_f) over a diagonal symmetry group; see `milnor_data`."""
-    return milnor_data(f, diag).chi_g
-
-
-def index_df(f: InvertiblePolynomial, diag: DiagonalGroup) -> BurnsideElement:
+def index_df(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
     """ind_rad^G(df) = -reduced chi^G(M_f) = [G/G] - chi^G(M_f)."""
-    return one(diag.group) - chi_G_milnor(f, diag)
+    return one(group) - chi_G_milnor(f, group)
 
 
 # -- duality report -------------------------------------------------------------
@@ -594,7 +530,7 @@ class DualityReport:
         return [p for p in self.pairs if not p.matches]
 
 
-def _orbifold_indices(f: InvertiblePolynomial, diag: DiagonalGroup,
+def _orbifold_indices(f: InvertiblePolynomial, group: FiniteGroup,
                       member_sets) -> tuple:
     """r_0 of ind^G(df), and r_1 of ind^H(df) for each member set H, by the
     mask formulas of the module docstring.
@@ -602,21 +538,9 @@ def _orbifold_indices(f: InvertiblePolynomial, diag: DiagonalGroup,
     chi(M_f^L) is computed once per distinct mask L; a non-integral average
     is an IntegralityError.
     """
-    group = diag.group
-    # E phi in Z^n is additive: checking the generators covers every element
-    for g in group.generator_keys:
-        _integral_image(f.E, g, group.denominator)
-    n = diag.dimension
-    chi_of = {}
-
-    def chi(mask):
-        c = chi_of.get(mask)
-        if c is None:
-            locus = frozenset(j for j in range(n) if mask >> j & 1)
-            c = chi_of[mask] = _fixed_entry(f, locus).chi
-        return c
-
-    masks = diag.fixed_masks
+    _check_symmetries(f.E, group)
+    chi = cache(partial(_fixed_chi, f))
+    masks = _fixed_masks(group)
     total = sum(c * chi(a) for a, c in Counter(masks).items())
     if total % group.order:
         raise IntegralityError(
@@ -645,8 +569,8 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     gf = symmetry_group(f)
     gft = symmetry_group(ft)
     annihilator = check_perfect_pairing(f, gf, gft)
-    lat = gf.group.lattice()
-    dual_lat = gft.group.lattice()
+    lat = gf.lattice()
+    dual_lat = gft.lattice()
     dual_of = [dual_lat.subgroup_index(annihilator(sub.members))
                for sub in lat.subgroups]
     r0, v = _orbifold_indices(f, gf, [s.members for s in lat.subgroups])

@@ -15,7 +15,7 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               marks_vector, multiply, one, r_k, restrict)
 from eqindex.gspace import chi_G_simplicial, chi_k_direct, fixed_subcomplex
 from eqindex.indices import FixedSetIndexData
-from eqindex.invertible import DiagonalGroup, milnor_number, transpose
+from eqindex.invertible import milnor_number, transpose
 
 from complex_suite import suite
 from groups_pool import abelian_names, pool, random_elements
@@ -170,9 +170,9 @@ def test_criterion_8_restriction_compatibility():
     for f in family:
         diag = symmetry_group(f)
         ind = index_df(f, diag)
-        for sub in diag.group.lattice().subgroups:
+        for sub in diag.lattice().subgroups:
             assert restrict(ind, sub) == \
-                index_df(f, DiagonalGroup(sub.as_group(), f.n)), (f.E, sub.order)
+                index_df(f, sub.as_group()), (f.E, sub.order)
             checks += 1
     dt = time.time() - t0
     _line(8, "restriction-compatibility",
@@ -219,10 +219,10 @@ def test_criterion_10_gsv_relation():
     for f in family:
         diag = symmetry_group(f)
         chi = chi_G_milnor(f, diag)
-        chibar = chi - one(diag.group)
+        chibar = chi - one(diag)
         ind = index_df(f, diag)
         # ind_rad(df) + reduced chi of the fibre vanishes (df case)
         assert gsv_from_radial(ind, chibar).is_zero(), f.E
         # for the radial field the GSV index is the full chi^G of the fibre
-        assert gsv_from_radial(one(diag.group), chibar) == chi, f.E
+        assert gsv_from_radial(one(diag), chibar) == chi, f.E
     _line(10, "gsv-radial-relation", f"{len(family)} fixtures")

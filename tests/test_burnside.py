@@ -178,7 +178,7 @@ def test_restrict_is_ring_homomorphism(name, data):
 
 def test_restrict_matches_coset_oracle():
     groups = [*pool().values(), larger()["S4"], larger()["A5"]]
-    groups += [symmetry_group(f).group for f in duality_family(24, 3)[::3]]
+    groups += [symmetry_group(f) for f in duality_family(24, 3)[::3]]
     for g in groups:
         lat = g.lattice()
         for sub in lat.subgroups:

@@ -263,17 +263,31 @@ MALFORMED = {
                                       "action": {"g0": [7]}}}),
     "removed-jobs-flag": (["poly", "analyze", "--jobs", "2"], {"E": [[2]]}),
     "removed-verbose-flag": (["poly", "analyze", "-v"], {"E": [[2]]}),
+    "out-under-a-file": (["poly", "analyze", "--out",
+                          os.path.join(os.devnull, "x.json")], {"E": [[2]]}),
+    # a bytes payload is raw file content, read with --in
+    "input-not-utf8": (["poly", "analyze"], b'{"E": [[2]]}\xff'),
+    "integer-over-digit-limit": (["poly", "analyze"],
+                                 b'{"E": [[' + b"7" * 5000 + b']]}'),
+    "nesting-too-deep": (["poly", "analyze"],
+                         b'{"E": ' + b"[" * 100000 + b"]" * 100000 + b"}"),
 }
 
 
 @pytest.mark.parametrize("argv, payload", list(MALFORMED.values()),
                          ids=list(MALFORMED))
-def test_malformed_input_exits_without_traceback(argv, payload):
+def test_malformed_input_exits_without_traceback(argv, payload, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if isinstance(payload, bytes):
+        path = tmp_path / "payload.json"
+        path.write_bytes(payload)
+        argv = [*argv, "--in", str(path)]
+    else:
+        argv = [*argv, json.dumps(payload)]
     proc = subprocess.run(
-        [sys.executable, "-m", "eqindex.cli", *argv, json.dumps(payload)],
+        [sys.executable, "-m", "eqindex.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode in (1, 2), proc.stdout
     if proc.returncode == 1:

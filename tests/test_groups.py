@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      Subgroup, build_group, cyclic_group, diagonal_group,
                      normalizer, perm_group, trivial_group)
 
-from groups_pool import pool
+from groups_pool import larger, pool
 from oracles import subgroup_lattice_oracle
 
 
@@ -119,7 +121,7 @@ def test_diagonal_tables_match_direct_composition():
     compose = lambda a, b: tuple((x + y) % 1 for x, y in zip(a, b))
     groups = [cyclic_group(6), diagonal_group([[Fraction(1, 2), 0],
                                                [0, Fraction(1, 3)]])]
-    groups += [symmetry_group(f).group for f in duality_family(24, 3)[::9]]
+    groups += [symmetry_group(f) for f in duality_family(24, 3)[::9]]
     for g in groups:
         phases = [g.phases(i) for i in g.elements()]
         assert g.table == _direct_table(phases, compose)
@@ -264,7 +266,7 @@ def test_lattice_matches_all_pairs_oracle_on_symmetry_groups():
     from invertible_family import duality_family
     from eqindex import symmetry_group
     for f in duality_family(24, 3)[::9]:
-        _assert_lattice_matches_oracle(symmetry_group(f).group)
+        _assert_lattice_matches_oracle(symmetry_group(f))
 
 
 def test_lattice_records_cyclic_subgroups_and_generators():
@@ -339,6 +341,21 @@ def test_subgroup_as_group_inherits_keys():
     assert child.keys == [z6.keys[i] for i in sorted(h.members)]
     assert child.denominator == z6.denominator
     assert child.parent is z6
+
+
+def test_subgroup_as_group_records_a_small_generating_set():
+    for name, g in {**pool(), **larger()}.items():
+        for h in g.lattice().subgroups:
+            gens = [g.index[k] for k in h.as_group().generator_keys]
+            assert len(gens) <= math.log2(h.order) + 1, (name, h.order)
+            # words in the generators, grown in the parent's table until closed
+            reached = {g.identity}
+            while True:
+                grown = reached | {g.mul(a, s) for a in reached for s in gens}
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == h.members, (name, h.order)
 
 
 @settings(max_examples=40, deadline=None)

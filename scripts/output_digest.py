@@ -9,8 +9,15 @@ Hashes, in order:
     `poly dual-check`, in json and tsv, on every fixture of
     duality_family(24, 3) (run in-process through `cli.main`);
   * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5, as canonical JSON: the table of
-    marks, the restriction of every basis element to every subgroup, and
-    the induction of every basis element of every subgroup.
+    marks, the restriction of every basis element to every subgroup, the
+    induction of every basis element of every subgroup, and the fixed-set
+    indices (`fixed_indices_from_index`) of every basis element;
+  * `commuting_class_counts` for k = 0..4 (or the error it raises) on the
+    same groups and S5;
+  * `lattice_to_json` of S4, A5 and S5 and of every subgroup of each, as a
+    standalone group;
+  * on the simplicial suite: `chi_G_simplicial` and `chi_k_direct` for
+    k = 0..4 (or the error it raises).
 
 Two source trees whose digests agree produce byte-identical outputs on these
 inputs.  Run from anywhere:
@@ -29,9 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from eqindex import burnside, cli, jsonio  # noqa: E402
+from eqindex import burnside, cli, gspace, indices, jsonio  # noqa: E402
+from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 symmetry_group)
+from complex_suite import suite  # noqa: E402
 from groups_pool import larger, pool  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
 
@@ -57,9 +66,12 @@ def cli_lines():
                 yield f"{sub} {fmt} {code}\n{out.getvalue()}"
 
 
+def burnside_groups():
+    return {**pool(), "S4": larger()["S4"], "A5": larger()["A5"]}
+
+
 def burnside_lines():
-    groups = {**pool(), "S4": larger()["S4"], "A5": larger()["A5"]}
-    for name, g in groups.items():
+    for name, g in burnside_groups().items():
         yield jsonio.dumps({"group": name,
                             "marks": burnside.table_of_marks(g).matrix})
         lat = g.lattice()
@@ -73,9 +85,50 @@ def burnside_lines():
                     burnside.induce(burnside.basis_element(child, c), g)))
 
 
+def fixed_index_lines():
+    for g in burnside_groups().values():
+        for c in range(g.lattice().num_classes):
+            data = indices.fixed_indices_from_index(
+                burnside.basis_element(g, c))
+            yield jsonio.dumps({"per_subgroup": data.per_subgroup,
+                                "per_class": data.per_class})
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the name of the eqindex error it raises."""
+    try:
+        return repr(fn(*args))
+    except EqIndexError as exc:
+        return type(exc).__name__
+
+
+def commuting_lines():
+    groups = {**burnside_groups(), "S5": larger()["S5"]}
+    for name, g in groups.items():
+        for k in range(5):
+            yield f"{name} {k} " + _outcome(
+                burnside.commuting_class_counts, g, k)
+
+
+def lattice_lines():
+    for g in larger().values():
+        yield jsonio.dumps(jsonio.lattice_to_json(g))
+        for sub in g.lattice().subgroups:
+            yield jsonio.dumps(jsonio.lattice_to_json(sub.as_group()))
+
+
+def simplicial_lines():
+    for name, x in suite():
+        yield f"{name} " + repr(gspace.chi_G_simplicial(x).coeffs)
+        for k in range(5):
+            yield f"{name} {k} " + _outcome(gspace.chi_k_direct, x, k)
+
+
 def main():
     h = hashlib.sha256()
-    for line in chain(library_lines(), cli_lines(), burnside_lines()):
+    for line in chain(library_lines(), cli_lines(), burnside_lines(),
+                      fixed_index_lines(), commuting_lines(), lattice_lines(),
+                      simplicial_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -19,8 +19,10 @@ theorem, so a violation means a bug or inconsistent input.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _coset_join
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -100,15 +102,11 @@ def zero(group: FiniteGroup) -> BurnsideElement:
 
 def one(group: FiniteGroup) -> BurnsideElement:
     """[G/G], the multiplicative identity."""
-    lat = group.lattice()
-    coeffs = [0] * lat.num_classes
-    coeffs[lat.num_classes - 1] = 1
-    return BurnsideElement(group, coeffs)
+    return basis_element(group, group.lattice().num_classes - 1)
 
 
 def basis_element(group: FiniteGroup, class_index: int) -> BurnsideElement:
-    lat = group.lattice()
-    coeffs = [0] * lat.num_classes
+    coeffs = [0] * group.lattice().num_classes
     coeffs[class_index] = 1
     return BurnsideElement(group, coeffs)
 
@@ -141,9 +139,12 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 def marks_vector(b: BurnsideElement) -> tuple:
     """mark(b, [H]) for every class [H], i.e. the fixed-point counts."""
     m = table_of_marks(b.group).matrix
-    nc = len(m)
-    return tuple(sum(b.coeffs[k] * m[k][h] for k in range(nc))
-                 for h in range(nc))
+    out = [0] * len(m)
+    for k, a in enumerate(b.coeffs):
+        if a:  # m[k][h] = 0 unless [H] <= [K], so h <= k
+            for h, x in enumerate(m[k][:k + 1]):
+                out[h] += a * x
+    return tuple(out)
 
 
 def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
@@ -214,7 +215,16 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
 
 def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     """Number of pairwise-commuting (k+1)-tuples whose generated subgroup lies
-    in each conjugacy class.  Cached per group and k."""
+    in each conjugacy class.  Cached per group and k.
+
+    One recursion for every k: if g_0..g_j commute pairwise and generate A,
+    then g_{j+1} commutes with all of them exactly when it lies in C_G(A),
+    and then <A, g_{j+1}> = A<g_{j+1}>.  Starting from the 1-tuples, counted
+    at their cyclic subgroups, k steps carry the count at each subgroup A to
+    A<g> for every g in C_G(A), with one coset join per pair (A, <g>).
+    C_G(A) is the AND of the members' commute bitmasks (all of G when G is
+    abelian).
+    """
     if k in group._tuple_counts:
         return group._tuple_counts[k]
     if k < 0:
@@ -222,55 +232,34 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    counts = [0] * lat.num_classes
-    table = group.table
-    all_elems = list(group.elements())
+    table, subs, cyc = group.table, lat.subgroups, lat.cyclic_of
+    everything = group.elements()
     abelian = group.is_abelian
-
-    if k == 0:
-        for g in all_elems:
-            counts[lat.class_of[lat.cyclic_of[g]]] += 1
-    elif k == 1:
-        # <g,h> for commuting g,h is the product set <g><h>; memoize joins
-        # over the pair of cyclic subgroups
-        cyc = lat.cyclic_of
-        join_cls = {}
-        for g in all_elems:
-            cg = cyc[g]
-            row = table[g]
-            partners = all_elems if abelian else \
-                [h for h in all_elems if row[h] == table[h][g]]
-            for h in partners:
-                key = (cg, cyc[h]) if cg <= cyc[h] else (cyc[h], cg)
-                c = join_cls.get(key)
-                if c is None:
-                    a = lat.subgroups[key[0]].members
-                    b = lat.subgroups[key[1]].members
-                    prod = frozenset(table[x][y] for x in a for y in b)
-                    c = lat.class_index_of(prod)
-                    join_cls[key] = c
-                counts[c] += 1
-    else:
-        cls_cache = {}
-
-        def cls_of(gens: frozenset) -> int:
-            c = cls_cache.get(gens)
-            if c is None:
-                c = lat.class_index_of(group.closure(gens))
-                cls_cache[gens] = c
-            return c
-
-        def rec(depth, chosen, cands):
-            if depth == k + 1:
-                counts[cls_of(frozenset(chosen))] += 1
-                return
-            for g in cands:
-                row = table[g]
-                rec(depth + 1, chosen + [g],
-                    cands if abelian else
-                    [h for h in cands if row[h] == table[h][g]])
-
-        rec(0, [], all_elems)
+    if not abelian:
+        commute = [sum(1 << h for h in everything if row[h] == table[h][g])
+                   for g, row in enumerate(table)]
+    joins = {}
+    level = Counter(cyc)
+    for _ in range(k):
+        step = Counter()
+        for a, count in level.items():
+            centralizer = everything
+            if not abelian:
+                mask = -1
+                for m in subs[a].members:
+                    mask &= commute[m]
+                centralizer = [g for g in everything if mask >> g & 1]
+            for g in centralizer:
+                key = (a, cyc[g])
+                j = joins.get(key)
+                if j is None:
+                    j = joins[key] = lat.member_index[
+                        _coset_join(table, subs[a].members, g)]
+                step[j] += count
+        level = step
+    counts = [0] * lat.num_classes
+    for a, count in level.items():
+        counts[lat.class_of[a]] += count
     result = tuple(counts)
     group._tuple_counts[k] = result
     return result

@@ -340,33 +340,34 @@ class SubgroupLattice:
         self.leq = [[1 if s.members <= t.members else 0
                      for t in self.subgroups] for s in self.subgroups]
 
-        # conjugacy classes of subgroups and normalizers
+        # conjugacy classes of subgroups and normalizers, by orbit and
+        # stabilizer: each class representative R is conjugated by every g
+        # once; the images are its class, the g with R^g = R are N(R), and
+        # each conjugate R^x has normalizer N(R)^x for the first such x
         if abelian:
             self.classes = [[i] for i in range(ns)]
             self.class_of = list(range(ns))
             self.normalizers = [ns - 1] * ns
         else:
+            conj = lambda ms, g: frozenset(group.conj(m, g) for m in ms)
             self.class_of = [-1] * ns
+            self.normalizers = [-1] * ns
             self.classes = []
-            for i in range(ns):
+            for i, r in enumerate(self.subgroups):
                 if self.class_of[i] >= 0:
                     continue
-                orbit = set()
+                first = {}  # conjugate -> the first g that carries R to it
+                stab = []
                 for g in group.elements():
-                    img = frozenset(group.conj(m, g)
-                                    for m in self.subgroups[i].members)
-                    orbit.add(self.member_index[img])
-                cls = sorted(orbit)
+                    j = self.member_index[conj(r.members, g)]
+                    first.setdefault(j, g)
+                    if j == i:
+                        stab.append(g)
                 c = len(self.classes)
-                self.classes.append(cls)
-                for j in cls:
+                self.classes.append(sorted(first))
+                for j, x in first.items():
                     self.class_of[j] = c
-            self.normalizers = []
-            for s in self.subgroups:
-                nm = frozenset(
-                    g for g in group.elements()
-                    if frozenset(group.conj(m, g) for m in s.members) == s.members)
-                self.normalizers.append(self.member_index[nm])
+                    self.normalizers[j] = self.member_index[conj(stab, x)]
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
 
@@ -468,8 +469,10 @@ def _cyclic_subgroups(group: FiniteGroup):
 
 
 def _coset_join(table, a: frozenset, g: int) -> frozenset:
-    """A + <g> in an abelian group: the cosets A, A + g, A + 2g, ... up to the
-    first multiple of g that lies in A, at a cost of |A + <g>|."""
+    """A<g> for a subgroup A and an element g that centralizes it: the
+    cosets A, gA, g^2 A, ... up to the first power of g that lies in A, at a
+    cost of |A<g>|.  (When g does not centralize A, the union of these cosets
+    need not be a subgroup.)"""
     row = table[g]
     coset = list(a)
     joined = set(a)

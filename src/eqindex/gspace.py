@@ -80,6 +80,7 @@ class GSimplicialComplex:
             closed.add(frozenset([v]))
         self.simplices = frozenset(closed)
         self.action = action
+        self._regular = None
         for g in group.elements():
             m = action[g]
             if sorted(m.values()) != list(self.vertices) or \
@@ -101,12 +102,14 @@ class GSimplicialComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def is_regular(self) -> bool:
-        for g in self.group.elements():
-            m = self.action[g]
-            for s in self.simplices:
-                if frozenset(m[v] for v in s) == s and any(m[v] != v for v in s):
-                    return False
-        return True
+        """Whether every simplex fixed setwise is fixed vertexwise; scanned
+        once per complex and then stored."""
+        if self._regular is None:
+            self._regular = all(
+                frozenset(m[v] for v in s) != s or all(m[v] == v for v in s)
+                for m in (self.action[g] for g in self.group.elements())
+                for s in self.simplices)
+        return self._regular
 
     def check_regular(self):
         if not self.is_regular():
@@ -126,15 +129,13 @@ def build_complex(group: FiniteGroup, vertices, simplices,
     dict; omitted generators and the trivial group act identically.
     """
     vertices = tuple(sorted(set(vertices)))
-    gen_maps = {}
     identity_map = {v: v for v in vertices}
+    images = generator_images or {}
     gens = group.generators
-    for pos, g in enumerate(gens):
-        img = (generator_images or {}).get(pos)
-        if img is None:
-            gen_maps[g] = dict(identity_map)
-        else:
-            gen_maps[g] = {v: img[v] for v in vertices}
+    # one map per generator position: two positions may name one element
+    maps = [identity_map if images.get(pos) is None
+            else {v: images[pos][v] for v in vertices}
+            for pos in range(len(gens))]
     # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e)
     action = {group.identity: identity_map}
     frontier = [group.identity]
@@ -142,10 +143,9 @@ def build_complex(group: FiniteGroup, vertices, simplices,
         new = []
         for e in frontier:
             pe = action[e]
-            for g in gens:
+            for g, pg in zip(gens, maps):
                 f = group.mul(g, e)
                 if f not in action:
-                    pg = gen_maps[g]
                     action[f] = {v: pg[pe[v]] for v in vertices}
                     new.append(f)
         frontier = new
@@ -154,8 +154,7 @@ def build_complex(group: FiniteGroup, vertices, simplices,
     # the extension is well-defined only if the images respect all relations
     for e in group.elements():
         pe = action[e]
-        for g in gens:
-            pg = gen_maps[g]
+        for g, pg in zip(gens, maps):
             pf = action[group.mul(g, e)]
             if any(pf[v] != pg[pe[v]] for v in vertices):
                 raise InconsistentDataError(
@@ -173,9 +172,9 @@ def chi_G_simplicial(x: GSimplicialComplex) -> BurnsideElement:
     for s in x.sorted_simplices():
         if s in done:
             continue
-        orbit = {x.image(g, s) for g in group.elements()}
-        done |= orbit
-        stab = frozenset(g for g in group.elements() if x.image(g, s) == s)
+        images = [x.image(g, s) for g in group.elements()]
+        done.update(images)
+        stab = frozenset(g for g, t in enumerate(images) if t == s)
         coeffs[lat.class_index_of(stab)] += (-1) ** (len(s) - 1)
     return BurnsideElement(group, coeffs)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .burnside import BurnsideElement, induce, r_k
+from .burnside import BurnsideElement, induce, marks_vector, r_k
 from .errors import InconsistentDataError, IntegralityError, NotASubgroupError
 from .groups import FiniteGroup, Subgroup
 
@@ -110,20 +110,14 @@ def index_from_quotient(group: FiniteGroup, per_class_quotient_index) -> Burnsid
 def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
     """Forward evaluation: indices on V^H (per subgroup) and V^{[H]} (per class).
 
-    per_subgroup[H] = sum over subgroups K >= H of a_[K] |N_G(K)|/|K|;
+    per_subgroup[H] = sum over subgroups K >= H of a_[K] |N_G(K)|/|K|,
+    which is the mark of b at [H];
     per_class[[H]]  = sum over classes [K] >= [H] of a_[K] |G|/|K|.
     """
     group = b.group
     lat = group.lattice()
-    ns = len(lat.subgroups)
-    norm_ratio = [lat.normalizer_order(i) // lat.subgroups[i].order
-                  for i in range(ns)]
-    per_subgroup = {}
-    for h in range(ns):
-        leq_h = lat.leq[h]
-        per_subgroup[h] = sum(
-            b.coeffs[lat.class_of[kk]] * norm_ratio[kk]
-            for kk in range(ns) if leq_h[kk])
+    marks = marks_vector(b)
+    per_subgroup = {h: marks[c] for h, c in enumerate(lat.class_of)}
     per_class = {}
     n = group.order
     for c in range(lat.num_classes):

@@ -5,7 +5,8 @@ oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
 the marks and restriction oracles count fixed cosets and H-orbits on G/K;
 the reduction oracle averages fixed-coset counts over commuting tuples
-directly on cosets; the exact-isotropy oracle assembles chi^G from
+directly on cosets; the commuting-tuple oracle enumerates every tuple and
+closes it; the exact-isotropy oracle assembles chi^G from
 fixed-point Euler characteristics by Moebius sums, not through the table of
 marks.
 """
@@ -217,6 +218,23 @@ def r_k_coset_oracle(group, members, k) -> int:
                      if all(rep_of[group.table[g][r]] == r for g in tup))
     assert total % group.order == 0
     return total // group.order
+
+
+def commuting_counts_oracle(group, k) -> list:
+    """Pairwise-commuting (k+1)-tuples per conjugacy class of the subgroup
+    they generate, by enumerating all |G|^(k+1) tuples and closing each."""
+    table = group.table
+    lat = group.lattice()
+    classes = {}  # generating set -> class of the subgroup it generates
+    counts = [0] * lat.num_classes
+    for tup in product(range(group.order), repeat=k + 1):
+        if all(table[a][b] == table[b][a]
+               for i, a in enumerate(tup) for b in tup[i + 1:]):
+            gens = frozenset(tup)
+            if gens not in classes:
+                classes[gens] = lat.class_index_of(group.closure(gens))
+            counts[classes[gens]] += 1
+    return counts
 
 
 # -- subgroup lattice by all-pairs joins ----------------------------------------

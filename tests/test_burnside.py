@@ -5,15 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, cyclic_group, perm_group)
 from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
-                              element_from_marks, induce, marks_vector,
+                              commuting_class_counts, element_from_marks,
+                              induce, marks_vector,
                               multiply, one, permutation_character, r_k,
                               restrict, table_of_marks, zero)
 from eqindex.invertible import symmetry_group
 
 from groups_pool import abelian_names, larger, pool, random_elements
 from invertible_family import duality_family
-from oracles import (burnside_product_oracle, marks_coset_oracle,
-                     r_k_coset_oracle, restrict_coset_oracle)
+from oracles import (burnside_product_oracle, commuting_counts_oracle,
+                     marks_coset_oracle, r_k_coset_oracle,
+                     restrict_coset_oracle)
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -267,6 +269,21 @@ def test_r_k_matches_coset_oracle():
             for k in (0, 1, 2):
                 assert r_k(basis_element(g, c), k) == \
                     r_k_coset_oracle(g, members, k)
+
+
+def test_commuting_class_counts_match_tuple_oracle():
+    # Z2^4: four disjoint transpositions (2i 2i+1)
+    z2_4 = perm_group(8, [[j ^ 1 if j // 2 == i else j for j in range(8)]
+                          for i in range(4)])
+    cases = [(g, k) for g in pool().values() for k in range(4)]
+    cases += [(larger()[n], k) for n in ("S4", "A5") for k in range(3)]
+    cases += [(larger()["S5"], k) for k in range(2)] + [(z2_4, 3)]
+    cases += [(symmetry_group(f), k)
+              for f in duality_family(24, 3)[::9] for k in range(3)]
+    assert len(cases) == 155
+    for g, k in cases:
+        assert list(commuting_class_counts(g, k)) == \
+            commuting_counts_oracle(g, k), (g, k)
 
 
 # -- permutation character ---------------------------------------------------------

@@ -261,6 +261,11 @@ MALFORMED = {
     "image-outside-vertices": (["euler", "simplicial"], {
         "group": Z6_PRES, "complex": {"vertices": [0], "simplices": [[0]],
                                       "action": {"g0": [7]}}}),
+    # two generator positions name one element; g1 defaults to the identity
+    "duplicate-generator-images": (["euler", "simplicial"], {
+        "group": {"kind": "diagonal", "phases": [[[1, 2]], [[1, 2]]]},
+        "complex": {"vertices": [0, 1], "simplices": [[0], [1]],
+                    "action": {"g0": [1, 0]}}}),
     "removed-jobs-flag": (["poly", "analyze", "--jobs", "2"], {"E": [[2]]}),
     "removed-verbose-flag": (["poly", "analyze", "-v"], {"E": [[2]]}),
     "out-under-a-file": (["poly", "analyze", "--out",

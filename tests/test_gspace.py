@@ -5,7 +5,9 @@ from eqindex import (RegularityError, StratifiedGData, barycentric_subdivide,
                      build_complex, chi_G_simplicial, chi_G_stratified,
                      chi_k_direct, chi_orbifold_direct, cyclic_group,
                      fixed_subcomplex, perm_group, trivial_group)
-from eqindex.burnside import cardinality, marks_vector, one, r_k
+from eqindex.burnside import (cardinality, commuting_class_counts,
+                              marks_vector, one, r_k)
+from eqindex.gspace import GSimplicialComplex
 
 from complex_suite import SQUARE_EDGES, suite
 
@@ -208,6 +210,37 @@ def test_inconsistent_generator_images_rejected():
         # an order-2 generator cannot act by a 3-cycle
         build_complex(z2, [0, 1, 2], [[0, 1], [1, 2], [0, 2]],
                       {0: {0: 1, 1: 2, 2: 0}})
+    # two generator positions name one element, with different images
+    twice = perm_group(2, [[1, 0], [1, 0]])
+    with pytest.raises(InconsistentDataError):
+        build_complex(twice, [0, 1], [[0], [1]], {0: {0: 1, 1: 0}})
+
+
+class _CountedSimplices(frozenset):
+    """A simplex set that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        _CountedSimplices.passes += 1
+        return super().__iter__()
+
+
+def test_chi_k_direct_scans_regularity_at_most_once():
+    def fresh():
+        x = by_name("square-dihedral4-subdivided")
+        y = GSimplicialComplex(x.group, x.vertices, x.simplices, x.action)
+        y.simplices = _CountedSimplices(y.simplices)
+        return y
+
+    _CountedSimplices.passes = 0
+    assert fresh().is_regular()
+    scan = _CountedSimplices.passes  # passes of one regularity scan
+    x = fresh()
+    fixed = sum(1 for c in commuting_class_counts(x.group, 1) if c)
+    _CountedSimplices.passes = 0
+    chi_k_direct(x, 1)
+    # one scan, then one pass per fixed subcomplex
+    assert _CountedSimplices.passes <= scan + fixed
 
 
 def test_reduction_order_bound():

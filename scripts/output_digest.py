@@ -4,10 +4,14 @@
 Hashes, in order:
   * for every fixture of duality_family(60, 3): the `duality_check` report
     as canonical JSON, the symmetry group G_f (keys, denominator, generator
-    keys, presentation, id) and the coefficients of index_df(f, G_f);
+    keys, presentation, id), the coefficients of index_df(f, G_f) and the
+    dual group G_{f~} (keys, generator keys, id);
   * the stdout and exit code of `poly analyze`, `poly index` and
     `poly dual-check`, in json and tsv, on every fixture of
     duality_family(24, 3) (run in-process through `cli.main`);
+  * the stdout and exit code of `group info` and `group lattice` on a few
+    diagonal presentations: no coordinates, repeated generators, the order
+    bound reached and exceeded;
   * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5, as canonical JSON: the table of
     marks, the restriction of every basis element to every subgroup, the
     induction of every basis element of every subgroup, and the fixed-set
@@ -39,7 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from eqindex import burnside, cli, gspace, indices, jsonio  # noqa: E402
 from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
-                                symmetry_group)
+                                symmetry_group, transpose)
 from complex_suite import suite  # noqa: E402
 from groups_pool import larger, pool  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
@@ -53,6 +57,17 @@ def library_lines():
         yield json.dumps(g.presentation, sort_keys=True)
         yield g.fingerprint
         yield repr(index_df(f, g).coeffs)
+        gt = symmetry_group(transpose(f))
+        yield repr((gt.keys, gt.generator_keys))
+        yield gt.fingerprint
+
+
+def _cli(argv):
+    """`cli.main(argv)` in-process: its exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"{' '.join(argv)} {code}\n{out.getvalue()}"
 
 
 def cli_lines():
@@ -60,10 +75,26 @@ def cli_lines():
         payload = json.dumps({"E": [list(r) for r in f.E]})
         for sub in ("analyze", "index", "dual-check"):
             for fmt in ("json", "tsv"):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(["poly", sub, payload, "--format", fmt])
-                yield f"{sub} {fmt} {code}\n{out.getvalue()}"
+                yield _cli(["poly", sub, payload, "--format", fmt])
+
+
+DIAGONAL_PRESENTATIONS = [
+    [[]],
+    [[[-1, 6], [1, 3]]],
+    [[[1, 4], [1, 6]], [[1, 2], [1, 3]], [[1, 4], [1, 6]], [0, [1, 2]]],
+    [[[1, 2], 0, [1, 2]], [0, [1, 3], [2, 3]], [[1, 2], [1, 3], [1, 6]]],
+    [[[1, 2000]]],
+    [[[1, 2001]]],
+    [[[1, 999983]]],
+    [[[1, 50], 0], [0, [1, 41]]],
+]
+
+
+def group_lines():
+    for phases in DIAGONAL_PRESENTATIONS:
+        payload = json.dumps({"kind": "diagonal", "phases": phases})
+        for sub in ("info", "lattice"):
+            yield _cli(["group", sub, payload])
 
 
 def burnside_groups():
@@ -126,9 +157,9 @@ def simplicial_lines():
 
 def main():
     h = hashlib.sha256()
-    for line in chain(library_lines(), cli_lines(), burnside_lines(),
-                      fixed_index_lines(), commuting_lines(), lattice_lines(),
-                      simplicial_lines()):
+    for line in chain(library_lines(), cli_lines(), group_lines(),
+                      burnside_lines(), fixed_index_lines(), commuting_lines(),
+                      lattice_lines(), simplicial_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -223,7 +223,7 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     at their cyclic subgroups, k steps carry the count at each subgroup A to
     A<g> for every g in C_G(A), with one coset join per pair (A, <g>).
     C_G(A) is the AND of the members' commute bitmasks (all of G when G is
-    abelian).
+    abelian), which are built only when k >= 1.
     """
     if k in group._tuple_counts:
         return group._tuple_counts[k]
@@ -235,7 +235,7 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     table, subs, cyc = group.table, lat.subgroups, lat.cyclic_of
     everything = group.elements()
     abelian = group.is_abelian
-    if not abelian:
+    if k and not abelian:
         commute = [sum(1 << h for h in everything if row[h] == table[h][g])
                    for g, row in enumerate(table)]
     joins = {}

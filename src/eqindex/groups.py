@@ -32,9 +32,7 @@ def _enumerate(identity, generators, compose):
 
     The walk reaches every element as c = g * a, a generator times an
     element already found, so its compositions are exactly the entries of
-    the generator rows.  Every other row is a translation, since
-    (g a) x = g (a x): the row of c is the row of a read through the row of
-    g, |G|^2 list lookups instead of |G|^2 compositions.
+    the generator rows; `_canonical_table` translates them into the table.
     """
     gens = list(dict.fromkeys(generators))
     found = {identity: 0}
@@ -53,6 +51,19 @@ def _enumerate(identity, generators, compose):
                 walk.append(c)
                 steps.append((k, i))
             rows[k].append(j)
+    return _canonical_table(walk, steps, rows)
+
+
+def _canonical_table(walk, steps, rows):
+    """The keys of `walk` (identity first) in canonical (sorted) order, the
+    multiplication table and the index of the identity.
+
+    Every element w after the identity was reached as c = g a, where
+    steps[w] = (k, a) names the row of g in `rows` (in walk indices) and the
+    parent a.  Every row of the table is then a translation, since
+    (g a) x = g (a x): the row of c is the row of a read through the row of
+    g, |G|^2 list lookups instead of |G|^2 compositions.
+    """
     n = len(walk)
     order = sorted(range(n), key=walk.__getitem__)
     pos = [0] * n
@@ -329,8 +340,7 @@ class SubgroupLattice:
                 if j not in subs:
                     subs.add(j)
                     work.append(j)
-        order_key = lambda m: (len(m), tuple(sorted(m)))
-        canonical = sorted(subs, key=order_key)
+        canonical, self.labels = canonical_order(subs)
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
@@ -388,7 +398,6 @@ class SubgroupLattice:
                         self.zeta_conj[a][b] = 1
             self.mu_conj = _moebius(self.zeta_conj)
 
-        self.labels = [f"H{s.order}_{i}" for i, s in enumerate(self.subgroups)]
         self.class_labels = [self.labels[r] for r in self.representatives]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._class_label_index = {lab: c
@@ -422,6 +431,15 @@ class SubgroupLattice:
 
     def normalizer_order(self, i: int) -> int:
         return self.subgroups[self.normalizers[i]].order
+
+
+def canonical_order(member_sets) -> tuple:
+    """The member sets (of one group's subgroups) in canonical order, by
+    order and then by sorted member ids, and the label H<order>_<i> of the
+    i-th: for all the subgroups of a group, the order and the labels of its
+    `SubgroupLattice`."""
+    canonical = sorted(member_sets, key=lambda m: (len(m), sorted(m)))
+    return canonical, [f"H{len(m)}_{i}" for i, m in enumerate(canonical)]
 
 
 def _moebius(zeta) -> list:
@@ -572,14 +590,54 @@ def diagonal_group_from_integers(vectors, denominator: int) -> FiniteGroup:
     g = math.gcd(denominator, *(x for v in vecs for x in v))
     denom = denominator // g
     int_gens = [tuple(x // g for x in v) for v in vecs]
-    keys, table, identity = _enumerate(
-        (0,) * n, int_gens,
-        lambda a, b: tuple((x + y) % denom for x, y in zip(a, b)))
+    keys, table, identity = _diagonal_cosets(int_gens, denom)
     phases = [[[x // math.gcd(x, denom), denom // math.gcd(x, denom)]
                for x in v] for v in int_gens]
     return FiniteGroup(keys, table, identity,
                        {"kind": "diagonal", "phases": phases},
                        int_gens, denominator=denom)
+
+
+def _diagonal_cosets(generators, denom):
+    """`_enumerate` for integer vectors added mod `denom`, one coset at a
+    time.
+
+    For each generator g in turn, with H the subgroup generated so far, the
+    least m with m g in H is found among the first MAX_ORDER // |H|
+    multiples (a larger m would exceed the bound); m divides the order of g,
+    so only those multiples are formed.  H<g> is H followed by the cosets
+    g + H, ..., (m-1) g + H, one comprehension per coordinate column.
+    Element w of a new coset is g plus element w - |H|, which is the step
+    `_canonical_table` reads; the row of g is looked up once the group is
+    complete.
+    """
+    n = len(generators[0])
+    walk = [(0,) * n]
+    found = {walk[0]: 0}
+    cols = [[0] for _ in range(n)]
+    steps = [None]
+    used = []
+    for g in dict.fromkeys(generators):
+        size = len(walk)
+        order = denom // math.gcd(denom, *g)
+        for m in range(1, MAX_ORDER // size + 1):
+            if order % m == 0 and tuple(m * y % denom for y in g) in found:
+                break
+        else:
+            raise OrderBoundError(
+                f"generated order exceeds the bound {MAX_ORDER}")
+        if m == 1:
+            continue
+        for col, y in zip(cols, g):
+            col += [(v + c * y) % denom for c in range(1, m) for v in col]
+        walk += zip(*(col[size:] for col in cols))
+        found.update(zip(walk[size:], range(size, len(walk))))
+        steps += [(len(used), w) for w in range(len(walk) - size)]
+        used.append(g)
+    rows = [list(map(found.__getitem__, zip(
+        *([(v + y) % denom for v in col] for col, y in zip(cols, g)))))
+        for g in used]
+    return _canonical_table(walk, steps, rows)
 
 
 def _build_table(presentation):

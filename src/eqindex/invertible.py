@@ -42,7 +42,8 @@ from functools import cache, partial, reduce
 from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError)
-from .groups import FiniteGroup, Subgroup, diagonal_group_from_integers
+from .groups import (FiniteGroup, Subgroup, canonical_order,
+                     diagonal_group_from_integers)
 
 SYMMETRY_ORDER_BOUND = 2000
 DUALITY_ORDER_BOUND = 500
@@ -326,7 +327,7 @@ def _pairings(f: InvertiblePolynomial, a_rows, den_a, b_rows, den_b) -> list:
     integer rows b over `den_b`: <a, b> = (E a) . b mod 1, and E a is an
     integer vector exactly when a is a symmetry of f."""
     images = [_integral_image(f.E, a, den_a) for a in a_rows]
-    return [[sum(x * y for x, y in zip(u, b)) % den_b for b in b_rows]
+    return [[sum(map(operator.mul, u, b)) % den_b for b in b_rows]
             for u in images]
 
 
@@ -570,18 +571,16 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     gft = symmetry_group(ft)
     annihilator = check_perfect_pairing(f, gf, gft)
     lat = gf.lattice()
-    dual_lat = gft.lattice()
-    dual_of = [dual_lat.subgroup_index(annihilator(sub.members))
-               for sub in lat.subgroups]
+    duals = [annihilator(s.members) for s in lat.subgroups]
+    # under the perfect pairing H -> H^T is a bijection onto Sub(G_{f~}),
+    # so the duals in canonical order are G_{f~}'s lattice and its labels
+    dual_labels = dict(zip(*canonical_order(duals)))
     r0, v = _orbifold_indices(f, gf, [s.members for s in lat.subgroups])
-    r0_dual, v_dual = _orbifold_indices(
-        ft, gft, [dual_lat.subgroups[di].members for di in dual_of])
-    pairs = []
-    for i, di in enumerate(dual_of):
-        pairs.append(DualityPair(
-            subgroup_label=lat.labels[i], subgroup_order=lat.subgroups[i].order,
-            dual_label=dual_lat.labels[di], dual_order=dual_lat.subgroups[di].order,
-            orbifold_index=v[i], dual_orbifold_index=v_dual[i],
-            dimension=f.n))
+    r0_dual, v_dual = _orbifold_indices(ft, gft, duals)
+    pairs = [DualityPair(
+        subgroup_label=lat.labels[i], subgroup_order=s.order,
+        dual_label=dual_labels[d], dual_order=len(d),
+        orbifold_index=v[i], dual_orbifold_index=v_dual[i], dimension=f.n)
+        for i, (s, d) in enumerate(zip(lat.subgroups, duals))]
     return DualityReport(E=f.E, dual_E=ft.E, orbit_index=r0,
                          dual_orbit_index=r0_dual, pairs=pairs)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from fractions import Fraction
@@ -8,7 +9,11 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      Subgroup, build_group, cyclic_group, diagonal_group,
                      normalizer, perm_group, trivial_group)
 
+from eqindex import groups
+from eqindex.invertible import symmetry_group, transpose
+
 from groups_pool import larger, pool
+from invertible_family import duality_family
 from oracles import subgroup_lattice_oracle
 
 
@@ -54,6 +59,52 @@ def test_non_invertible_generator_rejected():
 def test_order_bound_enforced():
     with pytest.raises(OrderBoundError):
         diagonal_group([[Fraction(1, 2001)]])
+    # the bound is inclusive: multiples are walked while m |H| <= MAX_ORDER
+    assert diagonal_group([[Fraction(1, 2000)]]).order == 2000
+
+
+def _enumerated_diagonal(g):
+    """The generic breadth-first walk on g's generators, composing integer
+    phase vectors as tuples."""
+    d = g.denominator
+    return groups._enumerate(
+        (0,) * len(g.keys[0]), g.generator_keys,
+        lambda a, b: tuple((x + y) % d for x, y in zip(a, b)))
+
+
+def test_diagonal_cosets_match_the_generic_walk():
+    # a repeated generator and one already in the subgroup before it
+    redundant = diagonal_group([
+        [Fraction(1, 4), Fraction(1, 6)], [Fraction(1, 2), Fraction(1, 3)],
+        [Fraction(1, 4), Fraction(1, 6)], [0, Fraction(1, 2)]])
+    assert redundant.order == 24
+    symmetry_groups = [symmetry_group(h) for f in duality_family(60, 3)
+               for h in (f, transpose(f))]
+    for g in symmetry_groups + [redundant]:
+        assert (g.keys, g.table, g.identity) == _enumerated_diagonal(g)
+
+
+def test_zero_dimensional_diagonal_group_is_trivial():
+    # with no coordinates there are no columns: the identity () must be a
+    # known element before any multiple is formed, since keys zipped from
+    # zero columns are no keys at all and a walk that waited for m g to
+    # show up among them would never stop
+    g = diagonal_group([[]])
+    assert g.order == 1 and g.keys == [()] and g.table == [[0]]
+
+
+@pytest.mark.parametrize("phases", [
+    [[Fraction(1, 999983)]],
+    [[Fraction(1, 50), 0], [0, Fraction(1, 41)]],
+])
+def test_diagonal_order_bound_rejects_at_once(phases):
+    # the walk for a generator stops after MAX_ORDER // |H| multiples: an
+    # unbounded walk would form all 999983 multiples of 1/999983, and 1/41
+    # must be rejected against |H| = 50, since 41 alone is within the bound
+    start = time.perf_counter()
+    with pytest.raises(OrderBoundError):
+        diagonal_group(phases)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_bad_table_rejected():

@@ -548,6 +548,21 @@ def test_duality_sign_phenomenon_on_one_variable():
         assert p.orbifold_index == -p.dual_orbifold_index
 
 
+def test_dual_labels_match_the_dual_lattice():
+    # duality_check ranks the annihilators instead of building G_{f~}'s
+    # lattice; the lattice lookup is the oracle
+    for f in duality_family(60, 3):
+        rep = duality_check(f)
+        gf, gft = symmetry_group(f), symmetry_group(transpose(f))
+        annihilator = check_perfect_pairing(f, gf, gft)
+        lat, dual_lat = gf.lattice(), gft.lattice()
+        for p in rep.pairs:
+            members = lat.subgroup_by_label(p.subgroup_label).members
+            di = dual_lat.subgroup_index(annihilator(members))
+            assert p.dual_label == dual_lat.labels[di]
+            assert p.dual_order == dual_lat.subgroups[di].order
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(duality_family(36, 2)))
 def test_duality_even_dimension_matches_verbatim(f):

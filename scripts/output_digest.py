@@ -21,7 +21,20 @@ Hashes, in order:
   * `lattice_to_json` of S4, A5 and S5 and of every subgroup of each, as a
     standalone group;
   * on the simplicial suite: `chi_G_simplicial` and `chi_k_direct` for
-    k = 0..4 (or the error it raises).
+    k = 0..4 (or the error it raises);
+  * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5: `index_from_fixed_indices` on the
+    fixed-set indices of every basis element and of five random elements,
+    with and without per-class data, and on the same data moved at one
+    subgroup class or one per-class entry; `gsv_assemble_from_dims` on
+    class-constant dimensions from every basis element for k = 0, 1; and
+    `index_from_strata`, `index_from_quotient` and `chi_G_stratified` (plain
+    and reduced) on fixed entries, among them a non-integral stratum index
+    and out-of-range class indices;
+  * the stdout and exit code of `index invert`, `index from-strata` and
+    `euler strat` on valid, non-integral and inconsistent payloads and on
+    unknown class and subgroup labels.
+
+Every error is hashed as its kind and its message.
 
 Two source trees whose digests agree produce byte-identical outputs on these
 inputs.  Run from anywhere:
@@ -33,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from itertools import chain
 from pathlib import Path
@@ -45,7 +59,7 @@ from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 symmetry_group, transpose)
 from complex_suite import suite  # noqa: E402
-from groups_pool import larger, pool  # noqa: E402
+from groups_pool import larger, pool, random_elements  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
 
 
@@ -126,11 +140,12 @@ def fixed_index_lines():
 
 
 def _outcome(fn, *args):
-    """repr of fn(*args), or the name of the eqindex error it raises."""
+    """repr of fn(*args), or the kind and message of the eqindex error it
+    raises."""
     try:
         return repr(fn(*args))
     except EqIndexError as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
 
 
 def commuting_lines():
@@ -155,11 +170,122 @@ def simplicial_lines():
             yield f"{name} {k} " + _outcome(gspace.chi_k_direct, x, k)
 
 
+def inversion_lines():
+    rng = random.Random(61)
+    for name, g in burnside_groups().items():
+        lat = g.lattice()
+        nc = lat.num_classes
+        for b in [burnside.basis_element(g, c) for c in range(nc)] + \
+                random_elements(g, 5, seed=59):
+            data = indices.fixed_indices_from_index(b)
+            moved = rng.randrange(nc)
+            per_subgroup = {i: v + (lat.class_of[i] == moved)
+                            for i, v in data.per_subgroup.items()}
+            per_class = {**data.per_class, moved: data.per_class[moved] + 1}
+            for args in ((data.per_subgroup, data.per_class),
+                         (data.per_subgroup, None), (per_subgroup, None),
+                         (data.per_subgroup, per_class)):
+                yield f"{name} " + _outcome(
+                    lambda: indices.index_from_fixed_indices(
+                        indices.FixedSetIndexData(g, *args)))
+
+
+def gsv_lines():
+    rng = random.Random(67)
+    for name, g in burnside_groups().items():
+        lat = g.lattice()
+        for c in range(lat.num_classes):
+            fwd = indices.fixed_indices_from_index(
+                burnside.basis_element(g, c)).per_subgroup
+            for k in (0, 1):
+                n_class = [rng.randrange(k + 3) for _ in range(lat.num_classes)]
+                fixed_dims = {i: n_class[d] for i, d in enumerate(lat.class_of)}
+                dims = {i: (-1) ** (n - k) * fwd[i]
+                        for i, n in fixed_dims.items() if n > k}
+                yield f"{name} {c} {k} " + _outcome(
+                    indices.gsv_assemble_from_dims, g, dims, fixed_dims, k)
+
+
+def strata_lines():
+    for name, g in burnside_groups().items():
+        lat = g.lattice()
+        nc = lat.num_classes
+        integral = [(c, (c - 2) * (g.order // lat.class_order(c)))
+                    for c in range(nc)] + [(nc - 1, 3)]
+        for entries in (integral, [], [(0, 1)], [(nc, 1)], [(-1, 1)]):
+            yield f"{name} " + _outcome(
+                lambda: indices.index_from_strata(
+                    indices.StratumIndexData(g, entries)))
+            yield f"{name} " + _outcome(indices.index_from_quotient, g, entries)
+            for reduced in (False, True):
+                yield f"{name} {reduced} " + _outcome(
+                    lambda: gspace.chi_G_stratified(
+                        gspace.StratifiedGData(g, entries), reduced))
+
+
+S3 = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+Z6 = {"kind": "diagonal", "phases": [[[1, 6]]]}
+S3_LABELS = ["H1_0", "H2_1", "H2_2", "H2_3", "H3_4", "H6_5"]
+Z6_CLASSES = ["H1_0", "H2_1", "H3_2", "H6_3"]
+
+
+def _invert_payload(group, labels, values, per_class=None):
+    out = {"group": group, "per_subgroup": dict(zip(labels, values))}
+    if per_class is not None:
+        out["per_class"] = per_class
+    return out
+
+
+INDEX_INVERT_PAYLOADS = [
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0]),
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0],
+                    {"H1_0": 6, "H2_1": 0, "H3_2": 0, "H6_3": 0}),
+    _invert_payload(Z6, Z6_CLASSES, [1, 0, 0, 0]),
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0],
+                    {"H1_0": 6, "H2_1": 0, "H3_2": 0, "H6_3": 1}),
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0],
+                    {"H1_0": 6, "H2_1": 0, "H3_2": 0, "H6_3": 6}),
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0.5]),
+    _invert_payload(Z6, Z6_CLASSES + ["H7_4"], [6, 0, 0, 0, 0]),
+    _invert_payload(Z6, Z6_CLASSES, [6, 0, 0, 0], {"H9_9": 0}),
+    _invert_payload(S3, S3_LABELS, [6, 0, 0, 0, 0, 0]),
+    _invert_payload(S3, S3_LABELS, [3, 1, 1, 1, 0, 0]),
+    _invert_payload(S3, S3_LABELS, [3, 1, 3, -1, 0, 0]),
+    _invert_payload(S3, S3_LABELS, [1, 0, 0, 0, 0, 0]),
+    _invert_payload(S3, S3_LABELS, [2, 0, 0, 0, 2, 0]),
+]
+
+
+def index_cli_lines():
+    for payload in INDEX_INVERT_PAYLOADS:
+        yield _cli(["index", "invert", json.dumps(payload)])
+    stratum_cases = [
+        (Z6, [("H1_0", 12), ("H3_2", 2), ("H6_3", -1)]),
+        (Z6, [("H1_0", 5)]),
+        (Z6, [("H2_1", 1)]),
+        (Z6, [("H1_0", 1.5)]),
+        (Z6, [("H7_9", 1)]),
+        (S3, [("H1_0", 6), ("H2_1", 3), ("H6_5", 1)]),
+        (S3, [("H2_2", 3)]),
+        (S3, [("H3_4", 1)]),
+        (S3, [("H4_6", 1)]),
+    ]
+    for group, pairs in stratum_cases:
+        payload = {"group": group,
+                   "entries": [{"class": c, "ind": v} for c, v in pairs]}
+        yield _cli(["index", "from-strata", json.dumps(payload)])
+        payload = {"group": group,
+                   "strata": [{"class": c, "chi": v} for c, v in pairs]}
+        for extra in ([], ["--reduced"]):
+            yield _cli(["euler", "strat", json.dumps(payload)] + extra)
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
                       burnside_lines(), fixed_index_lines(), commuting_lines(),
-                      lattice_lines(), simplicial_lines()):
+                      lattice_lines(), simplicial_lines(), inversion_lines(),
+                      gsv_lines(), strata_lines(), index_cli_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -29,9 +29,8 @@ from .indices import (FixedSetIndexData, PoincareHopfReport,
                       index_from_quotient, index_from_fixed_indices,
                       induce_orbit_index, poincare_hopf_check)
 from .invertible import (Atom, DualityReport, InvertiblePolynomial,
-                         chi_G_milnor, chi_milnor_fixed, dual_subgroup,
-                         duality_check, fixed_locus, index_df, milnor_number,
-                         pairing, restrict_to, symmetry_group, transpose,
-                         validate)
+                         chi_G_milnor, duality_check, fixed_locus, index_df,
+                         milnor_number, pairing, restrict_to, symmetry_group,
+                         transpose, validate)
 
 __version__ = "0.1.0"

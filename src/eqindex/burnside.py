@@ -191,7 +191,7 @@ def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:
     Its mark at K <= H is the mark of b at K, read at K's class in G.
     """
     group = b.group
-    if sub.parent is not group and not sub.parent.same_group(group):
+    if not sub.parent.same_group(group):
         raise NotASubgroupError("subgroup belongs to a different group")
     child = sub.as_group()
     marks = marks_vector(b)
@@ -202,10 +202,9 @@ def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:
 def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
     """I^G_H: [H/K] -> [G/K]; additive, not multiplicative."""
     child = b.group
-    if child is group or child.same_group(group):
+    if child.same_group(group):
         return BurnsideElement(group, b.coeffs)
-    if child.parent is None or not (child.parent is group
-                                    or child.parent.same_group(group)):
+    if child.parent is None or not child.parent.same_group(group):
         raise NotASubgroupError("element's group is not a subgroup of the target")
     out = [0] * group.lattice().num_classes
     for a, p in zip(b.coeffs, _parent_classes(child, group)):

@@ -504,7 +504,7 @@ def _coset_join(table, a: frozenset, g: int) -> frozenset:
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
     """N_G(H) = {g in G : g^{-1} H g = H}."""
-    if subgroup.parent is not group and not subgroup.parent.same_group(group):
+    if not subgroup.parent.same_group(group):
         raise NotASubgroupError("subgroup belongs to a different group")
     lat = group.lattice()
     i = lat.subgroup_index(subgroup.members)

@@ -179,6 +179,11 @@ def chi_G_simplicial(x: GSimplicialComplex) -> BurnsideElement:
     return BurnsideElement(group, coeffs)
 
 
+def _fixed_vertices(x: GSimplicialComplex, members) -> set:
+    """The vertices fixed by every listed group element."""
+    return {v for v in x.vertices if all(x.action[h][v] == v for h in members)}
+
+
 def fixed_subcomplex(x: GSimplicialComplex, subgroup) -> GSimplicialComplex:
     """X^H: the subcomplex of simplices fixed vertexwise by all of H.
 
@@ -186,13 +191,11 @@ def fixed_subcomplex(x: GSimplicialComplex, subgroup) -> GSimplicialComplex:
     """
     x.check_regular()
     members = subgroup.members if isinstance(subgroup, Subgroup) else frozenset(subgroup)
-    fixed_vertices = [v for v in x.vertices
-                      if all(x.action[h][v] == v for h in members)]
-    vs = set(fixed_vertices)
+    vs = _fixed_vertices(x, members)
     simplices = [s for s in x.simplices if s <= vs]
     tg = trivial_group()
-    action = {tg.identity: {v: v for v in fixed_vertices}}
-    return GSimplicialComplex(tg, fixed_vertices, simplices, action)
+    action = {tg.identity: {v: v for v in vs}}
+    return GSimplicialComplex(tg, vs, simplices, action)
 
 
 def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
@@ -226,10 +229,13 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     subcomplexes.
 
     Averages chi(X^{<g_0..g_k>}) over all pairwise-commuting tuples; must
-    agree with r_k(chi_G_simplicial(X)).  The tuples are not enumerated
+    agree with r_k(chi_G_simplicial(X)).  chi(X^H) is counted directly: the
+    sum of (-1)^dim over the simplices inside H's fixed-vertex set (by
+    regularity, exactly the simplices H fixes), for one representative H
+    per class; no fixed subcomplex is built.  The tuples are not enumerated
     here: the count per subgroup class comes from `commuting_class_counts`,
-    which `r_k` shares, so only the fixed-subcomplex side is independent of
-    it (the coset oracle in the tests checks both).
+    which `r_k` shares, so only the fixed-simplex side is independent of it
+    (the coset oracle in the tests checks both).
     """
     x.check_regular()
     group = x.group
@@ -240,7 +246,9 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
         if count == 0:
             continue
         rep = lat.subgroups[lat.representatives[c]]
-        total += count * fixed_subcomplex(x, rep).euler_characteristic()
+        fixed = _fixed_vertices(x, rep.members)
+        total += count * sum((-1) ** (len(s) - 1)
+                             for s in x.simplices if s <= fixed)
     if total % group.order:
         raise IntegralityError("averaged fixed-point count is not an integer")
     return total // group.order

@@ -2,10 +2,11 @@
 
 Index data enters as integers attached to strata, quotient strata, fixed
 sets, or singular orbits; the operations here are the Burnside-ring
-bookkeeping that turns such data into an equivariant index and back.  Both
-Moebius inversions (over all subgroups and over conjugacy classes of
-subgroups) are computed and must agree; any non-integral coefficient is a
-hard error.
+bookkeeping that turns such data into an equivariant index and back.
+Fixed-set data are the marks of the index, so they invert through the table
+of marks; class-poset data, when given, are inverted by the Moebius function
+of ConjSub(G) as a cross-check and must agree.  Any non-integral coefficient
+is a hard error.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .burnside import BurnsideElement, induce, marks_vector, r_k
+from .burnside import (BurnsideElement, element_from_marks, induce,
+                       marks_vector, r_k, zero)
 from .errors import InconsistentDataError, IntegralityError, NotASubgroupError
 from .groups import FiniteGroup, Subgroup
+from .gspace import StratifiedGData, chi_G_stratified
 
 
 class StratumIndexData:
@@ -23,13 +26,7 @@ class StratumIndexData:
 
     def __init__(self, group: FiniteGroup, entries):
         self.group = group
-        nc = group.lattice().num_classes
-        checked = []
-        for c, ind in entries:
-            if not 0 <= c < nc:
-                raise InconsistentDataError(f"unknown class index {c}")
-            checked.append((int(c), int(ind)))
-        self.entries = tuple(checked)
+        self.entries = StratifiedGData(group, entries).strata
 
 
 class FixedSetIndexData:
@@ -97,14 +94,9 @@ def index_from_strata(data: StratumIndexData) -> BurnsideElement:
 
 
 def index_from_quotient(group: FiniteGroup, per_class_quotient_index) -> BurnsideElement:
-    """ind^G = sum of ind(X-bar; V^{([H])}/G, 0) [G/H] from quotient data."""
-    lat = group.lattice()
-    coeffs = [0] * lat.num_classes
-    for c, ind in per_class_quotient_index:
-        if not 0 <= c < lat.num_classes:
-            raise InconsistentDataError(f"unknown class index {c}")
-        coeffs[c] += int(ind)
-    return BurnsideElement(group, coeffs)
+    """ind^G = sum of ind(X-bar; V^{([H])}/G, 0) [G/H] from quotient data:
+    the stratified Euler characteristic sum, with indices for chi."""
+    return chi_G_stratified(StratifiedGData(group, per_class_quotient_index))
 
 
 def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
@@ -129,21 +121,24 @@ def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
 
 
 def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
-    """Moebius inversion of fixed-set index data, in both poset flavors.
+    """Invert fixed-set index data back to an element of B(G).
 
-    a_[H] = (|H|/|N_G(H)|) sum_K mu'(H, K) ind(V^K)        over Sub(G)
-    a_[H] = (|H|/|G|) sum_[K] mu([H], [K]) ind(V^{[K]})    over ConjSub(G)
+    ind(V^H) is the mark of the index at [H], so the values at the class
+    representatives are inverted through the table of marks.  When per-class
+    data is present it is inverted independently over ConjSub(G),
 
-    Both must be integral; when per-class data is present the two results
-    must coincide.
+        a_[H] = (|H|/|G|) sum_[K] mu([H], [K]) ind(V^{[K]}),
+
+    and the two results must coincide.  Either inversion must be integral.
     """
     group = data.group
     lat = group.lattice()
-    ns = len(lat.subgroups)
-    coeffs_sub = _invert_over_sub(
-        lat, [data.per_subgroup[kk] for kk in range(ns)],
-        "subgroup-poset inversion produced a non-integer coefficient")
-    result = BurnsideElement(group, coeffs_sub)
+    try:
+        result = element_from_marks(
+            group, [data.per_subgroup[r] for r in lat.representatives])
+    except IntegralityError:
+        raise IntegralityError(
+            "subgroup-poset inversion produced a non-integer coefficient") from None
     if data.per_class is not None:
         n = group.order
         coeffs_conj = []
@@ -164,7 +159,7 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
 def induce_orbit_index(datum: SingularOrbitDatum, group: FiniteGroup) -> BurnsideElement:
     """The index contributed by one singular orbit: I^G_{G_p}(local index)."""
     sub = datum.isotropy
-    if sub.parent is not group and not sub.parent.same_group(group):
+    if not sub.parent.same_group(group):
         raise NotASubgroupError("orbit isotropy is not a subgroup of the group")
     local = datum.local_index
     if not local.group.same_group(sub.as_group()):
@@ -174,7 +169,7 @@ def induce_orbit_index(datum: SingularOrbitDatum, group: FiniteGroup) -> Burnsid
 
 def poincare_hopf_check(chi_g: BurnsideElement, orbits) -> PoincareHopfReport:
     """Compare the sum of induced orbit indices against chi^G(V)."""
-    total = BurnsideElement(chi_g.group, [0] * len(chi_g.coeffs))
+    total = zero(chi_g.group)
     for datum in orbits:
         total = total + induce_orbit_index(datum, chi_g.group)
     disc = total - chi_g
@@ -193,10 +188,9 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
 
     `fixed_dims[i]` is the dimension n_K of the fixed subspace of the i-th
     subgroup; `dims[i]` is dim Omega_{V^K, omega}, required whenever
-    n_K > k.  The coefficient of [G/H] is
-
-        (|H|/|N_G(H)|) * sum over K with n_K > k of
-            mu'(H, K) (-1)^(n_K - k) dims[K].
+    n_K > k.  The index on V^K is (-1)^(n_K - k) dims[K] when n_K > k and 0
+    otherwise; these fixed-set values must be constant on conjugacy classes
+    and are inverted by `index_from_fixed_indices`.
     """
     lat = group.lattice()
     ns = len(lat.subgroups)
@@ -206,26 +200,14 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
         if fixed_dims[i] > k and i not in dims:
             raise InconsistentDataError(
                 f"missing dimension entry for subgroup {lat.labels[i]}")
-    values = [0 if fixed_dims[kk] <= k
+    values = {kk: 0 if fixed_dims[kk] <= k
               else (-1) ** (fixed_dims[kk] - k) * int(dims[kk])
-              for kk in range(ns)]
-    return BurnsideElement(group, _invert_over_sub(
-        lat, values, "GSV assembly produced a non-integer coefficient"))
-
-
-def _invert_over_sub(lat, values, message) -> list:
-    """a_[H] = (|H|/|N_G(H)|) sum over K >= H of mu'(H, K) values[K], for
-    each class representative H; a non-integer quotient raises `message`."""
-    coeffs = []
-    for h in lat.representatives:
-        leq_h, mu_h = lat.leq[h], lat.mu_sub[h]
-        total = sum(mu_h[kk] * values[kk]
-                    for kk in range(len(values)) if leq_h[kk])
-        a, r = divmod(lat.subgroups[h].order * total, lat.normalizer_order(h))
-        if r:
-            raise IntegralityError(message)
-        coeffs.append(a)
-    return coeffs
+              for kk in range(ns)}
+    try:
+        return index_from_fixed_indices(FixedSetIndexData(group, values))
+    except IntegralityError:
+        raise IntegralityError(
+            "GSV assembly produced a non-integer coefficient") from None
 
 
 def equivariant_milnor(chibar: BurnsideElement, n: int) -> BurnsideElement:

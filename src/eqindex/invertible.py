@@ -42,8 +42,7 @@ from functools import cache, partial, reduce
 from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError)
-from .groups import (FiniteGroup, Subgroup, canonical_order,
-                     diagonal_group_from_integers)
+from .groups import FiniteGroup, canonical_order, diagonal_group_from_integers
 
 SYMMETRY_ORDER_BOUND = 2000
 DUALITY_ORDER_BOUND = 500
@@ -383,12 +382,6 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
     return annihilator
 
 
-def dual_subgroup(f: InvertiblePolynomial, gf: FiniteGroup,
-                  members, gft: FiniteGroup) -> Subgroup:
-    """H^T: the annihilator of H under the pairing; |H| * |H^T| = |G_f|."""
-    return Subgroup(gft, check_perfect_pairing(f, gf, gft)(members))
-
-
 # -- fixed loci and Milnor fibre data ------------------------------------------
 
 def _fixed_masks(group: FiniteGroup) -> list:
@@ -449,12 +442,6 @@ def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
     _fixed_rows(f, locus)
     mu = _milnor_product(f.weights[j] for j in locus)
     return 1 + (-1) ** (len(locus) - 1) * mu
-
-
-def chi_milnor_fixed(f: InvertiblePolynomial, group: FiniteGroup,
-                     members) -> int:
-    """chi of the Milnor fibre of f restricted to the fixed locus of H."""
-    return _fixed_chi(f, _locus_mask(_fixed_masks(group), members))
 
 
 def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:

@@ -316,3 +316,25 @@ def chi_G_exact_isotropy_oracle(group, chi_fixed) -> BurnsideElement:
         assert num % group.order == 0
         coeffs[lat.class_of[k]] += num // group.order
     return BurnsideElement(group, coeffs)
+
+
+# -- fixed-set data by Moebius inversion over Sub(G) ----------------------------
+
+def fixed_data_sub_moebius_oracle(group, values) -> list:
+    """The coefficients, as Fractions, of the element of B(G) whose fixed-set
+    datum on the k-th subgroup is `values[k]`:
+
+        a_[H] = (|H|/|N_G(H)|) sum over K >= H of mu'(H, K) values[K]
+
+    at each class representative H.  Reads only `leq`, `mu_sub`, the
+    subgroup orders and the normalizer orders of the lattice, never the
+    table of marks; a non-integral entry means no such element exists.
+    """
+    lat = group.lattice()
+    coeffs = []
+    for h in lat.representatives:
+        leq_h, mu_h = lat.leq[h], lat.mu_sub[h]
+        total = sum(mu_h[k] * v for k, v in enumerate(values) if leq_h[k])
+        coeffs.append(Fraction(lat.subgroups[h].order * total,
+                               lat.normalizer_order(h)))
+    return coeffs

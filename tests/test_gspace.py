@@ -7,6 +7,7 @@ from eqindex import (RegularityError, StratifiedGData, barycentric_subdivide,
                      fixed_subcomplex, perm_group, trivial_group)
 from eqindex.burnside import (cardinality, commuting_class_counts,
                               marks_vector, one, r_k)
+from eqindex import gspace
 from eqindex.gspace import GSimplicialComplex
 
 from complex_suite import SQUARE_EDGES, suite
@@ -144,6 +145,19 @@ def test_r_k_consistency_on_suite():
         chi = chi_G_simplicial(x)
         for k in (0, 1, 2):
             assert chi_k_direct(x, k) == r_k(chi, k), (name, k)
+
+
+def test_chi_k_direct_builds_no_complex_or_group(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called from chi_k_direct")
+
+    expected = {(name, k): r_k(chi_G_simplicial(x), k)
+                for name, x in suite() for k in (0, 1, 2)}
+    for name in ("fixed_subcomplex", "trivial_group"):
+        monkeypatch.setattr(gspace, name, forbidden)
+    for name, x in suite():
+        for k in (0, 1, 2):
+            assert chi_k_direct(x, k) == expected[name, k], (name, k)
 
 
 def test_orbifold_fixture_square_reflection():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,8 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
 from eqindex.gspace import chi_G_simplicial
 
 from complex_suite import suite
-from groups_pool import pool, random_elements
+from groups_pool import larger, pool, random_elements
+from oracles import fixed_data_sub_moebius_oracle
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -145,6 +148,81 @@ def test_class_constancy_enforced():
         FixedSetIndexData(s3, per)
 
 
+def _oracle_outcome(group, values):
+    """The element the Sub(G) Moebius oracle inverts `values` to, or
+    IntegralityError when it has a non-integral coefficient."""
+    coeffs = fixed_data_sub_moebius_oracle(group, values)
+    if any(c.denominator != 1 for c in coeffs):
+        return IntegralityError
+    return BurnsideElement(group, coeffs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IntegralityError:
+        return IntegralityError
+
+
+def _oracle_cases():
+    """(group, element) over every basis element and five random elements
+    of the pool groups, S4, A5 and S5."""
+    for name, g in {**pool(), **larger()}.items():
+        nc = g.lattice().num_classes
+        for b in [basis_element(g, c) for c in range(nc)] + \
+                random_elements(g, 5, seed=31):
+            yield g, b
+
+
+def test_inversion_matches_sub_moebius_oracle():
+    for g, b in _oracle_cases():
+        ns = len(g.lattice().subgroups)
+        per_subgroup = fixed_indices_from_index(b).per_subgroup
+        expected = _oracle_outcome(g, [per_subgroup[i] for i in range(ns)])
+        assert expected == b
+        assert index_from_fixed_indices(
+            FixedSetIndexData(g, per_subgroup)) == expected
+
+
+def test_inversion_failures_match_sub_moebius_oracle():
+    # the marks of random elements, half of them with one class value moved:
+    # the library must raise exactly when the oracle is non-integral
+    rng = random.Random(37)
+    outcomes = set()
+    for name, g in {**pool(), **larger()}.items():
+        lat = g.lattice()
+        for b in random_elements(g, 10, seed=43):
+            per_class = list(marks_vector(b))
+            if rng.random() < 0.5:
+                per_class[rng.randrange(lat.num_classes)] += rng.randint(1, 3)
+            values = [per_class[c] for c in lat.class_of]
+            expected = _oracle_outcome(g, values)
+            got = _outcome(index_from_fixed_indices,
+                           FixedSetIndexData(g, dict(enumerate(values))))
+            assert got == expected, name
+            outcomes.add(expected is IntegralityError)
+    assert outcomes == {True, False}
+
+
+def test_gsv_assembly_matches_sub_moebius_oracle():
+    # dims from the fixed-set indices of each element, on fixed spaces of
+    # random class-constant dimension: the subgroups with n_K <= k drop out,
+    # so the assembled element is integral or not as the oracle says
+    rng = random.Random(41)
+    for g, b in _oracle_cases():
+        lat = g.lattice()
+        ns = len(lat.subgroups)
+        fwd = fixed_indices_from_index(b).per_subgroup
+        for k in (0, 1):
+            n_class = [rng.randrange(k + 3) for _ in range(lat.num_classes)]
+            fixed_dims = {i: n_class[c] for i, c in enumerate(lat.class_of)}
+            dims = {i: (-1) ** (fixed_dims[i] - k) * fwd[i]
+                    for i in range(ns) if fixed_dims[i] > k}
+            values = [fwd[i] if fixed_dims[i] > k else 0 for i in range(ns)]
+            assert _outcome(gsv_assemble_from_dims, g, dims, fixed_dims, k) \
+                == _oracle_outcome(g, values)
+
+
 # -- induced orbit indices and Poincare-Hopf ---------------------------------------------
 
 def test_induce_orbit_index_examples():
@@ -260,10 +338,18 @@ def test_gsv_assemble_missing_entry():
         gsv_assemble_from_dims(z2, {1: 2}, {0: 2, 1: 1}, 1)
 
 
+def test_gsv_assemble_rejects_data_not_constant_on_conjugacy_classes():
+    # the three conjugate Z2's of S3 carry fixed-set indices 1, 3 and -1
+    s3 = pool()["S3"]
+    fixed_dims = {0: 3, 1: 2, 2: 2, 3: 2, 4: 1, 5: 1}
+    dims = {0: -3, 1: 1, 2: 3, 3: -1, 4: 0, 5: 0}
+    with pytest.raises(InconsistentDataError):
+        gsv_assemble_from_dims(s3, dims, fixed_dims, 0)
+
+
 def test_gsv_assemble_round_trip_against_forward_formula():
     # dims generated from a known element must reassemble to that element,
     # for any choice of fixed-space dimensions above the threshold
-    import random
     rng = random.Random(23)
     for name in POOL_NAMES:
         g = pool()[name]

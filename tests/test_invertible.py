@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, InvalidPolynomialError,
                      OrderBoundError, PairingError,
-                     chi_G_milnor, chi_milnor_fixed, dual_subgroup,
-                     duality_check, fixed_locus, index_df,
+                     chi_G_milnor, duality_check, fixed_locus, index_df,
                      milnor_number, pairing, restrict_to, symmetry_group,
                      transpose, validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
@@ -267,26 +266,29 @@ def test_pairing_is_perfect_on_family_sample():
 def test_dual_subgroup_examples():
     gf = symmetry_group(CHAIN)
     gft = symmetry_group(DUAL_CHAIN)
+    annihilator = check_perfect_pairing(CHAIN, gf, gft)
     lat = gf.lattice()
     triv = lat.subgroups[0]
     whole = lat.subgroups[-1]
-    assert dual_subgroup(CHAIN, gf, triv.members, gft).order == 6
-    assert dual_subgroup(CHAIN, gf, whole.members, gft).order == 1
+    assert len(annihilator(triv.members)) == 6
+    assert len(annihilator(whole.members)) == 1
     h2 = lat.subgroups[1]
     assert h2.order == 2
-    assert dual_subgroup(CHAIN, gf, h2.members, gft).order == 3
+    assert len(annihilator(h2.members)) == 3
 
 
 def test_dual_subgroup_involution_and_order_product():
     for f in duality_family(20, 2):
         ft = transpose(f)
         gf, gft = symmetry_group(f), symmetry_group(ft)
+        annihilator = check_perfect_pairing(f, gf, gft)
+        annihilator_back = check_perfect_pairing(ft, gft, gf)
         lat = gf.lattice()
         for sub in lat.subgroups:
-            dual = dual_subgroup(f, gf, sub.members, gft)
-            assert sub.order * dual.order == gf.order
-            back = dual_subgroup(ft, gft, dual.members, gf)
-            assert back.members == sub.members
+            dual = annihilator(sub.members)
+            assert sub.order * len(dual) == gf.order
+            back = annihilator_back(dual)
+            assert back == sub.members
 
 
 def _zero_set(f, gf, gft, members):
@@ -312,7 +314,6 @@ def test_annihilators_match_fraction_zero_sets():
         for i, sub in enumerate(lat.subgroups):
             expected = _zero_set(f, gf, gft, sub.members)
             assert annihilator(sub.members) == expected
-            assert dual_subgroup(f, gf, sub.members, gft).members == expected
             pair = report.pairs[i]
             assert pair.subgroup_label == lat.labels[i]
             assert pair.dual_label == \
@@ -347,8 +348,9 @@ def test_annihilator_of_non_subgroup_violates_order_product():
     order3 = next(i for i in g.elements()
                   if i != g.identity and g.mul(i, g.mul(i, i)) == g.identity)
     # {e, a} with a of order 3 annihilates like <a>: |H^T| = 2, 2 * 2 != 6
+    annihilator = check_perfect_pairing(CHAIN, gf, gft)
     with pytest.raises(PairingError):
-        dual_subgroup(CHAIN, gf, {g.identity, order3}, gft)
+        annihilator({g.identity, order3})
 
 
 # -- fixed loci and restriction ----------------------------------------------------------
@@ -399,12 +401,29 @@ def test_fixed_entry_of_non_fixed_locus_is_hard_error():
         _fixed_chi(CHAIN, 0b01)  # the x-axis
 
 
+def _fixed_marks(f, gf):
+    """chi(M_f^H) for every subgroup H of G_f, read as the mark of
+    chi^G(M_f) at H's class."""
+    mv = marks_vector(chi_G_milnor(f, gf))
+    return [mv[c] for c in gf.lattice().class_of]
+
+
+def _chi_by_restriction(f, gf, members):
+    """chi(M_f^H) from f restricted to H's fixed locus and validated again:
+    0 on an empty locus, else 1 + (-1)^(m-1) mu(f^L) on an m-dimensional
+    one.  Independent of chi^G(M_f) and its marks."""
+    locus = fixed_locus(gf, members)
+    if not locus:
+        return 0
+    return 1 + (-1) ** (len(locus) - 1) * milnor_number(restrict_to(f, locus))
+
+
 def test_chi_milnor_fixed_examples():
     gf = symmetry_group(CHAIN)
-    lat = gf.lattice()
-    assert chi_milnor_fixed(CHAIN, gf, lat.subgroups[-1].members) == 0
-    assert chi_milnor_fixed(CHAIN, gf, lat.subgroups[1].members) == 3
-    assert chi_milnor_fixed(CHAIN, gf, lat.subgroups[0].members) == 1 - 4
+    chi = _fixed_marks(CHAIN, gf)
+    assert chi[-1] == 0
+    assert chi[1] == 3
+    assert chi[0] == 1 - 4
 
 
 # -- equivariant Euler characteristic and the index of df ----------------------------------
@@ -458,17 +477,17 @@ def test_milnor_data_invariants():
     for f in (FERMAT, CHAIN, DUAL_CHAIN):
         gf = symmetry_group(f)
         lat = gf.lattice()
-        for sub in lat.subgroups:
+        fixed = _fixed_marks(f, gf)
+        for i, sub in enumerate(lat.subgroups):
             locus = fixed_locus(gf, sub.members)
-            chi = chi_milnor_fixed(f, gf, sub.members)
+            chi = fixed[i]
             if not locus:
                 assert chi == 0
             else:
                 m = len(locus)
                 assert chi == 1 + (-1) ** (m - 1) * \
                     milnor_number(restrict_to(f, locus))
-        assert cardinality(chi_G_milnor(f, gf)) == \
-            chi_milnor_fixed(f, gf, lat.subgroups[0].members)
+        assert cardinality(chi_G_milnor(f, gf)) == fixed[0]
 
 
 def test_mark_identity_for_chi_G_milnor():
@@ -477,13 +496,14 @@ def test_mark_identity_for_chi_G_milnor():
         lat = gf.lattice()
         mv = marks_vector(chi_G_milnor(f, gf))
         for i, sub in enumerate(lat.subgroups):
-            assert mv[lat.class_of[i]] == chi_milnor_fixed(f, gf, sub.members)
+            assert mv[lat.class_of[i]] == \
+                _chi_by_restriction(f, gf, sub.members)
 
 
 def test_chi_G_milnor_matches_exact_isotropy_oracle():
     for f in duality_family(24, 3)[::3]:
         gf = symmetry_group(f)
-        chi_fixed = [chi_milnor_fixed(f, gf, s.members)
+        chi_fixed = [_chi_by_restriction(f, gf, s.members)
                      for s in gf.lattice().subgroups]
         assert chi_G_milnor(f, gf) == \
             chi_G_exact_isotropy_oracle(gf, chi_fixed), f.E
@@ -495,7 +515,8 @@ def test_index_cardinality_is_signed_milnor_number():
         ind = index_df(f, gf)
         mu = milnor_number(f)
         assert cardinality(ind) == (-1) ** f.n * mu
-        assert cardinality(ind) == 1 - chi_milnor_fixed(f, gf, frozenset([gf.identity]))
+        assert cardinality(ind) == \
+            1 - _chi_by_restriction(f, gf, frozenset([gf.identity]))
 
 
 def test_restriction_compatibility_named_fixtures():

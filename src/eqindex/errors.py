@@ -46,3 +46,10 @@ class PairingError(EqIndexError):
 
 class InputError(EqIndexError):
     """Malformed external input (JSON payloads, labels, CLI arguments)."""
+
+
+def _int(value, what: str, error: type = InputError) -> int:
+    """`value` if it is an int (not a bool), else `error` naming `what`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")

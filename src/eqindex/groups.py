@@ -1,10 +1,10 @@
 """Exact finite-group machinery.
 
 Groups are built from one of three presentations (permutation generators,
-diagonal rational-phase generators, or an explicit multiplication table) and
-fully enumerated at construction time.  Element keys are sorted into a
-canonical order, so subgroup lattices, conjugacy classes and every Burnside
-coefficient downstream are deterministic across runs.
+diagonal rational-phase generators, or an explicit multiplication table);
+their keys are enumerated at once and sorted canonically, so lattices,
+conjugacy classes and Burnside coefficients are deterministic across runs.
+A diagonal group's |G|^2 product table waits for its first read.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GroupBuildError, NotASubgroupError, OrderBoundError
+from .errors import GroupBuildError, NotASubgroupError, OrderBoundError, _int
 
 MAX_ORDER = 2000
 MAX_PERM_DEGREE = 16
@@ -51,12 +51,14 @@ def _enumerate(identity, generators, compose):
                 walk.append(c)
                 steps.append((k, i))
             rows[k].append(j)
-    return _canonical_table(walk, steps, rows)
+    order = sorted(range(len(walk)), key=walk.__getitem__)
+    return ([walk[w] for w in order], _canonical_table(order, steps, rows),
+            order.index(0))
 
 
-def _canonical_table(walk, steps, rows):
-    """The keys of `walk` (identity first) in canonical (sorted) order, the
-    multiplication table and the index of the identity.
+def _canonical_table(order, steps, rows):
+    """The multiplication table of a walk (identity first) in the canonical
+    order `order`, the walk indices sorted by key.
 
     Every element w after the identity was reached as c = g a, where
     steps[w] = (k, a) names the row of g in `rows` (in walk indices) and the
@@ -64,8 +66,7 @@ def _canonical_table(walk, steps, rows):
     (g a) x = g (a x): the row of c is the row of a read through the row of
     g, |G|^2 list lookups instead of |G|^2 compositions.
     """
-    n = len(walk)
-    order = sorted(range(n), key=walk.__getitem__)
+    n = len(order)
     pos = [0] * n
     for p, w in enumerate(order):
         pos[w] = p
@@ -81,7 +82,7 @@ def _canonical_table(walk, steps, rows):
         k, a = steps[w]
         row_g = gen_rows[k]
         table[pos[w]] = [row_g[y] for y in table[pos[a]]]
-    return [walk[w] for w in order], table, pos[0]
+    return table
 
 
 def _closure(table, identity, seed) -> set:
@@ -117,20 +118,42 @@ def _greedy_generators(table, identity):
             reached = _closure(table, identity, gens)
 
 
+class _OnFirstRead:
+    """An attribute computed on its first read, then a plain instance
+    attribute: set with setattr, since filling `__dict__` directly (as
+    `functools.cached_property` does) slows every later attribute read."""
+
+    def __init__(self, name, build):
+        self.name, self.build = name, build
+
+    def __get__(self, obj, owner=None):
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class FiniteGroup:
-    """A finite group with a canonical element order and full product table.
+    """A finite group with a canonical element order and a product table.
 
     Elements are referred to by index into `keys`.  `table[i][j]` is the index
     of the product keys[i] * keys[j]; for permutations the product is
     "apply j first, then i".  A diagonal group has a `denominator`: its keys
     are integer vectors x standing for the phases x / denominator mod 1.
+    `table` may be a function that builds it on first use; `inverse` waits too.
     """
+
+    table = _OnFirstRead("table", lambda g: g._make_table())
+    inverse = _OnFirstRead(
+        "inverse", lambda g: [row.index(g.identity) for row in g.table])
 
     def __init__(self, keys, table, identity, presentation, generator_keys,
                  parent=None, parent_index=None, denominator=None):
         self.keys = list(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
-        self.table = table
+        if callable(table):
+            self._make_table = table
+        else:
+            self.table = table
         self.identity = identity
         self.presentation = presentation
         self.generator_keys = list(generator_keys)
@@ -138,15 +161,10 @@ class FiniteGroup:
         self.parent_index = parent_index
         self.denominator = denominator
         self.order = len(self.keys)
-        try:
-            self.inverse = [row.index(identity) for row in self.table]
-        except ValueError:
-            raise GroupBuildError("some element has no inverse") from None
         self._lattice = None
         self._marks = None
         self._element_classes = None
         self._tuple_counts = {}
-        self._fingerprint = None
         self._abelian = True if denominator is not None else None
 
     # -- basic structure ---------------------------------------------------
@@ -210,18 +228,17 @@ class FiniteGroup:
         k = self.keys[i]
         return list(k) if isinstance(k, tuple) else k
 
-    @property
-    def fingerprint(self) -> str:
+    def _hashed_id(self) -> str:
         """An id hashed from the elements (phase vectors of a diagonal group
-        as Fractions) and the table."""
-        if self._fingerprint is None:
-            keys = self.keys if self.denominator is None else \
-                [self.phases(i) for i in self.elements()]
-            h = hashlib.sha1()
-            h.update(repr(keys).encode())
-            h.update(repr(self.table).encode())
-            self._fingerprint = f"G{self.order}-{h.hexdigest()[:10]}"
-        return self._fingerprint
+        as Fractions) and the table: the group's `fingerprint`."""
+        keys = self.keys if self.denominator is None else \
+            [self.phases(i) for i in self.elements()]
+        h = hashlib.sha1()
+        h.update(repr(keys).encode())
+        h.update(repr(self.table).encode())
+        return f"G{self.order}-{h.hexdigest()[:10]}"
+
+    fingerprint = _OnFirstRead("fingerprint", _hashed_id)
 
     def same_group(self, other: "FiniteGroup") -> bool:
         if self is other:
@@ -540,13 +557,13 @@ def build_group(presentation: dict) -> FiniteGroup:
 
 
 def _build_perm(presentation):
-    degree = int(presentation["degree"])
+    degree = _int(presentation["degree"], "degree", GroupBuildError)
     if not 1 <= degree <= MAX_PERM_DEGREE:
         raise GroupBuildError(
             f"permutation degree must be between 1 and {MAX_PERM_DEGREE}")
     gens = []
     for g in presentation["generators"]:
-        t = tuple(int(x) for x in g)
+        t = tuple(_int(x, "permutation image", GroupBuildError) for x in g)
         if sorted(t) != list(range(degree)):
             raise GroupBuildError(f"generator {g!r} is not a permutation")
         gens.append(t)
@@ -559,14 +576,11 @@ def _build_perm(presentation):
 
 
 def _build_diagonal(presentation):
-    raw = presentation["phases"]
-    gens = []
-    for vec in raw:
-        phases = tuple(
-            _normalize_phase(Fraction(int(p[0]), int(p[1]))
-                             if isinstance(p, (list, tuple)) else p)
-            for p in vec)
-        gens.append(phases)
+    gens = [tuple(_normalize_phase(
+        Fraction(_int(p[0], "phase numerator", GroupBuildError),
+                 _int(p[1], "phase denominator", GroupBuildError))
+        if isinstance(p, (list, tuple)) else p) for p in vec)
+        for vec in presentation["phases"]]
     denom = math.lcm(*(p.denominator for g in gens for p in g))
     return diagonal_group_from_integers(
         [[p.numerator * (denom // p.denominator) for p in g] for g in gens],
@@ -608,8 +622,8 @@ def _diagonal_cosets(generators, denom):
     so only those multiples are formed.  H<g> is H followed by the cosets
     g + H, ..., (m-1) g + H, one comprehension per coordinate column.
     Element w of a new coset is g plus element w - |H|, which is the step
-    `_canonical_table` reads; the row of g is looked up once the group is
-    complete.
+    `_canonical_table` reads.  Only the keys are sorted here (identity
+    first); the generator rows and the table wait for the first read.
     """
     n = len(generators[0])
     walk = [(0,) * n]
@@ -634,14 +648,19 @@ def _diagonal_cosets(generators, denom):
         found.update(zip(walk[size:], range(size, len(walk))))
         steps += [(len(used), w) for w in range(len(walk) - size)]
         used.append(g)
-    rows = [list(map(found.__getitem__, zip(
-        *([(v + y) % denom for v in col] for col, y in zip(cols, g)))))
-        for g in used]
-    return _canonical_table(walk, steps, rows)
+    order = sorted(range(len(walk)), key=walk.__getitem__)
+
+    def table():
+        rows = [list(map(found.__getitem__, zip(
+            *([(v + y) % denom for v in col] for col, y in zip(cols, g)))))
+            for g in used]
+        return _canonical_table(order, steps, rows)
+    return [walk[w] for w in order], table, 0
 
 
 def _build_table(presentation):
-    table = [[int(x) for x in row] for row in presentation["table"]]
+    table = [[_int(x, "table entry", GroupBuildError) for x in row]
+             for row in presentation["table"]]
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise GroupBuildError("table must be square and non-empty")

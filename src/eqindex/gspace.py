@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .burnside import BurnsideElement, commuting_class_counts, one
-from .errors import InconsistentDataError, IntegralityError, RegularityError
+from .errors import (InconsistentDataError, IntegralityError, RegularityError,
+                     _int)
 from .groups import FiniteGroup, Subgroup, trivial_group
 
 
@@ -31,9 +32,10 @@ class StratifiedGData:
         nc = group.lattice().num_classes
         entries = []
         for c, chi in strata:
+            c = _int(c, "class index", InconsistentDataError)
             if not 0 <= c < nc:
                 raise InconsistentDataError(f"unknown class index {c}")
-            entries.append((int(c), int(chi)))
+            entries.append((c, _int(chi, "stratum", InconsistentDataError)))
         self.strata = tuple(entries)
 
 

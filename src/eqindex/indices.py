@@ -16,7 +16,8 @@ from typing import Optional
 
 from .burnside import (BurnsideElement, element_from_marks, induce,
                        marks_vector, r_k, zero)
-from .errors import InconsistentDataError, IntegralityError, NotASubgroupError
+from .errors import (InconsistentDataError, IntegralityError,
+                     NotASubgroupError, _int)
 from .groups import FiniteGroup, Subgroup
 from .gspace import StratifiedGData, chi_G_stratified
 
@@ -45,7 +46,8 @@ class FixedSetIndexData:
         if set(per_subgroup.keys()) != set(range(ns)):
             raise InconsistentDataError(
                 "per_subgroup must cover every subgroup exactly once")
-        self.per_subgroup = {i: int(v) for i, v in per_subgroup.items()}
+        self.per_subgroup = {i: _int(v, "per_subgroup", InconsistentDataError)
+                             for i, v in per_subgroup.items()}
         for cls in lat.classes:
             vals = {self.per_subgroup[i] for i in cls}
             if len(vals) > 1:
@@ -55,7 +57,8 @@ class FixedSetIndexData:
             if set(per_class.keys()) != set(range(lat.num_classes)):
                 raise InconsistentDataError(
                     "per_class must cover every conjugacy class exactly once")
-            self.per_class = {c: int(v) for c, v in per_class.items()}
+            self.per_class = {c: _int(v, "per_class", InconsistentDataError)
+                              for c, v in per_class.items()}
         else:
             self.per_class = None
 
@@ -197,11 +200,13 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
     if set(fixed_dims.keys()) != set(range(ns)):
         raise InconsistentDataError("fixed-space dimension missing for some subgroup")
     for i in range(ns):
-        if fixed_dims[i] > k and i not in dims:
+        if _int(fixed_dims[i], "fixed_dims value", InconsistentDataError) > k \
+                and i not in dims:
             raise InconsistentDataError(
                 f"missing dimension entry for subgroup {lat.labels[i]}")
     values = {kk: 0 if fixed_dims[kk] <= k
-              else (-1) ** (fixed_dims[kk] - k) * int(dims[kk])
+              else (-1) ** (fixed_dims[kk] - k)
+              * _int(dims[kk], "dims value", InconsistentDataError)
               for kk in range(ns)}
     try:
         return index_from_fixed_indices(FixedSetIndexData(group, values))

@@ -41,7 +41,7 @@ from functools import cache, partial, reduce
 
 from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
-                     NotASubgroupError, OrderBoundError, PairingError)
+                     NotASubgroupError, OrderBoundError, PairingError, _int)
 from .groups import FiniteGroup, canonical_order, diagonal_group_from_integers
 
 SYMMETRY_ORDER_BOUND = 2000
@@ -136,7 +136,8 @@ def validate(matrix) -> InvertiblePolynomial:
     Rejects anything that is not a disjoint union of the three standard
     shapes, and any matrix whose weight system leaves (0, 1].
     """
-    E = tuple(tuple(int(x) for x in row) for row in matrix)
+    E = tuple(tuple(_int(x, "exponent", InvalidPolynomialError) for x in row)
+              for row in matrix)
     n = len(E)
     if n == 0:
         return InvertiblePolynomial(E=(), atoms=(), weights=(), det=1)
@@ -269,7 +270,10 @@ def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
 def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     """G_f as a diagonal group, generated by the columns of
     E^{-1} = adj(E) / det E mod 1, as integer vectors over |det E| (reduced
-    by their common gcd); order |det E|."""
+    by their common gcd); order |det E|.  Built once per f and kept on it."""
+    group = getattr(f, "_symmetry_group", None)
+    if group is not None:
+        return group
     if f.n == 0:
         raise InvalidPolynomialError("empty polynomial has no ambient space")
     if abs(f.det) > SYMMETRY_ORDER_BOUND:
@@ -283,6 +287,7 @@ def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     group = diagonal_group_from_integers(cols, d)
     if group.order != abs(f.det):
         raise IntegralityError("symmetry group order does not match |det E|")
+    object.__setattr__(f, "_symmetry_group", group)  # f is frozen
     return group
 
 

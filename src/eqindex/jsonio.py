@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .burnside import BurnsideElement, ClassFunction
-from .errors import InputError
+from .errors import InputError, _int
 from .groups import FiniteGroup, Subgroup, build_group
 from .gspace import GSimplicialComplex, StratifiedGData, build_complex
 from .indices import FixedSetIndexData, SingularOrbitDatum, StratumIndexData
@@ -22,14 +22,6 @@ from .invertible import DualityReport, InvertiblePolynomial, validate
 def rational_to_json(q) -> dict:
     q = Fraction(q)
     return {"num": q.numerator, "den": q.denominator}
-
-
-def _int(value, what) -> int:
-    """A JSON integer; floats, numeric strings and booleans are rejected,
-    not truncated or coerced."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _int_rows(obj, what) -> list:

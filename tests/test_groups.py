@@ -10,7 +10,7 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      normalizer, perm_group, trivial_group)
 
 from eqindex import groups
-from eqindex.invertible import symmetry_group, transpose
+from eqindex.invertible import symmetry_group, transpose, validate
 
 from groups_pool import larger, pool
 from invertible_family import duality_family
@@ -72,16 +72,40 @@ def _enumerated_diagonal(g):
         lambda a, b: tuple((x + y) % d for x, y in zip(a, b)))
 
 
+def _assert_lazy_table_matches_the_walk(g):
+    """A fresh diagonal group has no table or inverses until they are first
+    read; then its table, identity and id are those of the generic walk,
+    and the inverse of each key is its negative."""
+    assert "table" not in vars(g) and "inverse" not in vars(g)
+    keys, table, identity = _enumerated_diagonal(g)
+    eager = groups.FiniteGroup(keys, table, identity, g.presentation,
+                               g.generator_keys, denominator=g.denominator)
+    assert (g.keys, g.table, g.identity) == (keys, table, identity)
+    assert [g.keys[i] for i in g.inverse] == \
+        [tuple(-x % g.denominator for x in k) for k in keys]
+    assert g.fingerprint == eager.fingerprint
+
+
 def test_diagonal_cosets_match_the_generic_walk():
     # a repeated generator and one already in the subgroup before it
     redundant = diagonal_group([
         [Fraction(1, 4), Fraction(1, 6)], [Fraction(1, 2), Fraction(1, 3)],
         [Fraction(1, 4), Fraction(1, 6)], [0, Fraction(1, 2)]])
     assert redundant.order == 24
+    # fresh polynomials, so that no group has been read before
     symmetry_groups = [symmetry_group(h) for f in duality_family(60, 3)
-               for h in (f, transpose(f))]
+                       for h in (validate(f.E), transpose(f))]
     for g in symmetry_groups + [redundant]:
-        assert (g.keys, g.table, g.identity) == _enumerated_diagonal(g)
+        _assert_lazy_table_matches_the_walk(g)
+
+
+def test_lazy_diagonal_tables_match_the_eager_walk():
+    # the symmetry groups of duality_family(60, 3) are checked above
+    fresh = [build_group(g.presentation) for g in pool().values()
+             if g.denominator is not None]
+    fresh += [diagonal_group([[]]), diagonal_group([[Fraction(1, 2000)]])]
+    for g in fresh:
+        _assert_lazy_table_matches_the_walk(g)
 
 
 def test_zero_dimensional_diagonal_group_is_trivial():
@@ -105,6 +129,21 @@ def test_diagonal_order_bound_rejects_at_once(phases):
     with pytest.raises(OrderBoundError):
         diagonal_group(phases)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("presentation, field", [
+    # each was truncated: degree 3, image 1, phase 1/4, entry 0
+    ({"kind": "perm", "degree": 3.5, "generators": [[1, 2, 0]]}, "degree"),
+    ({"kind": "perm", "degree": "3", "generators": [[1, 2, 0]]}, "degree"),
+    ({"kind": "perm", "degree": 3, "generators": [[1.0, 2, 0]]},
+     "permutation image"),
+    ({"kind": "diagonal", "phases": [[(1.5, 4)]]}, "phase numerator"),
+    ({"kind": "diagonal", "phases": [[(1, 4.0)]]}, "phase denominator"),
+    ({"kind": "table", "table": [[0, 1], [1, 0.9]]}, "table entry"),
+])
+def test_build_group_rejects_non_integers(presentation, field):
+    with pytest.raises(GroupBuildError, match=field):
+        build_group(presentation)
 
 
 def test_bad_table_rejected():

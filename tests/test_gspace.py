@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqindex import (RegularityError, StratifiedGData, barycentric_subdivide,
-                     build_complex, chi_G_simplicial, chi_G_stratified,
-                     chi_k_direct, chi_orbifold_direct, cyclic_group,
-                     fixed_subcomplex, perm_group, trivial_group)
+from eqindex import (InconsistentDataError, RegularityError, StratifiedGData,
+                     barycentric_subdivide, build_complex, chi_G_simplicial,
+                     chi_G_stratified, chi_k_direct, chi_orbifold_direct,
+                     cyclic_group, fixed_subcomplex, perm_group, trivial_group)
 from eqindex.burnside import (cardinality, commuting_class_counts,
                               marks_vector, one, r_k)
 from eqindex import gspace
@@ -38,6 +38,17 @@ def test_chi_stratified_milnor_fibre_shape():
 def test_chi_stratified_empty():
     g = cyclic_group(6)
     assert chi_G_stratified(StratifiedGData(g, [])).is_zero()
+
+
+@pytest.mark.parametrize("strata, field", [
+    ([(1.5, 2.9)], "class index"),  # was read as class 1 with chi 2
+    ([(1, 2.9)], "stratum"),
+    ([("1", 2)], "class index"),
+    ([(1, True)], "stratum"),
+])
+def test_chi_stratified_rejects_non_integers(strata, field):
+    with pytest.raises(InconsistentDataError, match=field):
+        chi_G_stratified(StratifiedGData(cyclic_group(6), strata))
 
 
 # -- simplicial fixtures -----------------------------------------------------------

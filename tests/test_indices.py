@@ -43,6 +43,12 @@ def test_index_from_strata_empty_and_nonintegral():
         index_from_strata(StratumIndexData(z6, [(0, 5)]))  # 5 not divisible by 6
 
 
+def test_index_from_strata_rejects_non_integer_totals():
+    # 6.7 was truncated to 6, giving [G/e]
+    with pytest.raises(InconsistentDataError, match="stratum"):
+        index_from_strata(StratumIndexData(pool()["Z6"], [(0, 6.7)]))
+
+
 def test_index_from_strata_cardinality_is_total_index():
     z6 = pool()["Z6"]
     d = StratumIndexData(z6, [(3, 2), (0, 12), (2, -4)])
@@ -330,6 +336,24 @@ def test_gsv_assemble_z2_small_cases():
     # a_{Z2} = (-1)^(2-1) d1 = -2, a_e = (1/2)(-d0 + d1) = -1
     out = gsv_assemble_from_dims(z2, {0: 4, 1: 2}, {0: 2, 1: 2}, 1)
     assert out.coeffs == (-1, -2)
+
+
+@pytest.mark.parametrize("dims, fixed_dims, field", [
+    ({0: 4.9, 1: 2.2}, {0: 2, 1: 2}, "^dims value"),  # was (-1, -2)
+    ({0: 4, 1: "2"}, {0: 2, 1: 2}, "^dims value"),
+    ({0: 4, 1: 2}, {0: 2, 1: 2.0}, "^fixed_dims value"),
+])
+def test_gsv_assemble_rejects_non_integers(dims, fixed_dims, field):
+    with pytest.raises(InconsistentDataError, match=field):
+        gsv_assemble_from_dims(pool()["Z2"], dims, fixed_dims, 1)
+
+
+def test_fixed_set_index_data_rejects_non_integers():
+    z2 = pool()["Z2"]
+    with pytest.raises(InconsistentDataError, match="^per_subgroup must"):
+        FixedSetIndexData(z2, {0: 2, 1: 0.5})
+    with pytest.raises(InconsistentDataError, match="^per_class must"):
+        FixedSetIndexData(z2, {0: 2, 1: 0}, {0: 2.0, 1: 0})
 
 
 def test_gsv_assemble_missing_entry():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from eqindex import (IntegralityError, InvalidPolynomialError,
                      milnor_number, pairing, restrict_to, symmetry_group,
                      transpose, validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
-from eqindex import invertible
+from eqindex import groups, invertible
 from eqindex.groups import build_group, diagonal_group
 from eqindex.invertible import (InvertiblePolynomial, _fixed_chi,
                                 _orbifold_indices, check_perfect_pairing,
@@ -69,6 +70,16 @@ def test_validate_rejects_non_atom_shapes():
         validate([[2, 1, 1], [0, 2, 0], [0, 0, 2]])  # three-variable monomial
     with pytest.raises(InvalidPolynomialError):
         validate([[2, 2], [0, 3]])  # tail exponent 2
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2.7, 0], [0, 3]],  # was read as x^2 + y^3
+    [[2, 0], [0, "3"]],
+    [[True, 0], [0, 3]],
+])
+def test_validate_rejects_non_integer_exponents(matrix):
+    with pytest.raises(InvalidPolynomialError, match="exponent"):
+        validate(matrix)
 
 
 def test_validate_rejects_zero_weight():
@@ -638,6 +649,40 @@ def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
     for name in ("restrict_to", "chi_G_milnor", "element_from_marks", "one"):
         monkeypatch.setattr(invertible, name, forbidden)
     assert duality_check(CHAIN).all_match
+
+
+def test_duality_pipeline_builds_two_groups_one_lattice_one_table(monkeypatch):
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(groups, "_canonical_table")
+    count(groups, "SubgroupLattice")
+    count(invertible, "diagonal_group_from_integers")
+    f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
+    report = duality_check(f)
+    ind = index_df(f, symmetry_group(f))
+    # G_f and G_{f~}, G_f's lattice, and G_f's table (for the lattice)
+    assert counts == {"diagonal_group_from_integers": 2,
+                      "SubgroupLattice": 1, "_canonical_table": 1}
+    assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
+    assert symmetry_group(f) is symmetry_group(f)
+    assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([], InvalidPolynomialError), ([[2001]], OrderBoundError)])
+def test_symmetry_group_errors_are_raised_on_every_call(matrix, error):
+    f = validate(matrix)
+    for _ in range(2):
+        with pytest.raises(error):
+            symmetry_group(f)
 
 
 def test_orbifold_index_of_non_subgroup_is_integrality_error():

@@ -14,7 +14,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from eqindex.invertible import duality_check  # noqa: E402
 from invertible_family import duality_family  # noqa: E402

@@ -17,7 +17,9 @@ Hashes, in order:
     induction of every basis element of every subgroup, and the fixed-set
     indices (`fixed_indices_from_index`) of every basis element;
   * `commuting_class_counts` for k = 0..4 (or the error it raises) on the
-    same groups and S5;
+    same groups and S5, for k = 0..3 on (Z/2)^4 as a permutation group of
+    degree 8, and for k = 0..2 on every ninth symmetry group of
+    duality_family(24, 3);
   * `lattice_to_json` of S4, A5 and S5 and of every subgroup of each, as a
     standalone group;
   * on the simplicial suite: `chi_G_simplicial` and `chi_k_direct` for
@@ -54,7 +56,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from eqindex import burnside, cli, gspace, indices, jsonio  # noqa: E402
+from eqindex import (burnside, cli, gspace, indices, jsonio,  # noqa: E402
+                     perm_group)
 from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 symmetry_group, transpose)
@@ -154,6 +157,16 @@ def commuting_lines():
         for k in range(5):
             yield f"{name} {k} " + _outcome(
                 burnside.commuting_class_counts, g, k)
+    # (Z/2)^4: four disjoint transpositions (2i 2i+1)
+    z2_4 = perm_group(8, [[j ^ 1 if j // 2 == i else j for j in range(8)]
+                          for i in range(4)])
+    for k in range(4):
+        yield f"Z2^4 {k} " + repr(burnside.commuting_class_counts(z2_4, k))
+    for f in duality_family(24, 3)[::9]:
+        g = symmetry_group(f)
+        for k in range(3):
+            yield f"{g.fingerprint} {k} " + repr(
+                burnside.commuting_class_counts(g, k))
 
 
 def lattice_lines():

@@ -6,9 +6,14 @@ symmetry group, equivariant Euler characteristic of the Milnor fibre, the
 index of df, its reductions, and the duality report against the transpose.
 """
 
-from eqindex import (chi_G_milnor, duality_check, index_df, milnor_number,
-                     symmetry_group, transpose, validate)
-from eqindex.burnside import cardinality, r_k
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from eqindex import (chi_G_milnor, duality_check, index_df,  # noqa: E402
+                     milnor_number, symmetry_group, transpose, validate)
+from eqindex.burnside import cardinality, r_k  # noqa: E402
 
 EXAMPLES = [
     ("x^2 + y^3", [[2, 0], [0, 3]]),

@@ -10,19 +10,22 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     triangular table of marks;
   * restriction to H: the marks at each K <= H are those of b at K's class
     in G, inverted over the table of marks of H;
-  * induction from H: [H/K] -> [G/K], through the same class map.
+  * induction from H: [H/K] -> [G/K], through the same class map;
+  * commuting-tuple counts: pairwise-commuting tuples lie in an abelian
+    subgroup A, and P. Hall's phi_{k+1}(A) = sum over B <= A of mu(B, A)
+    |B|^(k+1) counts the (k+1)-tuples of A that generate A.
 
-The tests check marks and restriction against coset-walk oracles.  Any
-non-integral coefficient on the way back is a hard error -- integrality is a
-theorem, so a violation means a bug or inconsistent input.
+The tests check marks, restriction and the counts against brute-force
+oracles.  Any non-integral coefficient on the way back is a hard error --
+integrality is a theorem, so a violation means a bug or inconsistent input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import compress
 
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError
-from .groups import FiniteGroup, Subgroup, _coset_join
+from .groups import FiniteGroup, Subgroup
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -33,7 +36,9 @@ class BurnsideElement:
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: FiniteGroup, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not set(map(type, coeffs)) <= {int}:  # bools are not coefficients
+            raise IntegralityError("Burnside coefficients must be integers")
         if len(coeffs) != group.lattice().num_classes:
             raise ValueError("coefficient vector has wrong length")
         self.group = group
@@ -216,49 +221,28 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     """Number of pairwise-commuting (k+1)-tuples whose generated subgroup lies
     in each conjugacy class.  Cached per group and k.
 
-    One recursion for every k: if g_0..g_j commute pairwise and generate A,
-    then g_{j+1} commutes with all of them exactly when it lies in C_G(A),
-    and then <A, g_{j+1}> = A<g_{j+1}>.  Starting from the 1-tuples, counted
-    at their cyclic subgroups, k steps carry the count at each subgroup A to
-    A<g> for every g in C_G(A), with one coset join per pair (A, <g>).
-    C_G(A) is the AND of the members' commute bitmasks (all of G when G is
-    abelian), which are built only when k >= 1.
+    Each abelian A (its members commute pairwise; every A, when G is abelian)
+    adds Hall's phi_{k+1}(A), summed over the rows B of the lattice's `mu_sub`.
     """
     if k in group._tuple_counts:
         return group._tuple_counts[k]
     if k < 0:
         raise ValueError("k must be >= 0")
+    # kept so that outputs do not change; re-deriving it is ROADMAP item 5
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    table, subs, cyc = group.table, lat.subgroups, lat.cyclic_of
-    everything = group.elements()
-    abelian = group.is_abelian
-    if k and not abelian:
-        commute = [sum(1 << h for h in everything if row[h] == table[h][g])
-                   for g, row in enumerate(table)]
-    joins = {}
-    level = Counter(cyc)
-    for _ in range(k):
-        step = Counter()
-        for a, count in level.items():
-            centralizer = everything
-            if not abelian:
-                mask = -1
-                for m in subs[a].members:
-                    mask &= commute[m]
-                centralizer = [g for g in everything if mask >> g & 1]
-            for g in centralizer:
-                key = (a, cyc[g])
-                j = joins.get(key)
-                if j is None:
-                    j = joins[key] = lat.member_index[
-                        _coset_join(table, subs[a].members, g)]
-                step[j] += count
-        level = step
+    t = group.table
+    abelian = [group.is_abelian or all(t[x][y] == t[y][x] for x in s.members
+                                       for y in s.members)
+               for s in lat.subgroups]
     counts = [0] * lat.num_classes
-    for a, count in level.items():
-        counts[lat.class_of[a]] += count
+    for b, row in enumerate(lat.mu_sub):
+        power = lat.subgroups[b].order ** (k + 1)
+        # the A with mu(B, A) != 0; every row is 0 left of its diagonal
+        for a in compress(range(b, len(row)), row[b:]):
+            if abelian[a]:
+                counts[lat.class_of[a]] += row[a] * power
     result = tuple(counts)
     group._tuple_counts[k] = result
     return result
@@ -311,8 +295,5 @@ def permutation_character(b: BurnsideElement) -> ClassFunction:
     group = b.group
     lat = group.lattice()
     mv = marks_vector(b)
-    values = []
-    for cls in group.element_conjugacy_classes():
-        g = cls[0]
-        values.append(mv[lat.class_of[lat.cyclic_of[g]]])
-    return ClassFunction(group, values)
+    return ClassFunction(group, [mv[lat.class_of[lat.cyclic_of[cls[0]]]]
+                                 for cls in group.element_conjugacy_classes()])

@@ -530,8 +530,25 @@ def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
 
 # -- presentations ----------------------------------------------------------
 
-def _normalize_phase(q) -> Fraction:
-    f = Fraction(q) % 1
+def _list(value, what: str):
+    """`value` if it is a list or a tuple, else GroupBuildError naming `what`."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise GroupBuildError(f"{what} must be a list, got {value!r}")
+
+
+def _phase(p) -> Fraction:
+    """A phase mod 1, given as an int, a Fraction or a pair of ints with a
+    non-zero denominator."""
+    if isinstance(p, (list, tuple)) and len(p) == 2:
+        num = _int(p[0], "phase numerator", GroupBuildError)
+        den = _int(p[1], "phase denominator", GroupBuildError)
+        if den == 0:
+            raise GroupBuildError(f"phase {p!r} has a zero denominator")
+        p = Fraction(num, den)
+    elif not isinstance(p, Fraction):
+        p = _int(p, "phase", GroupBuildError)
+    f = Fraction(p) % 1
     if f.denominator > MAX_PHASE_DENOMINATOR:
         raise GroupBuildError(
             f"phase denominator exceeds {MAX_PHASE_DENOMINATOR}")
@@ -543,7 +560,7 @@ def build_group(presentation: dict) -> FiniteGroup:
 
     Kinds:
       {"kind": "perm", "degree": m, "generators": [[images]...]}
-      {"kind": "diagonal", "phases": [[Fraction or (num, den)]...]}
+      {"kind": "diagonal", "phases": [[int, Fraction or (num, den)]...]}
       {"kind": "table", "table": [[...]]}
     """
     kind = presentation.get("kind")
@@ -557,13 +574,14 @@ def build_group(presentation: dict) -> FiniteGroup:
 
 
 def _build_perm(presentation):
-    degree = _int(presentation["degree"], "degree", GroupBuildError)
+    degree = _int(presentation.get("degree"), "degree", GroupBuildError)
     if not 1 <= degree <= MAX_PERM_DEGREE:
         raise GroupBuildError(
             f"permutation degree must be between 1 and {MAX_PERM_DEGREE}")
     gens = []
-    for g in presentation["generators"]:
-        t = tuple(_int(x, "permutation image", GroupBuildError) for x in g)
+    for g in _list(presentation.get("generators"), "generators"):
+        t = tuple(_int(x, "permutation image", GroupBuildError)
+                  for x in _list(g, "generator"))
         if sorted(t) != list(range(degree)):
             raise GroupBuildError(f"generator {g!r} is not a permutation")
         gens.append(t)
@@ -576,11 +594,8 @@ def _build_perm(presentation):
 
 
 def _build_diagonal(presentation):
-    gens = [tuple(_normalize_phase(
-        Fraction(_int(p[0], "phase numerator", GroupBuildError),
-                 _int(p[1], "phase denominator", GroupBuildError))
-        if isinstance(p, (list, tuple)) else p) for p in vec)
-        for vec in presentation["phases"]]
+    gens = [tuple(map(_phase, _list(vec, "phase vector")))
+            for vec in _list(presentation.get("phases"), "phases")]
     denom = math.lcm(*(p.denominator for g in gens for p in g))
     return diagonal_group_from_integers(
         [[p.numerator * (denom // p.denominator) for p in g] for g in gens],
@@ -659,8 +674,9 @@ def _diagonal_cosets(generators, denom):
 
 
 def _build_table(presentation):
-    table = [[_int(x, "table entry", GroupBuildError) for x in row]
-             for row in presentation["table"]]
+    table = [[_int(x, "table entry", GroupBuildError)
+              for x in _list(row, "table row")]
+             for row in _list(presentation.get("table"), "table")]
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise GroupBuildError("table must be square and non-empty")

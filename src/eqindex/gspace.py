@@ -234,10 +234,10 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     agree with r_k(chi_G_simplicial(X)).  chi(X^H) is counted directly: the
     sum of (-1)^dim over the simplices inside H's fixed-vertex set (by
     regularity, exactly the simplices H fixes), for one representative H
-    per class; no fixed subcomplex is built.  The tuples are not enumerated
-    here: the count per subgroup class comes from `commuting_class_counts`,
-    which `r_k` shares, so only the fixed-simplex side is independent of it
-    (the coset oracle in the tests checks both).
+    per class; no fixed subcomplex is built.  The tuples per class are not
+    enumerated: they are Hall's phi_{k+1} sums of `commuting_class_counts`,
+    which `r_k` shares, so only the fixed-simplex side is independent of
+    them (the coset oracle in the tests checks both).
     """
     x.check_regular()
     group = x.group

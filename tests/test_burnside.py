@@ -96,6 +96,17 @@ def test_non_integral_marks_vector_is_hard_error():
         element_from_marks(z2, [1, 0])  # 1 point moved freely: impossible
 
 
+@pytest.mark.parametrize("coeffs", [
+    [1.5, 0, 0, 2.9],  # was truncated to (1, 0, 0, 2)
+    [True, 0, 0, 0],
+    [Fraction(1), 0, 0, 0],
+    ["1", 0, 0, 0],
+])
+def test_non_integer_coefficients_are_hard_errors(coeffs):
+    with pytest.raises(IntegralityError):
+        BurnsideElement(cyclic_group(6), coeffs)
+
+
 def test_cardinality():
     s3 = pool()["S3"]
     assert cardinality(one(s3)) == 1
@@ -284,6 +295,17 @@ def test_commuting_class_counts_match_tuple_oracle():
     for g, k in cases:
         assert list(commuting_class_counts(g, k)) == \
             commuting_counts_oracle(g, k), (g, k)
+
+
+def test_commuting_class_counts_sum_to_element_and_pair_counts():
+    # independent of the lattice: the 1-tuples number |G|, and the commuting
+    # pairs |G| times the number of conjugacy classes (|C_G(g)| summed over g)
+    groups = list(pool().values()) + list(larger().values())
+    groups += [symmetry_group(f) for f in duality_family(24, 3)]
+    for g in groups:
+        assert sum(commuting_class_counts(g, 0)) == g.order, g
+        assert sum(commuting_class_counts(g, 1)) == \
+            g.order * len(g.element_conjugacy_classes()), g
 
 
 # -- permutation character ---------------------------------------------------------

@@ -146,6 +146,35 @@ def test_build_group_rejects_non_integers(presentation, field):
         build_group(presentation)
 
 
+@pytest.mark.parametrize("presentation, field", [
+    # each raised ZeroDivisionError, KeyError, TypeError or ValueError
+    ({"kind": "diagonal", "phases": [[(1, 0)]]}, "zero denominator"),
+    ({"kind": "diagonal"}, "phases"),
+    ({"kind": "perm", "generators": [[1, 0]]}, "degree"),
+    ({"kind": "perm", "degree": 2}, "generators"),
+    ({"kind": "table"}, "table"),
+    ({"kind": "diagonal", "phases": 5}, "phases"),
+    ({"kind": "diagonal", "phases": [5]}, "phase vector"),
+    ({"kind": "diagonal", "phases": [[None]]}, "phase"),
+    ({"kind": "perm", "degree": 2, "generators": [5]}, "generator"),
+    ({"kind": "table", "table": [5]}, "table row"),
+    ({"kind": "diagonal", "phases": [["x"]]}, "phase"),
+    # each was accepted: as 1/2, 1/2 and 1/2
+    ({"kind": "diagonal", "phases": [["1/2"]]}, "phase"),
+    ({"kind": "diagonal", "phases": [[0.5]]}, "phase"),
+    ({"kind": "diagonal", "phases": [[(1, 2, 3)]]}, "phase"),
+])
+def test_build_group_rejects_malformed_presentations(presentation, field):
+    with pytest.raises(GroupBuildError, match=field):
+        build_group(presentation)
+
+
+def test_build_group_accepts_every_phase_form():
+    # an int, a Fraction, and a pair of ints as a tuple or a list
+    g = diagonal_group([[1, Fraction(1, 2), (1, 3), [-1, 6]]])
+    assert g.order == 6 and g.denominator == 6
+
+
 def test_bad_table_rejected():
     with pytest.raises(GroupBuildError):
         build_group({"kind": "table", "table": [[0, 1], [0, 1]]})

@@ -160,7 +160,7 @@ def _oracle_outcome(group, values):
     coeffs = fixed_data_sub_moebius_oracle(group, values)
     if any(c.denominator != 1 for c in coeffs):
         return IntegralityError
-    return BurnsideElement(group, coeffs)
+    return BurnsideElement(group, [c.numerator for c in coeffs])
 
 
 def _outcome(fn, *args):

@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from . import burnside, gspace, indices, invertible, jsonio
-from .burnside import cardinality, one, r_k
+from . import jsonio
 from .errors import EqIndexError, InputError
 
 
@@ -78,7 +77,8 @@ def _group(payload):
 
 
 # -- handlers -----------------------------------------------------------------
-# each takes the parsed arguments and the payload and returns the object to emit
+# each takes the parsed arguments and the payload and returns the object to
+# emit, and imports the layers it calls, so a child process loads only those
 
 def cmd_group_info(args, payload):
     group = jsonio.group_from_json(payload)
@@ -96,6 +96,7 @@ def cmd_group_lattice(args, payload):
 
 
 def cmd_burnside_marks(args, payload):
+    from . import burnside
     group = _group(payload)
     lat = group.lattice()
     return {
@@ -106,6 +107,7 @@ def cmd_burnside_marks(args, payload):
 
 
 def cmd_burnside_mul(args, payload):
+    from . import burnside
     group = _group(payload)
     a = jsonio.element_from_json(group, payload.get("a"))
     b = jsonio.element_from_json(group, payload.get("b"))
@@ -113,6 +115,7 @@ def cmd_burnside_mul(args, payload):
 
 
 def cmd_burnside_restrict(args, payload):
+    from . import burnside
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
     sub = jsonio.subgroup_from_json(group, payload.get("subgroup"))
@@ -123,6 +126,7 @@ def cmd_burnside_restrict(args, payload):
 
 
 def cmd_burnside_induce(args, payload):
+    from . import burnside
     group = _group(payload)
     sub = jsonio.subgroup_from_json(group, payload.get("subgroup"))
     b = jsonio.element_from_json(sub.as_group(), payload.get("element"))
@@ -130,18 +134,21 @@ def cmd_burnside_induce(args, payload):
 
 
 def cmd_burnside_rk(args, payload):
+    from .burnside import r_k
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
     return {"k": args.k, "value": r_k(b, args.k)}
 
 
 def cmd_burnside_char(args, payload):
+    from . import burnside
     group = _group(payload)
     b = jsonio.element_from_json(group, payload.get("element"))
     return jsonio.class_function_to_json(burnside.permutation_character(b))
 
 
 def cmd_euler_strat(args, payload):
+    from . import gspace
     group = _group(payload)
     data = jsonio.strata_from_json(group, payload.get("strata", []))
     chi = gspace.chi_G_stratified(data, reduced=args.reduced)
@@ -149,6 +156,8 @@ def cmd_euler_strat(args, payload):
 
 
 def cmd_euler_simplicial(args, payload):
+    from . import gspace
+    from .burnside import cardinality
     group = _group(payload)
     x = jsonio.complex_from_json(group, payload.get("complex", {}))
     chi = gspace.chi_G_simplicial(x)
@@ -158,24 +167,28 @@ def cmd_euler_simplicial(args, payload):
 
 
 def cmd_euler_orbifold(args, payload):
+    from . import gspace
     group = _group(payload)
     x = jsonio.complex_from_json(group, payload.get("complex", {}))
     return {"k": args.k, "value": gspace.chi_k_direct(x, args.k)}
 
 
 def cmd_index_from_strata(args, payload):
+    from . import indices
     group = _group(payload)
     data = jsonio.stratum_index_from_json(group, payload.get("entries", []))
     return jsonio.element_to_json(indices.index_from_strata(data))
 
 
 def cmd_index_invert(args, payload):
+    from . import indices
     group = _group(payload)
     data = jsonio.fixed_indices_from_json(group, payload)
     return jsonio.element_to_json(indices.index_from_fixed_indices(data))
 
 
 def cmd_index_induce(args, payload):
+    from . import indices
     group = _group(payload)
     sub = jsonio.subgroup_from_json(group, payload.get("isotropy"))
     local = jsonio.element_from_json(sub.as_group(), payload.get("local"))
@@ -184,6 +197,7 @@ def cmd_index_induce(args, payload):
 
 
 def cmd_index_ph_check(args, payload):
+    from . import indices
     group = _group(payload)
     chi = jsonio.element_from_json(group, payload.get("chi"))
     orbits = jsonio.orbit_data_from_json(group, payload.get("orbits", []))
@@ -195,6 +209,7 @@ def cmd_index_ph_check(args, payload):
 
 
 def cmd_index_gsv(args, payload):
+    from . import indices
     group = _group(payload)
     rad = jsonio.element_from_json(group, payload.get("radial"))
     chibar = jsonio.element_from_json(group, payload.get("chibar"))
@@ -202,6 +217,7 @@ def cmd_index_gsv(args, payload):
 
 
 def cmd_poly_analyze(args, payload):
+    from . import invertible
     f = jsonio.polynomial_from_json(payload)
     out = jsonio.polynomial_to_json(f)
     out["mu"] = invertible.milnor_number(f)
@@ -216,6 +232,8 @@ def cmd_poly_analyze(args, payload):
 
 
 def cmd_poly_index(args, payload):
+    from . import invertible
+    from .burnside import cardinality, one
     f = jsonio.polynomial_from_json(payload)
     group = invertible.symmetry_group(f)
     chi = invertible.chi_G_milnor(f, group)
@@ -231,6 +249,7 @@ def cmd_poly_index(args, payload):
 
 
 def cmd_poly_dual_check(args, payload):
+    from . import invertible
     f = jsonio.polynomial_from_json(payload)
     report = invertible.duality_check(f)
     return jsonio.duality_report_to_json(report)

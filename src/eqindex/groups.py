@@ -139,7 +139,8 @@ class FiniteGroup:
     of the product keys[i] * keys[j]; for permutations the product is
     "apply j first, then i".  A diagonal group has a `denominator`: its keys
     are integer vectors x standing for the phases x / denominator mod 1.
-    `table` may be a function that builds it on first use; `inverse` waits too.
+    `table` may be a function that builds it on first use; `inverse` waits too,
+    and so do a diagonal group's fixed-coordinate `fixed_masks`.
     """
 
     table = _OnFirstRead("table", lambda g: g._make_table())
@@ -220,6 +221,14 @@ class FiniteGroup:
         if self.denominator is None:
             raise TypeError("only diagonal groups have phase vectors")
         return tuple(Fraction(x, self.denominator) for x in self.keys[i])
+
+    def _fixed_masks(self) -> list:
+        """Per element of a diagonal group, the bitmask of the coordinates it
+        acts trivially on: the group's `fixed_masks`."""
+        return [sum(1 << j for j, x in enumerate(k) if x == 0)
+                for k in self.keys]
+
+    fixed_masks = _OnFirstRead("fixed_masks", lambda g: g._fixed_masks())
 
     def element_repr(self, i: int):
         """JSON-able canonical representation of an element."""

@@ -19,7 +19,8 @@ the Burnside element whose mark at K is chi(M_f^K), and the index of df is
 with its tail, so the monomials of f inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
 over f's own weights q_i (0 for empty L), without restricting f.  Loci
-are coordinate bitmasks, each distinct one evaluated once per call.
+are coordinate bitmasks, each distinct one evaluated once per call; each
+element's mask is read from the group's `fixed_masks`, built once per group.
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
@@ -389,12 +390,6 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
 
 # -- fixed loci and Milnor fibre data ------------------------------------------
 
-def _fixed_masks(group: FiniteGroup) -> list:
-    """Per element of a diagonal group, the bitmask of the coordinates it
-    acts trivially on."""
-    return [sum(1 << j for j, x in enumerate(k) if x == 0) for k in group.keys]
-
-
 def _locus_mask(masks, members) -> int:
     """The bitmask of the coordinates fixed by every listed element."""
     return reduce(operator.and_, map(masks.__getitem__, members), -1)
@@ -402,7 +397,7 @@ def _locus_mask(masks, members) -> int:
 
 def fixed_locus(group: FiniteGroup, members) -> frozenset:
     """Coordinates on which every element of the subgroup acts trivially."""
-    mask = _locus_mask(_fixed_masks(group), members)
+    mask = _locus_mask(group.fixed_masks, members)
     return frozenset(j for j in range(len(group.keys[0])) if mask >> j & 1)
 
 
@@ -456,7 +451,7 @@ def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement
     Burnside ring is an IntegralityError."""
     _check_symmetries(f.E, group)
     chi = cache(partial(_fixed_chi, f))
-    masks = _fixed_masks(group)
+    masks = group.fixed_masks
     lat = group.lattice()
     marks = [chi(_locus_mask(masks, lat.subgroups[r].members))
              for r in lat.representatives]
@@ -533,7 +528,7 @@ def _orbifold_indices(f: InvertiblePolynomial, group: FiniteGroup,
     """
     _check_symmetries(f.E, group)
     chi = cache(partial(_fixed_chi, f))
-    masks = _fixed_masks(group)
+    masks = group.fixed_masks
     total = sum(c * chi(a) for a, c in Counter(masks).items())
     if total % group.order:
         raise IntegralityError(

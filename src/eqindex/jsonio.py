@@ -4,19 +4,26 @@ Rationals cross the wire as {"num": int, "den": int} with den > 0 and the
 fraction reduced.  Subgroups and conjugacy classes are referenced by their
 canonical labels "H<order>_<index-in-canonical-list>".  Serialization is
 canonical: fixed key order, zero coefficients omitted.
+
+Only `errors` and `groups` are imported here; a function that builds
+another layer's object imports that layer itself, so the CLI loads a layer
+only when a subcommand needs it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .burnside import BurnsideElement, ClassFunction
 from .errors import InputError, _int
 from .groups import FiniteGroup, Subgroup, build_group
-from .gspace import GSimplicialComplex, StratifiedGData, build_complex
-from .indices import FixedSetIndexData, SingularOrbitDatum, StratumIndexData
-from .invertible import DualityReport, InvertiblePolynomial, validate
+
+if TYPE_CHECKING:
+    from .burnside import BurnsideElement, ClassFunction
+    from .gspace import GSimplicialComplex, StratifiedGData
+    from .indices import FixedSetIndexData, StratumIndexData
+    from .invertible import DualityReport, InvertiblePolynomial
 
 
 def rational_to_json(q) -> dict:
@@ -79,6 +86,7 @@ def element_to_json(b: BurnsideElement) -> dict:
 
 
 def element_from_json(group: FiniteGroup, obj) -> BurnsideElement:
+    from .burnside import BurnsideElement
     lat = group.lattice()
     out = [0] * lat.num_classes
     if not isinstance(obj, dict) or "coeffs" not in obj:
@@ -148,14 +156,17 @@ def _class_entries(group: FiniteGroup, obj, key) -> list:
 
 
 def strata_from_json(group: FiniteGroup, obj) -> StratifiedGData:
+    from .gspace import StratifiedGData
     return StratifiedGData(group, _class_entries(group, obj, "chi"))
 
 
 def stratum_index_from_json(group: FiniteGroup, obj) -> StratumIndexData:
+    from .indices import StratumIndexData
     return StratumIndexData(group, _class_entries(group, obj, "ind"))
 
 
 def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
+    from .gspace import build_complex
     try:
         vertices = list(obj["vertices"])
         simplices = [frozenset(s) for s in obj["simplices"]]
@@ -181,6 +192,7 @@ def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
 
 
 def fixed_indices_from_json(group: FiniteGroup, obj) -> FixedSetIndexData:
+    from .indices import FixedSetIndexData
     lat = group.lattice()
     if not isinstance(obj, dict) or not isinstance(obj.get("per_subgroup"), dict):
         raise InputError("fixed-set index data must contain 'per_subgroup'")
@@ -203,6 +215,7 @@ def fixed_indices_from_json(group: FiniteGroup, obj) -> FixedSetIndexData:
 
 
 def orbit_data_from_json(group: FiniteGroup, obj) -> list:
+    from .indices import SingularOrbitDatum
     if not isinstance(obj, list) or not all(isinstance(i, dict) for i in obj):
         raise InputError("orbits must be a list of objects")
     out = []
@@ -214,6 +227,7 @@ def orbit_data_from_json(group: FiniteGroup, obj) -> list:
 
 
 def polynomial_from_json(obj) -> InvertiblePolynomial:
+    from .invertible import validate
     if not isinstance(obj, dict) or "E" not in obj:
         raise InputError("polynomial input must be {'E': [[...]]}")
     return validate(_int_rows(obj["E"], "E"))

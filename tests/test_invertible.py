@@ -665,12 +665,15 @@ def test_duality_pipeline_builds_two_groups_one_lattice_one_table(monkeypatch):
     count(groups, "_canonical_table")
     count(groups, "SubgroupLattice")
     count(invertible, "diagonal_group_from_integers")
+    count(groups.FiniteGroup, "_fixed_masks")
     f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
     report = duality_check(f)
     ind = index_df(f, symmetry_group(f))
-    # G_f and G_{f~}, G_f's lattice, and G_f's table (for the lattice)
+    # G_f and G_{f~}, G_f's lattice, G_f's table (for the lattice), and the
+    # fixed-coordinate masks of G_f and G_{f~}, each built once
     assert counts == {"diagonal_group_from_integers": 2,
-                      "SubgroupLattice": 1, "_canonical_table": 1}
+                      "SubgroupLattice": 1, "_canonical_table": 1,
+                      "_fixed_masks": 2}
     assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
     assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))

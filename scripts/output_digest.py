@@ -11,7 +11,8 @@ Hashes, in order:
     duality_family(24, 3) (run in-process through `cli.main`);
   * the stdout and exit code of `group info` and `group lattice` on a few
     diagonal presentations: no coordinates, repeated generators, the order
-    bound reached and exceeded;
+    bound reached and exceeded; and of `group lattice` on S4 x Z/2 (degree
+    6) and (Z/2)^4 (degree 8) as permutation groups;
   * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5, as canonical JSON: the table of
     marks, the restriction of every basis element to every subgroup, the
     induction of every basis element of every subgroup, and the fixed-set
@@ -107,11 +108,23 @@ DIAGONAL_PRESENTATIONS = [
 ]
 
 
+# S4 x Z/2: S4 on the points 0..3, Z/2 swapping 4 and 5; (Z/2)^4: four
+# disjoint transpositions (2i 2i+1)
+PERM_PRESENTATIONS = [
+    (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]),
+    (8, [[j ^ 1 if j // 2 == i else j for j in range(8)] for i in range(4)]),
+]
+
+
 def group_lines():
     for phases in DIAGONAL_PRESENTATIONS:
         payload = json.dumps({"kind": "diagonal", "phases": phases})
         for sub in ("info", "lattice"):
             yield _cli(["group", sub, payload])
+    for degree, gens in PERM_PRESENTATIONS:
+        payload = json.dumps({"kind": "perm", "degree": degree,
+                              "generators": gens})
+        yield _cli(["group", "lattice", payload])
 
 
 def burnside_groups():

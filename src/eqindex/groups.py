@@ -4,7 +4,9 @@ Groups are built from one of three presentations (permutation generators,
 diagonal rational-phase generators, or an explicit multiplication table);
 their keys are enumerated at once and sorted canonically, so lattices,
 conjugacy classes and Burnside coefficients are deterministic across runs.
-A diagonal group's |G|^2 product table waits for its first read.
+A diagonal group's |G|^2 product table waits for its first read.  Every
+subgroup generated by elements (`closure`, each join of the lattice, Light's
+associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -85,37 +87,28 @@ def _canonical_table(order, steps, rows):
     return table
 
 
-def _closure(table, identity, seed) -> set:
-    """The elements reached from the identity by right multiplication with
-    the elements of `seed`: in a group, the subgroup they generate."""
-    seed = list(seed)
-    members = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for g in seed:
-                c = row[g]
-                if c not in members:
-                    members.add(c)
-                    new.append(c)
-        frontier = new
-    return members
+def _join(table, base, gens) -> frozenset:
+    """The subgroup generated by the subgroup A = `base` and the elements
+    `gens`, provided `gens` generate A too or each of them centralizes A:
+    Dimino's coset walk (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991).
 
-
-def _greedy_generators(table, identity):
-    """Yield elements in index order, each outside the right-multiplication
-    closure of the ones before it.  While that closure is a subgroup, each
-    new element at least doubles it, so at most log2(n) + 1 are yielded and
-    together they generate the group."""
-    gens = []
-    reached = {identity}
-    for g in range(len(table)):
-        if g not in reached:
-            yield g
-            gens.append(g)
-            reached = _closure(table, identity, gens)
+    Each new left coset s xA is the image of a known coset under the row of
+    s, and is new exactly when the image of one of its elements is.  The
+    union of the cosets ends closed under left multiplication by `gens`,
+    and by A under either half of the contract, so it is the join: one row
+    lookup per element and one membership test per coset and generator.
+    """
+    members = set(base)
+    cosets = [[*base]]
+    for coset in cosets:  # cosets grows while it is read
+        for s in gens:
+            row = table[s]
+            if row[coset[0]] not in members:
+                image = [row[y] for y in coset]
+                members.update(image)
+                cosets.append(image)
+    return frozenset(members)
 
 
 class _OnFirstRead:
@@ -198,7 +191,15 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> frozenset:
         """The subgroup generated by the element indices in `seed`."""
-        return frozenset(_closure(self.table, self.identity, seed))
+        return _join(self.table, (self.identity,), self._element_ids(seed))
+
+    def _element_ids(self, ids: Iterable[int]) -> tuple:
+        """`ids` as a tuple of ints in range(order), else NotASubgroupError."""
+        ids, valid = tuple(ids), range(self.order)
+        for i in ids:
+            if _int(i, "element index", NotASubgroupError) not in valid:
+                raise NotASubgroupError(f"element index {i} out of range")
+        return ids
 
     def element_conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes of elements, each sorted, ordered by smallest member."""
@@ -261,7 +262,7 @@ class FiniteGroup:
         return self._lattice
 
     def is_subgroup(self, members: Iterable[int]) -> bool:
-        ms = frozenset(members)
+        ms = frozenset(self._element_ids(members))
         if self.identity not in ms:
             return False
         return all(self.table[a][b] in ms for a in ms for b in ms)
@@ -302,21 +303,23 @@ class Subgroup:
 
         Element keys and the denominator are inherited from the parent (so
         phase vectors stay phase vectors) and the canonical order is the
-        parent's, restricted.  The generator keys are a greedy generating
-        set of at most log2|H| + 1 elements.
+        parent's, restricted.  The generator keys are those the parent's
+        lattice recorded for this subgroup: the generators of the join that
+        first produced it, at most log2|H| + 1 of them.
         """
         if self._group is None:
+            lat = self.parent.lattice()
+            gens = lat.generators[lat.subgroup_index(self.members)]
             idxs = sorted(self.members)
             child_of = {p: c for c, p in enumerate(idxs)}
             keys = [self.parent.keys[p] for p in idxs]
             table = [[child_of[self.parent.table[a][b]] for b in idxs]
                      for a in idxs]
-            identity = child_of[self.parent.identity]
-            gens = [keys[g] for g in _greedy_generators(table, identity)]
             self._group = FiniteGroup(
-                keys, table, identity,
+                keys, table, child_of[self.parent.identity],
                 {"kind": "table", "derived": "subgroup"},
-                gens, parent=self.parent, parent_index=idxs,
+                [self.parent.keys[g] for g in gens],
+                parent=self.parent, parent_index=idxs,
                 denominator=self.parent.denominator)
         return self._group
 
@@ -337,10 +340,13 @@ class SubgroupLattice:
 
     Subgroups are enumerated from the cyclic subgroups: every subgroup is a
     join of cyclic ones, so each known subgroup A is joined only with the
-    cyclic subgroups C that neither contain A nor lie in A.  They are then
-    sorted canonically (by order, then by sorted member ids); the
+    cyclic subgroups <g> that neither contain A nor lie in A, by `_join` on
+    the generators of A and g (g alone if the group is abelian).  They are
+    then sorted canonically (by order, then by sorted member ids); the
     representative of each conjugacy class is its minimal subgroup.
 
+    `generators[i]` are the generators of the join that first produced
+    subgroup i: at most log2|H| + 1, since each join at least doubles.
     `cyclic_of[g]` is the index of <g>, and `cyclic_generators` maps the
     index of each cyclic subgroup to one generator of it.  `leq[i][j]` is 1
     when subgroup i lies in subgroup j and 0 otherwise; for an abelian group
@@ -353,20 +359,22 @@ class SubgroupLattice:
                 f"subgroup enumeration limited to order {MAX_ORDER}")
         self.group = group
         abelian = group.is_abelian
+        table = group.table
         cyclic_of, cyclics = _cyclic_subgroups(group)
-        subs = set(cyclics.values())
-        work = list(subs)
+        gens = {c: (g,) if len(c) > 1 else () for g, c in cyclics.items()}
+        work = list(gens)
         while work:
             a = work.pop()
+            gens_a = gens[a]
             for g, c in cyclics.items():
                 if c <= a or a <= c:
                     continue
-                j = _coset_join(group.table, a, g) if abelian \
-                    else group.closure(a | {g})
-                if j not in subs:
-                    subs.add(j)
+                j = _join(table, a, (g,) if abelian else gens_a + (g,))
+                if j not in gens:
+                    gens[j] = gens_a + (g,)
                     work.append(j)
-        canonical, self.labels = canonical_order(subs)
+        canonical, self.labels = canonical_order(gens)
+        self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
@@ -510,22 +518,6 @@ def _cyclic_subgroups(group: FiniteGroup):
                 cyclic_of[x] = members
         cyclics[g] = members
     return cyclic_of, cyclics
-
-
-def _coset_join(table, a: frozenset, g: int) -> frozenset:
-    """A<g> for a subgroup A and an element g that centralizes it: the
-    cosets A, gA, g^2 A, ... up to the first power of g that lies in A, at a
-    cost of |A<g>|.  (When g does not centralize A, the union of these cosets
-    need not be a subgroup.)"""
-    row = table[g]
-    coset = list(a)
-    joined = set(a)
-    x = g
-    while x not in a:
-        coset = [row[y] for y in coset]
-        joined.update(coset)
-        x = row[x]
-    return frozenset(joined)
 
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
@@ -716,16 +708,23 @@ def _check_associative(table, identity):
     """Light's associativity test on a greedily built generating set.
 
     The elements g with (x g) y = x (g y) for all x, y are closed under
-    products, so checking generators is complete.  Each generator of
-    `_greedy_generators` is checked before the next is taken; while the
-    checks pass the closure is a subgroup, so at most log2(n) + 1 rows of
-    n^2 products are checked.
+    products, so checking generators is complete: each element not yet
+    reached is checked, then joined to the checked ones by `_join`, which
+    reaches only their products.  While the checks pass these form a group,
+    so each join at least doubles and at most log2(n) + 1 rows of n^2
+    products are checked.
     """
-    for g in _greedy_generators(table, identity):
+    gens = ()
+    reached = (identity,)
+    for g in range(len(table)):
+        if g in reached:
+            continue
         row_g = table[g]
         for row_x in table:
             if table[row_x[g]] != [row_x[y] for y in row_g]:
                 raise GroupBuildError("table is not associative")
+        gens += (g,)
+        reached = _join(table, reached, gens)
 
 
 # -- convenience constructors (used all over the tests and scripts) ---------

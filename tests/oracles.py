@@ -6,9 +6,10 @@ the Burnside product oracle enumerates orbits on an explicit product G-set;
 the marks and restriction oracles count fixed cosets and H-orbits on G/K;
 the reduction oracle averages fixed-coset counts over commuting tuples
 directly on cosets; the commuting-tuple oracle enumerates every tuple and
-closes it; the exact-isotropy oracle assembles chi^G from
-fixed-point Euler characteristics by Moebius sums, not through the table of
-marks.
+closes it, and the lattice oracle joins every pair of subgroups, both
+closing by a breadth-first walk of their own; the exact-isotropy oracle
+assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
+through the table of marks.
 """
 
 from fractions import Fraction
@@ -232,26 +233,48 @@ def commuting_counts_oracle(group, k) -> list:
                for i, a in enumerate(tup) for b in tup[i + 1:]):
             gens = frozenset(tup)
             if gens not in classes:
-                classes[gens] = lat.class_index_of(group.closure(gens))
+                classes[gens] = lat.class_index_of(
+                    closure_oracle(table, group.identity, gens))
             counts[classes[gens]] += 1
     return counts
 
 
 # -- subgroup lattice by all-pairs joins ----------------------------------------
 
+def closure_oracle(table, identity, seed) -> frozenset:
+    """The elements reached from the identity by right multiplication with
+    the elements of `seed`, one breadth-first layer at a time: in a group,
+    the subgroup they generate."""
+    seed = list(seed)
+    members = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            row = table[a]
+            for g in seed:
+                c = row[g]
+                if c not in members:
+                    members.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(members)
+
+
 def subgroup_lattice_oracle(group):
     """(member sets, labels, mu_sub, class_of) of Sub G by the all-pairs join.
 
     Starts from the cyclic subgroups <g> of every element and joins every
-    pair of known subgroups (the product set when G is abelian, the closure
-    otherwise) until nothing new appears.  Uses only `group.table` and
-    `group.closure`.
+    pair of known subgroups (the product set when G is abelian,
+    `closure_oracle` otherwise) until nothing new appears.  Uses only
+    `group.table`.
     """
     table = group.table
     n = len(table)
     abelian = all(table[i][j] == table[j][i]
                   for i in range(n) for j in range(i + 1, n))
-    subs = {group.closure([g]) for g in range(n)}
+    identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
+    subs = {closure_oracle(table, identity, [g]) for g in range(n)}
     work = list(subs)
     while work:
         a = work.pop()
@@ -261,7 +284,7 @@ def subgroup_lattice_oracle(group):
             if abelian:
                 j = frozenset(table[x][y] for x in a for y in b)
             else:
-                j = group.closure(a | b)
+                j = closure_oracle(table, identity, a | b)
             if j not in subs:
                 subs.add(j)
                 work.append(j)
@@ -276,7 +299,6 @@ def subgroup_lattice_oracle(group):
             if leq[h][l]:
                 mu[h][l] = -sum(mu[h][k] for k in range(h, l)
                                 if leq[h][k] and leq[k][l])
-    identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
     inverse = [table[i].index(identity) for i in range(n)]
     class_of = [-1] * ns
     classes = 0

@@ -12,9 +12,9 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
 from eqindex import groups
 from eqindex.invertible import symmetry_group, transpose, validate
 
-from groups_pool import larger, pool
+from groups_pool import abelian_names, larger, pool
 from invertible_family import duality_family
-from oracles import subgroup_lattice_oracle
+from oracles import closure_oracle, subgroup_lattice_oracle
 
 
 def test_cyclic_closure_from_3cycle():
@@ -342,12 +342,19 @@ def _q8():
     return perm_group(8, [[1, 3, 5, 6, 2, 7, 0, 4], [2, 4, 3, 7, 6, 1, 5, 0]])
 
 
+def _s4_z2():
+    """S4 x Z/2 of degree 6: S4 on the points 0..3, Z/2 swapping 4 and 5."""
+    return perm_group(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5],
+                          [0, 1, 2, 3, 5, 4]])
+
+
 # group -> (builder, number of subgroups)
 ORACLE_GROUPS = {
     "S3": (lambda: pool()["S3"], 6),
     "D4": (lambda: pool()["D4"], 10),
     "Q8": (_q8, 6),
     "S4": (lambda: perm_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), 30),
+    "S4xZ2": (_s4_z2, 98),
     "A5": (lambda: perm_group(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]), 59),
     "S5": (lambda: perm_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]), 156),
     "Z2^5": (lambda: _diagonal_power(2, 5), 374),
@@ -394,10 +401,47 @@ def test_lattice_records_cyclic_subgroups_and_generators():
         lat = group.lattice()
         for g in group.elements():
             assert lat.subgroups[lat.cyclic_of[g]].members == \
-                group.closure([g])
+                closure_oracle(group.table, group.identity, [g])
         assert sorted(lat.cyclic_generators) == sorted(set(lat.cyclic_of))
         for s, g in lat.cyclic_generators.items():
             assert lat.cyclic_of[g] == s
+
+
+def test_join_of_a_subgroup_and_an_element_matches_the_closure_oracle():
+    # seeded with the recorded generators of A, g need not centralize A
+    for name in ("D4", "Q8", "S4", "A5"):
+        group = ORACLE_GROUPS[name][0]()
+        lat = group.lattice()
+        for h, gens in zip(lat.subgroups, lat.generators):
+            for g in group.elements():
+                assert groups._join(group.table, h.members, gens + (g,)) == \
+                    closure_oracle(group.table, group.identity,
+                                   h.members | {g}), (name, h.order, g)
+    # in an abelian group every g centralizes A, so g alone extends it
+    abelian = [pool()[name] for name in abelian_names()]
+    abelian += [symmetry_group(f) for f in duality_family(24, 3)[::9]]
+    for group in abelian:
+        for h in group.lattice().subgroups:
+            for g in group.elements():
+                assert groups._join(group.table, h.members, (g,)) == \
+                    closure_oracle(group.table, group.identity,
+                                   h.members | {g}), (group, h.order, g)
+
+
+def test_element_indices_are_checked_at_the_entry_points():
+    z6 = cyclic_group(6)
+    for bad in (7, -1, 6, True, 1.0, "1", None):
+        with pytest.raises(NotASubgroupError):
+            Subgroup(z6, [0, bad])
+        with pytest.raises(NotASubgroupError):
+            z6.closure([bad])
+        with pytest.raises(NotASubgroupError):
+            z6.is_subgroup([0, bad])
+    # -1 would read the last element, 0 again in the trivial group
+    with pytest.raises(NotASubgroupError):
+        Subgroup(trivial_group(), [0, -1])
+    assert z6.closure([]) == {z6.identity}
+    assert Subgroup(z6, [0, 3]).order == 2
 
 
 def test_z8_cubed_has_802_subgroups():

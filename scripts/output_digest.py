@@ -36,6 +36,10 @@ Hashes, in order:
   * the stdout and exit code of `index invert`, `index from-strata` and
     `euler strat` on valid, non-integral and inconsistent payloads and on
     unknown class and subgroup labels.
+  * a second round on the same objects: `chi_k_direct` for k = 4..0 (or
+    the error it raises) and `chi_G_simplicial` on the simplicial suite,
+    then every restriction and induction above again.  Values stored on a
+    complex or a subgroup group by the first round must not change them.
 
 Every error is hashed as its kind and its message.
 
@@ -131,19 +135,23 @@ def burnside_groups():
     return {**pool(), "S4": larger()["S4"], "A5": larger()["A5"]}
 
 
+def restriction_lines(g):
+    lat = g.lattice()
+    for sub in lat.subgroups:
+        child = sub.as_group()
+        for c in range(lat.num_classes):
+            yield jsonio.dumps(jsonio.element_to_json(
+                burnside.restrict(burnside.basis_element(g, c), sub)))
+        for c in range(child.lattice().num_classes):
+            yield jsonio.dumps(jsonio.element_to_json(
+                burnside.induce(burnside.basis_element(child, c), g)))
+
+
 def burnside_lines():
     for name, g in burnside_groups().items():
         yield jsonio.dumps({"group": name,
                             "marks": burnside.table_of_marks(g).matrix})
-        lat = g.lattice()
-        for sub in lat.subgroups:
-            child = sub.as_group()
-            for c in range(lat.num_classes):
-                yield jsonio.dumps(jsonio.element_to_json(
-                    burnside.restrict(burnside.basis_element(g, c), sub)))
-            for c in range(child.lattice().num_classes):
-                yield jsonio.dumps(jsonio.element_to_json(
-                    burnside.induce(burnside.basis_element(child, c), g)))
+        yield from restriction_lines(g)
 
 
 def fixed_index_lines():
@@ -194,6 +202,18 @@ def simplicial_lines():
         yield f"{name} " + repr(gspace.chi_G_simplicial(x).coeffs)
         for k in range(5):
             yield f"{name} {k} " + _outcome(gspace.chi_k_direct, x, k)
+
+
+def second_round_lines():
+    """The same calls again on the same objects: the suite's chi_k_direct
+    for k = 4..0 and chi_G_simplicial, then every restriction and
+    induction."""
+    for name, x in suite():
+        for k in range(4, -1, -1):
+            yield f"{name} {k} " + _outcome(gspace.chi_k_direct, x, k)
+        yield f"{name} " + repr(gspace.chi_G_simplicial(x).coeffs)
+    for g in burnside_groups().values():
+        yield from restriction_lines(g)
 
 
 def inversion_lines():
@@ -311,7 +331,8 @@ def main():
     for line in chain(library_lines(), cli_lines(), group_lines(),
                       burnside_lines(), fixed_index_lines(), commuting_lines(),
                       lattice_lines(), simplicial_lines(), inversion_lines(),
-                      gsv_lines(), strata_lines(), index_cli_lines()):
+                      gsv_lines(), strata_lines(), index_cli_lines(),
+                      second_round_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -159,6 +159,7 @@ class FiniteGroup:
         self._marks = None
         self._element_classes = None
         self._tuple_counts = {}
+        self._parent_classes = None
         self._abelian = True if denominator is not None else None
 
     # -- basic structure ---------------------------------------------------

@@ -12,6 +12,8 @@ irregular action.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, mul
 from typing import Optional
 
 from .burnside import BurnsideElement, commuting_class_counts, one
@@ -67,7 +69,12 @@ class GSimplicialComplex:
             if not fs:
                 continue
             if not fs <= set(self.vertices):
-                raise InconsistentDataError(f"simplex {sorted(s)} uses unknown vertices")
+                try:
+                    shown = sorted(s)
+                except TypeError:  # vertices of mixed types do not compare
+                    shown = sorted(s, key=repr)
+                raise InconsistentDataError(
+                    f"simplex {shown} uses unknown vertices")
             closed.add(fs)
         # downward closure
         work = list(closed)
@@ -83,6 +90,8 @@ class GSimplicialComplex:
         self.simplices = frozenset(closed)
         self.action = action
         self._regular = None
+        self._fixed_chis = None
+        self._orbit_coeffs = None
         for g in group.elements():
             m = action[g]
             if sorted(m.values()) != list(self.vertices) or \
@@ -112,6 +121,30 @@ class GSimplicialComplex:
                 for m in (self.action[g] for g in self.group.elements())
                 for s in self.simplices)
         return self._regular
+
+    def fixed_euler_characteristics(self) -> tuple:
+        """chi(X^H) for one H per conjugacy class, in canonical class order,
+        X^H being the simplices H fixes vertexwise.  One pass over the
+        simplices sums (-1)^dim by vertexwise stabilizer (the AND of its
+        vertices' stabilizer bitmasks over the group's elements); H fixes a
+        simplex when H's member mask lies inside that stabilizer.  Computed
+        once per complex and then stored."""
+        if self._fixed_chis is None:
+            elements = self.group.elements()
+            stab = {v: sum(1 << g for g in elements if self.action[g][v] == v)
+                    for v in self.vertices}
+            by_stab = {}
+            for s in self.simplices:
+                mask = reduce(and_, map(stab.__getitem__, s))
+                by_stab[mask] = by_stab.get(mask, 0) + (-1) ** (len(s) - 1)
+            lat = self.group.lattice()
+            fixed = []
+            for r in lat.representatives:
+                h = sum(1 << g for g in lat.subgroups[r].members)
+                fixed.append(sum(chi for mask, chi in by_stab.items()
+                                 if mask & h == h))
+            self._fixed_chis = tuple(fixed)
+        return self._fixed_chis
 
     def check_regular(self):
         if not self.is_regular():
@@ -165,25 +198,27 @@ def build_complex(group: FiniteGroup, vertices, simplices,
 
 
 def chi_G_simplicial(x: GSimplicialComplex) -> BurnsideElement:
-    """chi^G(X) = sum over simplex orbits of (-1)^dim [G/Stab]."""
+    """chi^G(X) = sum over simplex orbits of (-1)^dim [G/Stab].
+
+    The orbit walk runs once per complex and its coefficients are stored;
+    regularity is checked on every call.  It does not read the fixed-point
+    vector of `fixed_euler_characteristics`, so the two stay independent.
+    """
     x.check_regular()
     group = x.group
-    lat = group.lattice()
-    coeffs = [0] * lat.num_classes
-    done = set()
-    for s in x.sorted_simplices():
-        if s in done:
-            continue
-        images = [x.image(g, s) for g in group.elements()]
-        done.update(images)
-        stab = frozenset(g for g, t in enumerate(images) if t == s)
-        coeffs[lat.class_index_of(stab)] += (-1) ** (len(s) - 1)
-    return BurnsideElement(group, coeffs)
-
-
-def _fixed_vertices(x: GSimplicialComplex, members) -> set:
-    """The vertices fixed by every listed group element."""
-    return {v for v in x.vertices if all(x.action[h][v] == v for h in members)}
+    if x._orbit_coeffs is None:
+        lat = group.lattice()
+        coeffs = [0] * lat.num_classes
+        done = set()
+        for s in x.sorted_simplices():
+            if s in done:
+                continue
+            images = [x.image(g, s) for g in group.elements()]
+            done.update(images)
+            stab = frozenset(g for g, t in enumerate(images) if t == s)
+            coeffs[lat.class_index_of(stab)] += (-1) ** (len(s) - 1)
+        x._orbit_coeffs = tuple(coeffs)
+    return BurnsideElement(group, x._orbit_coeffs)
 
 
 def fixed_subcomplex(x: GSimplicialComplex, subgroup) -> GSimplicialComplex:
@@ -193,7 +228,7 @@ def fixed_subcomplex(x: GSimplicialComplex, subgroup) -> GSimplicialComplex:
     """
     x.check_regular()
     members = subgroup.members if isinstance(subgroup, Subgroup) else frozenset(subgroup)
-    vs = _fixed_vertices(x, members)
+    vs = {v for v in x.vertices if all(x.action[h][v] == v for h in members)}
     simplices = [s for s in x.simplices if s <= vs]
     tg = trivial_group()
     action = {tg.identity: {v: v for v in vs}}
@@ -231,26 +266,20 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     subcomplexes.
 
     Averages chi(X^{<g_0..g_k>}) over all pairwise-commuting tuples; must
-    agree with r_k(chi_G_simplicial(X)).  chi(X^H) is counted directly: the
-    sum of (-1)^dim over the simplices inside H's fixed-vertex set (by
-    regularity, exactly the simplices H fixes), for one representative H
-    per class; no fixed subcomplex is built.  The tuples per class are not
-    enumerated: they are Hall's phi_{k+1} sums of `commuting_class_counts`,
-    which `r_k` shares, so only the fixed-simplex side is independent of
-    them (the coset oracle in the tests checks both).
+    agree with r_k(chi_G_simplicial(X)).  chi(X^H) is counted directly, for
+    one representative H per class, by the complex's stored
+    `fixed_euler_characteristics` (by regularity, the simplices H fixes
+    vertexwise are exactly those it fixes); no fixed subcomplex is built,
+    and after the first call no simplex is read.  The tuples per class are
+    not enumerated: they are Hall's phi_{k+1} sums of
+    `commuting_class_counts`, which `r_k` shares, so only the fixed-simplex
+    side is independent of them (the coset oracle in the tests checks both).
+    k, the tuple bound, regularity and integrality are checked on every call.
     """
     x.check_regular()
     group = x.group
     counts = commuting_class_counts(group, k)  # checks k and the tuple bound
-    lat = group.lattice()
-    total = 0
-    for c, count in enumerate(counts):
-        if count == 0:
-            continue
-        rep = lat.subgroups[lat.representatives[c]]
-        fixed = _fixed_vertices(x, rep.members)
-        total += count * sum((-1) ** (len(s) - 1)
-                             for s in x.simplices if s <= fixed)
+    total = sum(map(mul, counts, x.fixed_euler_characteristics()))
     if total % group.order:
         raise IntegralityError("averaged fixed-point count is not an integer")
     return total // group.order

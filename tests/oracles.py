@@ -4,6 +4,7 @@ Nothing here shares code with the package paths it checks: the Milnor-number
 oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
 the marks and restriction oracles count fixed cosets and H-orbits on G/K;
+the induction oracle conjugates each K by every element of G;
 the reduction oracle averages fixed-coset counts over commuting tuples
 directly on cosets; the commuting-tuple oracle enumerates every tuple and
 closes it, and the lattice oracle joins every pair of subgroups, both
@@ -203,6 +204,29 @@ def restrict_coset_oracle(b, sub) -> BurnsideElement:
                              if rep_of[group.table[h][r]] == r)
             coeffs[child_lat.class_index_of(stab)] += a
     return BurnsideElement(child, coeffs)
+
+
+def induce_conjugacy_oracle(b, group) -> BurnsideElement:
+    """b induced from its group, a subgroup group of `group`: [H/K] -> [G/K],
+    the class of K in G found by conjugating K by every element of G and
+    matching a class representative's member set."""
+    child = b.group
+    child_lat = child.lattice()
+    lat = group.lattice()
+    t = group.table
+    inverse = [row.index(group.identity) for row in t]
+    coeffs = [0] * lat.num_classes
+    for c, a in enumerate(b.coeffs):
+        if a == 0:
+            continue
+        members = [child.parent_index[i] for i in
+                   child_lat.subgroups[child_lat.representatives[c]].members]
+        conjugates = {frozenset(t[t[inverse[g]][m]][g] for m in members)
+                      for g in range(group.order)}
+        (k,) = [k for k, r in enumerate(lat.representatives)
+                if lat.subgroups[r].members in conjugates]
+        coeffs[k] += a
+    return BurnsideElement(group, coeffs)
 
 
 def r_k_coset_oracle(group, members, k) -> int:

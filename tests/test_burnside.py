@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqindex import (IntegralityError, cyclic_group, perm_group)
+from eqindex import (IntegralityError, NotASubgroupError, build_group,
+                     cyclic_group, perm_group)
 from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               commuting_class_counts, element_from_marks,
                               induce, marks_vector,
@@ -14,8 +15,8 @@ from eqindex.invertible import symmetry_group
 from groups_pool import abelian_names, larger, pool, random_elements
 from invertible_family import duality_family
 from oracles import (burnside_product_oracle, commuting_counts_oracle,
-                     marks_coset_oracle, r_k_coset_oracle,
-                     restrict_coset_oracle)
+                     induce_conjugacy_oracle, marks_coset_oracle,
+                     r_k_coset_oracle, restrict_coset_oracle)
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -199,6 +200,38 @@ def test_restrict_matches_coset_oracle():
                 b = basis_element(g, c)
                 assert restrict(b, sub) == restrict_coset_oracle(b, sub), \
                     (g, c, sub)
+
+
+def test_stored_class_map_matches_oracles():
+    """restrict and induce store the child-to-parent class map on the
+    subgroup group at first use; the first call, the second and calls with
+    an equal group rebuilt from the same presentation agree with the
+    oracles, and a target that is not the parent is still refused."""
+    presentations = [g.presentation for g in
+                     (*pool().values(), larger()["S4"], larger()["A5"])]
+    for p in presentations:
+        g, equal = build_group(p), build_group(p)  # nothing stored yet
+        assert equal is not g and equal.same_group(g)
+        foreign = [build_group(q) for q in presentations if q is not p]
+        lat = g.lattice()
+        for sub in lat.subgroups:
+            child = sub.as_group()
+            nc = child.lattice().num_classes
+            restricted = [restrict_coset_oracle(basis_element(g, c), sub)
+                          for c in range(lat.num_classes)]
+            induced = [induce_conjugacy_oracle(basis_element(child, c), g)
+                       for c in range(nc)]
+            for target in (g, g, equal):
+                for c in range(lat.num_classes):
+                    assert restrict(basis_element(target, c), sub) == \
+                        restricted[c], (p, sub, c)
+                for c in range(nc):
+                    assert induce(basis_element(child, c), target) == \
+                        induced[c], (p, sub, c)
+            for other in foreign:
+                if not child.same_group(other):
+                    with pytest.raises(NotASubgroupError):
+                        induce(basis_element(child, 0), other)
 
 
 def test_induce_examples():

@@ -266,6 +266,13 @@ MALFORMED = {
         "group": {"kind": "diagonal", "phases": [[[1, 2]], [[1, 2]]]},
         "complex": {"vertices": [0, 1], "simplices": [[0], [1]],
                     "action": {"g0": [1, 0]}}}),
+    # the unknown-vertices message once sorted vertices of mixed types
+    "simplex-mixed-types": (["euler", "simplicial"], {
+        "group": Z6_PRES, "complex": {"vertices": [0, 1],
+                                      "simplices": [[0, "a"]]}}),
+    "simplex-with-null": (["euler", "orbifold"], {
+        "group": Z6_PRES, "complex": {"vertices": [0, 1],
+                                      "simplices": [[0, None]]}}),
     "removed-jobs-flag": (["poly", "analyze", "--jobs", "2"], {"E": [[2]]}),
     "removed-verbose-flag": (["poly", "analyze", "-v"], {"E": [[2]]}),
     "out-under-a-file": (["poly", "analyze", "--out",

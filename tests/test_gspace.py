@@ -1,12 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqindex import (InconsistentDataError, RegularityError, StratifiedGData,
-                     barycentric_subdivide, build_complex, chi_G_simplicial,
-                     chi_G_stratified, chi_k_direct, chi_orbifold_direct,
-                     cyclic_group, fixed_subcomplex, perm_group, trivial_group)
-from eqindex.burnside import (cardinality, commuting_class_counts,
-                              marks_vector, one, r_k)
+from eqindex import (InconsistentDataError, OrderBoundError, RegularityError,
+                     StratifiedGData, barycentric_subdivide, build_complex,
+                     chi_G_simplicial, chi_G_stratified, chi_k_direct,
+                     chi_orbifold_direct, cyclic_group, fixed_subcomplex,
+                     perm_group, trivial_group)
+from eqindex.burnside import cardinality, marks_vector, one, r_k
 from eqindex import gspace
 from eqindex.gspace import GSimplicialComplex
 
@@ -241,6 +243,10 @@ def test_inconsistent_generator_images_rejected():
         build_complex(twice, [0, 1], [[0], [1]], {0: {0: 1, 1: 0}})
 
 
+def _copy(x):
+    return GSimplicialComplex(x.group, x.vertices, x.simplices, x.action)
+
+
 class _CountedSimplices(frozenset):
     """A simplex set that counts the passes made over it."""
     passes = 0
@@ -252,8 +258,7 @@ class _CountedSimplices(frozenset):
 
 def test_chi_k_direct_scans_regularity_at_most_once():
     def fresh():
-        x = by_name("square-dihedral4-subdivided")
-        y = GSimplicialComplex(x.group, x.vertices, x.simplices, x.action)
+        y = _copy(by_name("square-dihedral4-subdivided"))
         y.simplices = _CountedSimplices(y.simplices)
         return y
 
@@ -261,15 +266,51 @@ def test_chi_k_direct_scans_regularity_at_most_once():
     assert fresh().is_regular()
     scan = _CountedSimplices.passes  # passes of one regularity scan
     x = fresh()
-    fixed = sum(1 for c in commuting_class_counts(x.group, 1) if c)
+    assert x.group.lattice().num_classes > 1
     _CountedSimplices.passes = 0
     chi_k_direct(x, 1)
-    # one scan, then one pass per fixed subcomplex
-    assert _CountedSimplices.passes <= scan + fixed
+    # one scan, then one pass for chi(X^H) of every class at once
+    assert _CountedSimplices.passes <= scan + 1
+    _CountedSimplices.passes = 0
+    for k in range(4):
+        chi_k_direct(x, k)
+    assert _CountedSimplices.passes == 0
+
+
+def _call(x, k):
+    """chi_G_simplicial(x) for k None, else chi_k_direct(x, k)."""
+    return chi_G_simplicial(x) if k is None else chi_k_direct(x, k)
+
+
+def test_stored_complex_data_does_not_change_results():
+    rng = random.Random(16)
+    for name, x in suite():
+        for y in (x, barycentric_subdivide(x)):
+            calls = [None, 0, 1, 2, 3]
+            expected = {k: _call(_copy(y), k) for k in calls}
+            once = _copy(y)
+            for _ in range(2):
+                rng.shuffle(calls)
+                for k in calls:
+                    assert _call(once, k) == expected[k], (name, k)
+            # errors are checked on every call, never stored
+            with pytest.raises(OrderBoundError):
+                chi_k_direct(once, 4)
+            with pytest.raises(ValueError):
+                chi_k_direct(once, -1)
+
+
+def test_regularity_errors_are_not_stored():
+    z2 = perm_group(2, [[1, 0]])
+    edge = build_complex(z2, [0, 1], [[0, 1]], {0: {0: 1, 1: 0}})
+    for _ in range(2):
+        with pytest.raises(RegularityError):
+            chi_G_simplicial(edge)
+        with pytest.raises(RegularityError):
+            chi_k_direct(edge, 1)
 
 
 def test_reduction_order_bound():
-    from eqindex import OrderBoundError
     x = by_name("triangle-rot3")
     with pytest.raises(OrderBoundError):
         chi_k_direct(x, 4)

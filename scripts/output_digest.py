@@ -30,9 +30,9 @@ Hashes, in order:
     with and without per-class data, and on the same data moved at one
     subgroup class or one per-class entry; `gsv_assemble_from_dims` on
     class-constant dimensions from every basis element for k = 0, 1; and
-    `index_from_strata`, `index_from_quotient` and `chi_G_stratified` (plain
-    and reduced) on fixed entries, among them a non-integral stratum index
-    and out-of-range class indices;
+    `index_from_strata`, quotient-strata indices through `chi_G_stratified`,
+    and `chi_G_stratified` (plain and reduced) on fixed entries, among them
+    a non-integral stratum index and out-of-range class indices;
   * the stdout and exit code of `index invert`, `index from-strata` and
     `euler strat` on valid, non-integral and inconsistent payloads and on
     unknown class and subgroup labels.
@@ -261,8 +261,10 @@ def strata_lines():
         for entries in (integral, [], [(0, 1)], [(nc, 1)], [(-1, 1)]):
             yield f"{name} " + _outcome(
                 lambda: indices.index_from_strata(
-                    indices.StratumIndexData(g, entries)))
-            yield f"{name} " + _outcome(indices.index_from_quotient, g, entries)
+                    gspace.StratifiedGData(g, entries)))
+            yield f"{name} " + _outcome(
+                lambda: gspace.chi_G_stratified(
+                    gspace.StratifiedGData(g, entries)))
             for reduced in (False, True):
                 yield f"{name} {reduced} " + _outcome(
                     lambda: gspace.chi_G_stratified(

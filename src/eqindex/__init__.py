@@ -33,18 +33,16 @@ _EXPORTS = {
     "gspace": (
         "GSimplicialComplex", "StratifiedGData", "barycentric_subdivide",
         "build_complex", "chi_G_simplicial", "chi_G_stratified",
-        "chi_k_direct", "chi_orbifold_direct", "fixed_subcomplex"),
+        "chi_k_direct", "fixed_subcomplex"),
     "indices": (
         "FixedSetIndexData", "PoincareHopfReport", "SingularOrbitDatum",
-        "StratumIndexData", "equivariant_milnor", "fixed_indices_from_index",
-        "gsv_assemble_from_dims", "gsv_from_radial", "higher_order_index",
-        "index_from_strata", "index_from_quotient",
-        "index_from_fixed_indices", "induce_orbit_index",
-        "poincare_hopf_check"),
+        "fixed_indices_from_index", "gsv_assemble_from_dims",
+        "gsv_from_radial", "index_from_strata", "index_from_fixed_indices",
+        "induce_orbit_index", "poincare_hopf_check"),
     "invertible": (
         "Atom", "DualityReport", "InvertiblePolynomial", "chi_G_milnor",
-        "duality_check", "fixed_locus", "index_df", "milnor_number",
-        "pairing", "restrict_to", "symmetry_group", "transpose", "validate"),
+        "duality_check", "index_df", "milnor_number", "pairing",
+        "restrict_to", "symmetry_group", "transpose", "validate"),
 }
 
 # exported name -> the submodule that defines it

@@ -167,9 +167,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
     def conj(self, x: int, g: int) -> int:
         """g^{-1} x g."""
         return self.table[self.table[self.inverse[g]][x]][g]
@@ -295,9 +292,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def member_tuple(self) -> tuple:
-        return tuple(sorted(self.members))
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a standalone group.

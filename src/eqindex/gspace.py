@@ -1,7 +1,7 @@
 """Finite models of G-spaces and their equivariant Euler characteristics.
 
-Two models: `StratifiedGData` records the Euler characteristic of each
-orbit-type quotient stratum directly; `GSimplicialComplex` is a finite
+Two models: `StratifiedGData` records one integer per orbit-type stratum
+(chi of its quotient, or an index total); `GSimplicialComplex` is a finite
 simplicial complex with a simplicial group action, from which everything is
 computed combinatorially.
 
@@ -23,9 +23,9 @@ from .groups import FiniteGroup, Subgroup, trivial_group
 
 
 class StratifiedGData:
-    """Orbit-type strata with the Euler characteristic of each quotient.
+    """Orbit-type strata with one integer each: chi(V_i/G), or an index.
 
-    `strata` is a sequence of (class_index, chi(V_i/G)) pairs; class indices
+    `strata` is a sequence of (class_index, integer) pairs; class indices
     refer to ConjSub(G) in the canonical lattice order.
     """
 
@@ -263,7 +263,7 @@ def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
 
 def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     """chi^(k)(X, G) averaged over commuting (k+1)-tuples on fixed
-    subcomplexes.
+    subcomplexes; k = 1 is the orbifold Euler characteristic.
 
     Averages chi(X^{<g_0..g_k>}) over all pairwise-commuting tuples; must
     agree with r_k(chi_G_simplicial(X)).  chi(X^H) is counted directly, for
@@ -283,8 +283,3 @@ def chi_k_direct(x: GSimplicialComplex, k: int) -> int:
     if total % group.order:
         raise IntegralityError("averaged fixed-point count is not an integer")
     return total // group.order
-
-
-def chi_orbifold_direct(x: GSimplicialComplex) -> int:
-    """The orbifold Euler characteristic: commuting pairs, i.e. chi^(1)."""
-    return chi_k_direct(x, 1)

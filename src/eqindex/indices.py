@@ -1,8 +1,9 @@
 """Equivariant radial and GSV index assembly.
 
-Index data enters as integers attached to strata, quotient strata, fixed
-sets, or singular orbits; the operations here are the Burnside-ring
-bookkeeping that turns such data into an equivariant index and back.
+Index data enters as integers attached to strata, fixed sets, or singular
+orbits; the operations here are the Burnside-ring bookkeeping that turns
+such data into an equivariant index and back (quotient-strata indices just
+sum, by `gspace.chi_G_stratified`).
 Fixed-set data are the marks of the index, so they invert through the table
 of marks; class-poset data, when given, are inverted by the Moebius function
 of ConjSub(G) as a cross-check and must agree.  Any non-integral coefficient
@@ -11,23 +12,14 @@ is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .burnside import (BurnsideElement, element_from_marks, induce,
-                       marks_vector, r_k, zero)
+                       marks_vector, zero)
 from .errors import (InconsistentDataError, IntegralityError,
                      NotASubgroupError, _int)
 from .groups import FiniteGroup, Subgroup
-from .gspace import StratifiedGData, chi_G_stratified
-
-
-class StratumIndexData:
-    """Per-stratum index totals: (class_index of the isotropy, total index)."""
-
-    def __init__(self, group: FiniteGroup, entries):
-        self.group = group
-        self.entries = StratifiedGData(group, entries).strata
+from .gspace import StratifiedGData
 
 
 class FixedSetIndexData:
@@ -63,20 +55,18 @@ class FixedSetIndexData:
             self.per_class = None
 
 
-@dataclass
-class SingularOrbitDatum:
+class SingularOrbitDatum(NamedTuple):
     """A singular orbit: its isotropy subgroup and the local index there."""
     isotropy: Subgroup
     local_index: BurnsideElement  # over isotropy.as_group()
 
 
-@dataclass
-class PoincareHopfReport:
+class PoincareHopfReport(NamedTuple):
     passed: bool
     discrepancy: BurnsideElement
 
 
-def index_from_strata(data: StratumIndexData) -> BurnsideElement:
+def index_from_strata(data: StratifiedGData) -> BurnsideElement:
     """ind^G = sum over strata of (|G_i|/|G|) ind(X; V_i, 0) [G/G_i].
 
     Each stratum's singular points split into orbits isomorphic to [G/G_i],
@@ -86,7 +76,7 @@ def index_from_strata(data: StratumIndexData) -> BurnsideElement:
     lat = group.lattice()
     n = group.order
     coeffs = [0] * lat.num_classes
-    for c, ind in data.entries:
+    for c, ind in data.strata:
         h = lat.class_order(c)
         num = h * ind
         if num % n:
@@ -94,12 +84,6 @@ def index_from_strata(data: StratumIndexData) -> BurnsideElement:
                 f"stratum index {ind} is not a multiple of the orbit size {n // h}")
         coeffs[c] += num // n
     return BurnsideElement(group, coeffs)
-
-
-def index_from_quotient(group: FiniteGroup, per_class_quotient_index) -> BurnsideElement:
-    """ind^G = sum of ind(X-bar; V^{([H])}/G, 0) [G/H] from quotient data:
-    the stratified Euler characteristic sum, with indices for chi."""
-    return chi_G_stratified(StratifiedGData(group, per_class_quotient_index))
 
 
 def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
@@ -213,15 +197,3 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
     except IntegralityError:
         raise IntegralityError(
             "GSV assembly produced a non-integer coefficient") from None
-
-
-def equivariant_milnor(chibar: BurnsideElement, n: int) -> BurnsideElement:
-    """mu^G_f = (-1)^(n-1) * reduced chi^G(M_f) for an n-variable germ."""
-    if (n - 1) % 2:
-        return -chibar
-    return chibar
-
-
-def higher_order_index(b: BurnsideElement, k: int) -> int:
-    """ind^{G,(k)} = r_G^(k)(ind^G); k = 1 is the orbifold index."""
-    return r_k(b, k)

@@ -36,16 +36,16 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
+from typing import NamedTuple
 
 from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError, _int)
-from .groups import FiniteGroup, canonical_order, diagonal_group_from_integers
+from .groups import (MAX_ORDER, FiniteGroup, canonical_order,
+                     diagonal_group_from_integers)
 
-SYMMETRY_ORDER_BOUND = 2000
 DUALITY_ORDER_BOUND = 500
 
 
@@ -104,8 +104,7 @@ def solve_exact(matrix, rhs_columns):
 
 # -- polynomial shape ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One block of the Fermat/chain/loop decomposition.
 
     `variables` lists column indices in atom order; `exponents[i]` is the
@@ -116,12 +115,12 @@ class Atom:
     exponents: tuple
 
 
-@dataclass(frozen=True)
 class InvertiblePolynomial:
-    E: tuple
-    atoms: tuple
-    weights: tuple
-    det: int
+    __slots__ = ("E", "atoms", "weights", "det", "_symmetry_group")
+
+    def __init__(self, E, atoms, weights, det):
+        self.E, self.atoms, self.weights, self.det = E, atoms, weights, det
+        self._symmetry_group = None
 
     @property
     def n(self) -> int:
@@ -272,14 +271,13 @@ def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     """G_f as a diagonal group, generated by the columns of
     E^{-1} = adj(E) / det E mod 1, as integer vectors over |det E| (reduced
     by their common gcd); order |det E|.  Built once per f and kept on it."""
-    group = getattr(f, "_symmetry_group", None)
-    if group is not None:
-        return group
+    if f._symmetry_group is not None:
+        return f._symmetry_group
     if f.n == 0:
         raise InvalidPolynomialError("empty polynomial has no ambient space")
-    if abs(f.det) > SYMMETRY_ORDER_BOUND:
+    if abs(f.det) > MAX_ORDER:
         raise OrderBoundError(
-            f"symmetry group order {abs(f.det)} exceeds {SYMMETRY_ORDER_BOUND}")
+            f"symmetry group order {abs(f.det)} exceeds {MAX_ORDER}")
     identity_cols = [[1 if r == c else 0 for r in range(f.n)]
                      for c in range(f.n)]
     d, cols = _fraction_free_solve(f.E, identity_cols)
@@ -288,7 +286,7 @@ def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     group = diagonal_group_from_integers(cols, d)
     if group.order != abs(f.det):
         raise IntegralityError("symmetry group order does not match |det E|")
-    object.__setattr__(f, "_symmetry_group", group)  # f is frozen
+    f._symmetry_group = group
     return group
 
 
@@ -395,12 +393,6 @@ def _locus_mask(masks, members) -> int:
     return reduce(operator.and_, map(masks.__getitem__, members), -1)
 
 
-def fixed_locus(group: FiniteGroup, members) -> frozenset:
-    """Coordinates on which every element of the subgroup acts trivially."""
-    mask = _locus_mask(group.fixed_masks, members)
-    return frozenset(j for j in range(len(group.keys[0])) if mask >> j & 1)
-
-
 def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
     """Restrict to the coordinate subspace `coords` (a fixed locus).
 
@@ -465,8 +457,7 @@ def index_df(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
 
 # -- duality report -------------------------------------------------------------
 
-@dataclass
-class DualityPair:
+class DualityPair(NamedTuple):
     subgroup_label: str
     subgroup_order: int
     dual_label: str
@@ -493,8 +484,7 @@ class DualityPair:
             (-1) ** self.dimension * self.dual_orbifold_index
 
 
-@dataclass
-class DualityReport:
+class DualityReport(NamedTuple):
     E: tuple
     dual_E: tuple
     orbit_index: int          # r_0 of the index of df over the full G_f

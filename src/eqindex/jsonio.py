@@ -22,7 +22,7 @@ from .groups import FiniteGroup, Subgroup, build_group
 if TYPE_CHECKING:
     from .burnside import BurnsideElement, ClassFunction
     from .gspace import GSimplicialComplex, StratifiedGData
-    from .indices import FixedSetIndexData, StratumIndexData
+    from .indices import FixedSetIndexData
     from .invertible import DualityReport, InvertiblePolynomial
 
 
@@ -160,9 +160,9 @@ def strata_from_json(group: FiniteGroup, obj) -> StratifiedGData:
     return StratifiedGData(group, _class_entries(group, obj, "chi"))
 
 
-def stratum_index_from_json(group: FiniteGroup, obj) -> StratumIndexData:
-    from .indices import StratumIndexData
-    return StratumIndexData(group, _class_entries(group, obj, "ind"))
+def stratum_index_from_json(group: FiniteGroup, obj) -> StratifiedGData:
+    from .gspace import StratifiedGData
+    return StratifiedGData(group, _class_entries(group, obj, "ind"))
 
 
 def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
@@ -178,11 +178,15 @@ def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
         raise InputError("complex action must map generator labels to images")
     images = {}
     for label, imgs in action.items():
-        if not (label.startswith("g") and label[1:].isdigit()):
+        digits = label[1:]
+        if not (label.startswith("g") and digits.isascii() and digits.isdigit()):
             raise InputError(f"unknown generator label {label!r}")
-        pos = int(label[1:])
+        # int() refuses thousands of digits; ten already put it out of range
+        pos = int(digits.lstrip("0")[:10] or 0)
         if pos >= len(group.generators):
             raise InputError(f"generator label {label!r} out of range")
+        if pos in images:
+            raise InputError(f"generator label {label!r} repeats g{pos}")
         if not isinstance(imgs, list) or len(imgs) != len(vertices):
             raise InputError(f"action for {label!r} has wrong length")
         if any(v not in vertices for v in imgs):

@@ -10,7 +10,8 @@ directly on cosets; the commuting-tuple oracle enumerates every tuple and
 closes it, and the lattice oracle joins every pair of subgroups, both
 closing by a breadth-first walk of their own; the exact-isotropy oracle
 assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
-through the table of marks.
+through the table of marks; the fixed-locus oracle reads a diagonal group's
+keys, not its `fixed_masks`.
 """
 
 from fractions import Fraction
@@ -335,6 +336,16 @@ def subgroup_lattice_oracle(group):
         classes += 1
     labels = [f"H{len(m)}_{i}" for i, m in enumerate(members)]
     return members, labels, mu, class_of
+
+
+# -- fixed loci of diagonal groups ----------------------------------------------
+
+def fixed_locus(group, members) -> frozenset:
+    """The coordinates on which every listed element of a diagonal group acts
+    trivially: those at which each member's key (its phase numerators over
+    the group's denominator) is 0."""
+    return frozenset(j for j in range(len(group.keys[0]))
+                     if all(group.keys[m][j] == 0 for m in members))
 
 
 # -- chi^G from fixed-point Euler characteristics -------------------------------

@@ -270,6 +270,18 @@ MALFORMED = {
     "simplex-mixed-types": (["euler", "simplicial"], {
         "group": Z6_PRES, "complex": {"vertices": [0, 1],
                                       "simplices": [[0, "a"]]}}),
+    # README: "gN" names the N-th generator, in ASCII digits, once
+    "generator-label-unicode-digit": (["euler", "simplicial"], {
+        "group": {"kind": "diagonal", "phases": [[[1, 2]]]},
+        "complex": {"vertices": [0, 1], "simplices": [[0], [1]],
+                    "action": {"g\u00b2": [1, 0]}}}),
+    "generator-label-twice": (["euler", "simplicial"], {
+        "group": {"kind": "diagonal", "phases": [[[1, 2]]]},
+        "complex": {"vertices": [0, 1], "simplices": [[0], [1]],
+                    "action": {"g0": [1, 0], "g00": [0, 1]}}}),
+    "generator-label-over-digit-limit": (["euler", "orbifold"], {
+        "group": Z6_PRES, "complex": {"vertices": [0], "simplices": [[0]],
+                                      "action": {"g" + "1" * 5000: [0]}}}),
     "simplex-with-null": (["euler", "orbifold"], {
         "group": Z6_PRES, "complex": {"vertices": [0, 1],
                                       "simplices": [[0, None]]}}),

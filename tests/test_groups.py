@@ -39,8 +39,8 @@ def test_identity_and_inverses():
         e = g.identity
         for i in g.elements():
             assert g.mul(i, e) == i == g.mul(e, i)
-            assert g.mul(i, g.inv(i)) == e
-            assert g.mul(g.inv(i), i) == e
+            assert g.mul(i, g.inverse[i]) == e
+            assert g.mul(g.inverse[i], i) == e
 
 
 def test_closure_property():
@@ -453,8 +453,8 @@ def test_lattice_construction_is_deterministic():
     b = perm_group(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
     la, lb = a.lattice(), b.lattice()
     assert a.keys == b.keys and a.table == b.table
-    assert [s.member_tuple() for s in la.subgroups] == \
-           [s.member_tuple() for s in lb.subgroups]
+    assert [s.members for s in la.subgroups] == \
+           [s.members for s in lb.subgroups]
     assert la.labels == lb.labels
     assert la.mu_sub == lb.mu_sub and la.mu_conj == lb.mu_conj
     assert a.fingerprint == b.fingerprint

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from eqindex import (InconsistentDataError, OrderBoundError, RegularityError,
                      StratifiedGData, barycentric_subdivide, build_complex,
                      chi_G_simplicial, chi_G_stratified, chi_k_direct,
-                     chi_orbifold_direct, cyclic_group, fixed_subcomplex,
-                     perm_group, trivial_group)
+                     cyclic_group, fixed_subcomplex, perm_group,
+                     trivial_group)
 from eqindex.burnside import cardinality, marks_vector, one, r_k
 from eqindex import gspace
 from eqindex.gspace import GSimplicialComplex
@@ -176,7 +176,7 @@ def test_chi_k_direct_builds_no_complex_or_group(monkeypatch):
 def test_orbifold_fixture_square_reflection():
     x = by_name("square-diag-reflection")
     assert chi_k_direct(x, 0) == 1
-    assert chi_orbifold_direct(x) == 3
+    assert chi_k_direct(x, 1) == 3  # the orbifold Euler characteristic
 
 
 # -- regularity and subdivision --------------------------------------------------------

@@ -30,18 +30,16 @@ EXPORTS = {
     "gspace": [
         "GSimplicialComplex", "StratifiedGData", "barycentric_subdivide",
         "build_complex", "chi_G_simplicial", "chi_G_stratified",
-        "chi_k_direct", "chi_orbifold_direct", "fixed_subcomplex"],
+        "chi_k_direct", "fixed_subcomplex"],
     "indices": [
         "FixedSetIndexData", "PoincareHopfReport", "SingularOrbitDatum",
-        "StratumIndexData", "equivariant_milnor", "fixed_indices_from_index",
-        "gsv_assemble_from_dims", "gsv_from_radial", "higher_order_index",
-        "index_from_strata", "index_from_quotient",
-        "index_from_fixed_indices", "induce_orbit_index",
-        "poincare_hopf_check"],
+        "fixed_indices_from_index", "gsv_assemble_from_dims",
+        "gsv_from_radial", "index_from_strata", "index_from_fixed_indices",
+        "induce_orbit_index", "poincare_hopf_check"],
     "invertible": [
         "Atom", "DualityReport", "InvertiblePolynomial", "chi_G_milnor",
-        "duality_check", "fixed_locus", "index_df", "milnor_number",
-        "pairing", "restrict_to", "symmetry_group", "transpose", "validate"],
+        "duality_check", "index_df", "milnor_number", "pairing",
+        "restrict_to", "symmetry_group", "transpose", "validate"],
 }
 
 
@@ -117,7 +115,14 @@ def test_import_eqindex_loads_no_submodule():
     (["burnside", "rk", "--k", "1"],
      {"group": Z6, "element": {"coeffs": [{"class": "H1_0", "a": 1}]}},
      ["eqindex.gspace", "eqindex.indices", "eqindex.invertible"]),
-], ids=["group-info", "group-lattice", "burnside-rk"])
+    (["index", "invert"],
+     {"group": Z6, "per_subgroup": {"H1_0": 1, "H2_1": 1, "H3_2": 1,
+                                    "H6_3": 1}},
+     ["eqindex.invertible", "dataclasses"]),
+    (["poly", "analyze"], {"E": [[2, 1], [0, 3]]},
+     ["eqindex.gspace", "eqindex.indices", "dataclasses"]),
+], ids=["group-info", "group-lattice", "burnside-rk", "index-invert",
+        "poly-analyze"])
 def test_subcommand_loads_only_its_layers(argv, payload, unloaded):
     code, modules = child(CLI_CHILD, *argv, json.dumps(payload))
     assert code == 0

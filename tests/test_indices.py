@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqindex import (FixedSetIndexData, InconsistentDataError,
-                     IntegralityError, SingularOrbitDatum, StratumIndexData,
-                     cyclic_group, equivariant_milnor,
+                     IntegralityError, SingularOrbitDatum, StratifiedGData,
                      fixed_indices_from_index, gsv_assemble_from_dims,
-                     gsv_from_radial, higher_order_index, index_from_strata,
-                     index_from_quotient, index_from_fixed_indices,
-                     induce_orbit_index, perm_group, poincare_hopf_check,
-                     trivial_group)
+                     gsv_from_radial, index_from_strata,
+                     index_from_fixed_indices, induce_orbit_index,
+                     poincare_hopf_check, trivial_group)
 from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
-                              marks_vector, one, zero)
-from eqindex.gspace import chi_G_simplicial
+                              marks_vector, one, r_k, zero)
+from eqindex.gspace import chi_G_simplicial, chi_G_stratified
 
 from complex_suite import suite
 from groups_pool import larger, pool, random_elements
@@ -26,40 +24,42 @@ POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
 def test_index_from_strata_trivial_group():
     t = trivial_group()
-    d = StratumIndexData(t, [(0, 7)])
+    d = StratifiedGData(t, [(0, 7)])
     assert index_from_strata(d).coeffs == (7,)
 
 
 def test_index_from_strata_z6_chain_example():
     z6 = pool()["Z6"]
-    d = StratumIndexData(z6, [(3, 1), (0, 6), (1, -3)])
+    d = StratifiedGData(z6, [(3, 1), (0, 6), (1, -3)])
     assert index_from_strata(d).coeffs == (1, -1, 0, 1)
 
 
 def test_index_from_strata_empty_and_nonintegral():
     z6 = pool()["Z6"]
-    assert index_from_strata(StratumIndexData(z6, [])).is_zero()
+    assert index_from_strata(StratifiedGData(z6, [])).is_zero()
     with pytest.raises(IntegralityError):
-        index_from_strata(StratumIndexData(z6, [(0, 5)]))  # 5 not divisible by 6
+        index_from_strata(StratifiedGData(z6, [(0, 5)]))  # 5 not divisible by 6
 
 
 def test_index_from_strata_rejects_non_integer_totals():
     # 6.7 was truncated to 6, giving [G/e]
     with pytest.raises(InconsistentDataError, match="stratum"):
-        index_from_strata(StratumIndexData(pool()["Z6"], [(0, 6.7)]))
+        index_from_strata(StratifiedGData(pool()["Z6"], [(0, 6.7)]))
 
 
 def test_index_from_strata_cardinality_is_total_index():
     z6 = pool()["Z6"]
-    d = StratumIndexData(z6, [(3, 2), (0, 12), (2, -4)])
+    d = StratifiedGData(z6, [(3, 2), (0, 12), (2, -4)])
     assert cardinality(index_from_strata(d)) == 2 + 12 - 4
 
 
 def test_index_from_quotient():
+    # indices on quotient strata sum like Euler characteristics
     z6 = pool()["Z6"]
-    assert index_from_quotient(z6, [(3, 1)]) == one(z6)
-    assert index_from_quotient(z6, [(0, -1), (1, 1), (2, 1)]).coeffs == (-1, 1, 1, 0)
-    assert index_from_quotient(z6, []).is_zero()
+    assert chi_G_stratified(StratifiedGData(z6, [(3, 1)])) == one(z6)
+    assert chi_G_stratified(StratifiedGData(
+        z6, [(0, -1), (1, 1), (2, 1)])).coeffs == (-1, 1, 1, 0)
+    assert chi_G_stratified(StratifiedGData(z6, [])).is_zero()
 
 
 # -- forward evaluation of fixed-set indices -------------------------------------------
@@ -391,24 +391,15 @@ def test_gsv_assemble_round_trip_against_forward_formula():
             assert gsv_assemble_from_dims(g, dims, fixed_dims, k) == b
 
 
-# -- Milnor element and higher-order indices ------------------------------------------------
-
-def test_equivariant_milnor_parity():
-    z6 = pool()["Z6"]
-    chibar = BurnsideElement(z6, (-1, 1, 0, -1))
-    assert equivariant_milnor(chibar, 3) == chibar
-    assert equivariant_milnor(chibar, 2) == -chibar
-    assert equivariant_milnor(zero(z6), 2).is_zero()
-    mu = equivariant_milnor(chibar, 2)
-    assert cardinality(mu) == 4
-
+# -- higher-order indices ------------------------------------------------------------------
 
 def test_higher_order_index():
+    # ind^{G,(k)} = r_k(ind^G); k = 1 is the orbifold index
     z6 = pool()["Z6"]
     b = BurnsideElement(z6, (1, -1, 0, 1))
-    assert higher_order_index(b, 0) == 1
-    assert higher_order_index(b, 1) == 6 - 2 + 1
-    assert higher_order_index(zero(z6), 1) == 0
+    assert r_k(b, 0) == 1
+    assert r_k(b, 1) == 6 - 2 + 1
+    assert r_k(zero(z6), 1) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, InvalidPolynomialError,
                      OrderBoundError, PairingError,
-                     chi_G_milnor, duality_check, fixed_locus, index_df,
-                     milnor_number, pairing, restrict_to, symmetry_group,
-                     transpose, validate)
+                     chi_G_milnor, duality_check, index_df, milnor_number,
+                     pairing, restrict_to, symmetry_group, transpose,
+                     validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
 from eqindex import groups, invertible
 from eqindex.groups import build_group, diagonal_group
 from eqindex.invertible import (InvertiblePolynomial, _fixed_chi,
-                                _orbifold_indices, check_perfect_pairing,
-                                det_int, solve_exact)
+                                _locus_mask, _orbifold_indices,
+                                check_perfect_pairing, det_int, solve_exact)
 
 from invertible_family import duality_family, mu_oracle_family
-from oracles import chi_G_exact_isotropy_oracle, milnor_number_jacobian
+from oracles import (chi_G_exact_isotropy_oracle, fixed_locus,
+                     milnor_number_jacobian)
 
 FERMAT = validate([[2, 0], [0, 3]])        # x^2 + y^3
 CHAIN = validate([[2, 1], [0, 3]])         # x^2 y + y^3
@@ -375,6 +376,18 @@ def test_fixed_locus_examples():
     z3 = lat.subgroups[2]
     assert z3.order == 3
     assert fixed_locus(gf, z3.members) == frozenset()
+
+
+def test_locus_masks_match_the_key_oracle():
+    checked = 0
+    for f in duality_family(24, 3):
+        for gf in (symmetry_group(f), symmetry_group(transpose(f))):
+            for sub in gf.lattice().subgroups:
+                expected = sum(1 << j for j in fixed_locus(gf, sub.members))
+                assert _locus_mask(gf.fixed_masks, sub.members) == expected, \
+                    (f.E, sub.members)
+                checked += 1
+    assert checked > 1000
 
 
 def test_restrict_to_examples():

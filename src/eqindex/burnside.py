@@ -23,10 +23,8 @@ integrality is a theorem, so a violation means a bug or inconsistent input.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, expand
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -119,21 +117,32 @@ def basis_element(group: FiniteGroup, class_index: int) -> BurnsideElement:
 
 class TableOfMarks:
     """marks[k][h] = |(G/K)^H| = |N_G(K):K| * #{K' in [K] : H <= K'}, over
-    conjugacy classes in canonical order."""
+    conjugacy classes in canonical order, kept as its non-zero entries only:
+    `rows[k]` holds the pairs (h, mark), ascending in h and ending at the
+    diagonal (k, |N_G(K):K|), and `diagonal[k]` is that mark.  Column h is
+    read from the up-set of the representative of [H] in the lattice.
+    """
 
     def __init__(self, group: FiniteGroup):
         lat = group.lattice()
-        nc = lat.num_classes
-        ratio = [lat.normalizer_order(r) // lat.subgroups[r].order
-                 for r in lat.representatives]
-        matrix = [[0] * nc for _ in range(nc)]
+        ratio = [lat.normalizer_order(r) // q
+                 for r, q in zip(lat.representatives, lat.class_orders)]
+        self.rows = [[] for _ in ratio]
         for h, r in enumerate(lat.representatives):
-            for j, above in enumerate(lat.leq[r]):
-                if above:
-                    k = lat.class_of[j]
-                    matrix[k][h] += ratio[k]
+            count = {}
+            for j in lat.up[r]:
+                k = lat.class_of[j]
+                count[k] = count.get(k, 0) + 1
+            for k, m in count.items():
+                self.rows[k].append((h, ratio[k] * m))
+        self.diagonal = ratio
         self.group = group
-        self.matrix = matrix
+
+    @property
+    def matrix(self) -> list:
+        """The dense table marks[k][h], expanded from the rows on each read
+        (for output; the ring operations walk the rows)."""
+        return expand(self.rows, len(self.rows))
 
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:
@@ -144,27 +153,33 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 
 def marks_vector(b: BurnsideElement) -> tuple:
     """mark(b, [H]) for every class [H], i.e. the fixed-point counts."""
-    m = table_of_marks(b.group).matrix
-    out = [0] * len(m)
-    for k, a in enumerate(b.coeffs):
-        if a:  # m[k][h] = 0 unless [H] <= [K], so h <= k
-            for h, x in enumerate(m[k][:k + 1]):
-                out[h] += a * x
+    rows = table_of_marks(b.group).rows
+    out = [0] * len(rows)
+    for a, row in zip(b.coeffs, rows):
+        if a:
+            for h, mark in row:
+                out[h] += a * mark
     return tuple(out)
 
 
 def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
-    """Invert the triangular table of marks; must land in integers."""
-    m = table_of_marks(group).matrix
-    nc = len(m)
-    out = [0] * nc
-    for h in range(nc - 1, -1, -1):
-        s = marks[h] - sum(out[k] * m[k][h] for k in range(h + 1, nc))
-        d = m[h][h]
-        if s % d:
+    """Invert the triangular table of marks; must land in integers.
+
+    Back substitution from the top class down: once the coefficient a_K is
+    known, a_K times row K is subtracted from the marks still to be solved.
+    """
+    tom = table_of_marks(group)
+    rest = list(marks)
+    out = [0] * len(tom.diagonal)
+    for k in range(len(out) - 1, -1, -1):
+        a, r = divmod(rest[k], tom.diagonal[k])
+        if r:
             raise IntegralityError(
                 "mark vector is not in the image of the Burnside ring")
-        out[h] = s // d
+        if a:
+            out[k] = a
+            for h, mark in tom.rows[k]:  # ends at h = k, not read again
+                rest[h] -= a * mark
     return BurnsideElement(group, out)
 
 
@@ -227,7 +242,8 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     in each conjugacy class.  Cached per group and k.
 
     Each abelian A (its members commute pairwise; every A, when G is abelian)
-    adds Hall's phi_{k+1}(A), summed over the rows B of the lattice's `mu_sub`.
+    adds Hall's phi_{k+1}(A), summed over the non-zero mu(B, A) of the
+    lattice's Moebius rows `mu`.
     """
     if k in group._tuple_counts:
         return group._tuple_counts[k]
@@ -242,12 +258,11 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
                                        for y in s.members)
                for s in lat.subgroups]
     counts = [0] * lat.num_classes
-    for b, row in enumerate(lat.mu_sub):
+    for b, row in enumerate(lat.mu):
         power = lat.subgroups[b].order ** (k + 1)
-        # the A with mu(B, A) != 0; every row is 0 left of its diagonal
-        for a in compress(range(b, len(row)), row[b:]):
+        for a, m in row:
             if abelian[a]:
-                counts[lat.class_of[a]] += row[a] * power
+                counts[lat.class_of[a]] += m * power
     result = tuple(counts)
     group._tuple_counts[k] = result
     return result

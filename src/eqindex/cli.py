@@ -102,7 +102,7 @@ def cmd_burnside_marks(args, payload):
     return {
         "group": group.fingerprint,
         "classes": list(lat.class_labels),
-        "marks": [list(r) for r in burnside.table_of_marks(group).matrix],
+        "marks": burnside.table_of_marks(group).matrix,
     }
 
 

@@ -343,9 +343,16 @@ class SubgroupLattice:
     `generators[i]` are the generators of the join that first produced
     subgroup i: at most log2|H| + 1, since each join at least doubles.
     `cyclic_of[g]` is the index of <g>, and `cyclic_generators` maps the
-    index of each cyclic subgroup to one generator of it.  `leq[i][j]` is 1
-    when subgroup i lies in subgroup j and 0 otherwise; for an abelian group
-    `zeta_conj` and `mu_conj` are the very lists `leq` and `mu_sub`.
+    index of each cyclic subgroup to one generator of it.
+
+    Both posets are stored as sparse rows, never as square matrices, since
+    few pairs are comparable and fewer have a non-zero Moebius value:
+    `up[i]` lists, ascending, the subgroups that contain subgroup i (i
+    first), and `mu[i]` the pairs (j, mu(i, j)) with mu(i, j) != 0.
+    `class_up` and `class_mu` are the same rows over ConjSub G, where
+    [H] <= [K] when H lies in a conjugate of K; for an abelian group they
+    are the very lists `up` and `mu`.  `class_orders[c]` is the order of
+    the subgroups in class c.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -376,8 +383,8 @@ class SubgroupLattice:
         self.cyclic_generators = {self.member_index[c]: g
                                   for g, c in cyclics.items()}
         ns = len(self.subgroups)
-        self.leq = [[1 if s.members <= t.members else 0
-                     for t in self.subgroups] for s in self.subgroups]
+        self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
+                            for s in self.subgroups])
 
         # conjugacy classes of subgroups and normalizers, by orbit and
         # stabilizer: each class representative R is conjugated by every g
@@ -410,22 +417,19 @@ class SubgroupLattice:
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
 
+        self.class_orders = [self.subgroups[r].order
+                             for r in self.representatives]
+
         # Moebius functions of Sub G and ConjSub G (canonical index order
         # extends inclusion); for abelian G every class is one subgroup, so
-        # the two posets share one zeta and one Moebius matrix
-        self.mu_sub = _moebius(self.leq)
-        nc = self.num_classes
+        # the two posets share their rows
+        self.mu = _moebius_rows(self.up)
         if abelian:
-            self.zeta_conj = self.leq
-            self.mu_conj = self.mu_sub
+            self.class_up, self.class_mu = self.up, self.mu
         else:
-            self.zeta_conj = [[0] * nc for _ in range(nc)]
-            for a in range(nc):
-                rep = self.representatives[a]
-                for b in range(nc):
-                    if any(self.leq[rep][j] for j in self.classes[b]):
-                        self.zeta_conj[a][b] = 1
-            self.mu_conj = _moebius(self.zeta_conj)
+            self.class_up = [sorted({self.class_of[j] for j in self.up[r]})
+                             for r in self.representatives]
+            self.class_mu = _moebius_rows(self.class_up)
 
         self.class_labels = [self.labels[r] for r in self.representatives]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -456,7 +460,7 @@ class SubgroupLattice:
             raise NotASubgroupError(f"unknown class label {label!r}") from None
 
     def class_order(self, c: int) -> int:
-        return self.subgroups[self.representatives[c]].order
+        return self.class_orders[c]
 
     def normalizer_order(self, i: int) -> int:
         return self.subgroups[self.normalizers[i]].order
@@ -471,19 +475,72 @@ def canonical_order(member_sets) -> tuple:
     return canonical, [f"H{len(m)}_{i}" for i, m in enumerate(canonical)]
 
 
-def _moebius(zeta) -> list:
-    """The Moebius function of a finite poset from its zeta matrix, whose
-    index order must extend the partial order."""
-    n = len(zeta)
-    mu = [[0] * n for _ in range(n)]
-    for h in range(n):
-        above = [k for k in range(h, n) if zeta[h][k]]
-        mu_h = mu[h]
-        mu_h[h] = 1
-        for i in range(1, len(above)):
-            l = above[i]
-            mu_h[l] = -sum(mu_h[k] for k in above[:i] if zeta[k][l])
-    return mu
+def expand(rows, n: int) -> list:
+    """The dense n x n matrix whose row i holds the (column, value) pairs of
+    `rows[i]` and 0 elsewhere: the sparse rows of a lattice or a table of
+    marks written out for output only."""
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, v in row:
+            dense[j] = v
+        out.append(dense)
+    return out
+
+
+def _up_sets(cyclics) -> list:
+    """Per element of a poset of subgroups, in an order that extends
+    inclusion, the ascending list of the elements above it, given for each
+    element the set of ids of the cyclic subgroups it contains
+    (`cyclics[i]`).
+
+    A subgroup is the union of its cyclic subgroups, so S <= T exactly when
+    every cyclic subgroup of S lies in T: with U_c the bitmask of the
+    subgroups that contain c, the up-set of S is the AND of U_c over the c
+    in S, read out lowest bit first.
+    """
+    masks = {}  # c -> U_c
+    for i, cs in enumerate(cyclics):
+        bit = 1 << i
+        for c in cs:
+            masks[c] = masks.get(c, 0) | bit
+    up = []
+    for cs in cyclics:
+        mask = -1
+        for c in cs:
+            mask &= masks[c]
+        bits = bin(mask)[:1:-1]  # bit i at position i
+        row = []
+        i = bits.find("1")
+        while i >= 0:
+            row.append(i)
+            i = bits.find("1", i + 1)
+        up.append(row)
+    return up
+
+
+def _moebius_rows(up) -> list:
+    """The Moebius function of a finite poset as sparse rows: per element h,
+    the pairs (k, mu(h, k)) with mu(h, k) != 0, ascending in k.  `up[h]` is
+    the ascending up-set of h, starting at h; the index order must extend
+    the partial order.
+
+    mu(h, l) = -sum of mu(h, k) over h <= k < l, so each non-zero mu(h, k),
+    once final, is pushed forward onto the sums of the l above k.
+    """
+    rows = []
+    for h, up_h in enumerate(up):
+        pushed = dict.fromkeys(up_h, 0)
+        pushed[h] = -1  # so that mu(h, h) = 1
+        row = []
+        for k in up_h:
+            m = -pushed[k]
+            if m:
+                row.append((k, m))
+                for l in up[k]:
+                    pushed[l] += m
+        rows.append(row)
+    return rows
 
 
 def _cyclic_subgroups(group: FiniteGroup):

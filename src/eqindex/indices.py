@@ -12,14 +12,16 @@ is a hard error.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .burnside import (BurnsideElement, element_from_marks, induce,
                        marks_vector, zero)
 from .errors import (InconsistentDataError, IntegralityError,
                      NotASubgroupError, _int)
 from .groups import FiniteGroup, Subgroup
-from .gspace import StratifiedGData
+
+if TYPE_CHECKING:
+    from .gspace import StratifiedGData
 
 
 class FixedSetIndexData:
@@ -91,19 +93,17 @@ def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
 
     per_subgroup[H] = sum over subgroups K >= H of a_[K] |N_G(K)|/|K|,
     which is the mark of b at [H];
-    per_class[[H]]  = sum over classes [K] >= [H] of a_[K] |G|/|K|.
+    per_class[[H]]  = sum over classes [K] >= [H] of a_[K] |G|/|K|,
+    read along the up-set of [H] in ConjSub(G).
     """
     group = b.group
     lat = group.lattice()
     marks = marks_vector(b)
     per_subgroup = {h: marks[c] for h, c in enumerate(lat.class_of)}
-    per_class = {}
     n = group.order
-    for c in range(lat.num_classes):
-        zeta_c = lat.zeta_conj[c]
-        per_class[c] = sum(
-            b.coeffs[k] * (n // lat.class_order(k))
-            for k in range(lat.num_classes) if zeta_c[k])
+    weighted = [a * (n // q) for a, q in zip(b.coeffs, lat.class_orders)]
+    per_class = {c: sum(map(weighted.__getitem__, up))
+                 for c, up in enumerate(lat.class_up)}
     return FixedSetIndexData(group, per_subgroup, per_class)
 
 
@@ -128,11 +128,13 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
             "subgroup-poset inversion produced a non-integer coefficient") from None
     if data.per_class is not None:
         n = group.order
+        per_class = data.per_class
         coeffs_conj = []
-        for c in range(lat.num_classes):
-            total = sum(lat.mu_conj[c][k] * data.per_class[k]
-                        for k in range(lat.num_classes) if lat.zeta_conj[c][k])
-            a, r = divmod(lat.class_order(c) * total, n)
+        for q, row in zip(lat.class_orders, lat.class_mu):
+            total = 0
+            for k, m in row:
+                total += m * per_class[k]
+            a, r = divmod(q * total, n)
             if r:
                 raise IntegralityError(
                     "class-poset inversion produced a non-integer coefficient")

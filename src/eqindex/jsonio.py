@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError, _int
-from .groups import FiniteGroup, Subgroup, build_group
+from .groups import FiniteGroup, Subgroup, build_group, expand
 
 if TYPE_CHECKING:
     from .burnside import BurnsideElement, ClassFunction
@@ -124,9 +124,10 @@ def lattice_to_json(group: FiniteGroup) -> dict:
         "group": group.fingerprint,
         "subgroups": subgroups,
         "classes": classes,
-        "mu_sub": [list(row) for row in lat.mu_sub],
-        "mu_conj": [list(row) for row in lat.mu_conj],
-        "zeta_conj": [list(row) for row in lat.zeta_conj],
+        "mu_sub": expand(lat.mu, len(lat.subgroups)),
+        "mu_conj": expand(lat.class_mu, lat.num_classes),
+        "zeta_conj": expand([[(k, 1) for k in up] for up in lat.class_up],
+                            lat.num_classes),
     }
 
 

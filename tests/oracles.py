@@ -11,11 +11,14 @@ closes it, and the lattice oracle joins every pair of subgroups, both
 closing by a breadth-first walk of their own; the exact-isotropy oracle
 assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
 through the table of marks; the fixed-locus oracle reads a diagonal group's
-keys, not its `fixed_masks`.
+keys, not its `fixed_masks`; the dense poset oracles compare member sets
+pairwise and run the textbook Moebius recursion over the square zeta
+matrix, where the lattice stores sparse up-sets and Moebius rows.
 """
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from eqindex.burnside import BurnsideElement
 
@@ -383,15 +386,77 @@ def fixed_data_sub_moebius_oracle(group, values) -> list:
 
         a_[H] = (|H|/|N_G(H)|) sum over K >= H of mu'(H, K) values[K]
 
-    at each class representative H.  Reads only `leq`, `mu_sub`, the
-    subgroup orders and the normalizer orders of the lattice, never the
-    table of marks; a non-integral entry means no such element exists.
+    at each class representative H.  Inclusion and mu' are recomputed
+    densely from the member sets (`leq_oracle`, `moebius_oracle`); besides
+    them it reads only the subgroup and normalizer orders, never the table
+    of marks or the lattice's Moebius rows; a non-integral entry means no
+    such element exists.
     """
     lat = group.lattice()
+    leq = leq_oracle(lat)
+    mu = moebius_oracle(leq)
     coeffs = []
     for h in lat.representatives:
-        leq_h, mu_h = lat.leq[h], lat.mu_sub[h]
+        leq_h, mu_h = leq[h], mu[h]
         total = sum(mu_h[k] * v for k, v in enumerate(values) if leq_h[k])
         coeffs.append(Fraction(lat.subgroups[h].order * total,
                                lat.normalizer_order(h)))
     return coeffs
+
+
+# -- dense posets -----------------------------------------------------------------
+
+def leq_oracle(lat) -> list:
+    """leq[i][j] = 1 when subgroup i lies in subgroup j, from the member sets."""
+    members = [s.members for s in lat.subgroups]
+    return [[1 if s <= t else 0 for t in members] for s in members]
+
+
+def zeta_conj_oracle(lat, leq) -> list:
+    """zeta[a][b] = 1 when the representative of class a lies in some member
+    of class b, read from the dense `leq`."""
+    return [[1 if any(leq[r][j] for j in cls) else 0 for cls in lat.classes]
+            for r in lat.representatives]
+
+
+def moebius_oracle(zeta) -> list:
+    """The Moebius function of a finite poset from its dense zeta matrix,
+    whose index order must extend the partial order: mu(h, h) = 1 and
+    mu(h, l) = -sum of mu(h, k) over h <= k < l."""
+    n = len(zeta)
+    mu = [[0] * n for _ in range(n)]
+    for h in range(n):
+        above = [k for k in range(h, n) if zeta[h][k]]
+        mu_h = mu[h]
+        mu_h[h] = 1
+        for i in range(1, len(above)):
+            l = above[i]
+            mu_h[l] = -sum(mu_h[k] for k in above[:i] if zeta[k][l])
+    return mu
+
+
+class DenseLattice(NamedTuple):
+    leq: list
+    mu_sub: list
+    zeta_conj: list
+    mu_conj: list
+
+
+def _dense(n, rows) -> list:
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            out[i][j] = v
+    return out
+
+
+def expanded_lattice(lat) -> DenseLattice:
+    """The lattice's sparse rows (`up`, `mu`, `class_up`, `class_mu`)
+    written out as dense matrices by a loop of its own, so that tests can
+    state identities entry by entry."""
+    ns, nc = len(lat.subgroups), lat.num_classes
+    return DenseLattice(
+        _dense(ns, [[(j, 1) for j in up] for up in lat.up]),
+        _dense(ns, lat.mu),
+        _dense(nc, [[(j, 1) for j in up] for up in lat.class_up]),
+        _dense(nc, lat.class_mu))

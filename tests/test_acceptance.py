@@ -11,11 +11,11 @@ from eqindex import (SingularOrbitDatum, chi_G_milnor, duality_check,
                      fixed_indices_from_index, gsv_from_radial, index_df,
                      index_from_fixed_indices, poincare_hopf_check,
                      symmetry_group, validate)
-from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
-                              marks_vector, multiply, one, r_k, restrict)
+from eqindex.burnside import (basis_element, cardinality, marks_vector, one,
+                              r_k, restrict)
 from eqindex.gspace import chi_G_simplicial, chi_k_direct, fixed_subcomplex
 from eqindex.indices import FixedSetIndexData
-from eqindex.invertible import milnor_number, transpose
+from eqindex.invertible import milnor_number
 
 from complex_suite import suite
 from groups_pool import abelian_names, pool, random_elements

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqindex import cli, jsonio
 from eqindex.burnside import basis_element, one
-from eqindex.groups import build_group, cyclic_group, perm_group
+from eqindex.groups import build_group
 
 S3_PRES = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
 Z6_PRES = {"kind": "diagonal", "phases": [[[1, 6]]]}

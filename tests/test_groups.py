@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -10,11 +11,14 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      normalizer, perm_group, trivial_group)
 
 from eqindex import groups
+from eqindex.burnside import commuting_class_counts, table_of_marks
 from eqindex.invertible import symmetry_group, transpose, validate
 
 from groups_pool import abelian_names, larger, pool
 from invertible_family import duality_family
-from oracles import closure_oracle, subgroup_lattice_oracle
+from oracles import (closure_oracle, expanded_lattice, leq_oracle,
+                     marks_coset_oracle, moebius_oracle,
+                     subgroup_lattice_oracle, zeta_conj_oracle)
 
 
 def test_cyclic_closure_from_3cycle():
@@ -289,18 +293,18 @@ def test_s3_lattice():
 
 
 def test_s3_moebius_to_top():
-    lat = pool()["S3"].lattice()
+    mu_sub = expanded_lattice(pool()["S3"].lattice()).mu_sub
     # mu'(e, e)=1, three mu'(e, Z2)=-1, mu'(e, Z3)=-1, forcing 3 at the top
-    assert lat.mu_sub[0][0] == 1
-    assert lat.mu_sub[0][1] == lat.mu_sub[0][2] == lat.mu_sub[0][3] == -1
-    assert lat.mu_sub[0][4] == -1
-    assert lat.mu_sub[0][5] == 3
+    assert mu_sub[0][0] == 1
+    assert mu_sub[0][1] == mu_sub[0][2] == mu_sub[0][3] == -1
+    assert mu_sub[0][4] == -1
+    assert mu_sub[0][5] == 3
 
 
 def test_moebius_delta_identity_on_sub_poset():
     for g in pool().values():
-        lat = g.lattice()
-        ns = len(lat.subgroups)
+        lat = expanded_lattice(g.lattice())
+        ns = len(lat.leq)
         for h in range(ns):
             for l in range(ns):
                 if not lat.leq[h][l]:
@@ -312,8 +316,8 @@ def test_moebius_delta_identity_on_sub_poset():
 
 def test_moebius_delta_identity_on_conj_poset():
     for g in pool().values():
-        lat = g.lattice()
-        nc = lat.num_classes
+        lat = expanded_lattice(g.lattice())
+        nc = len(lat.zeta_conj)
         for a in range(nc):
             for b in range(nc):
                 if not lat.zeta_conj[a][b]:
@@ -369,7 +373,7 @@ def _assert_lattice_matches_oracle(group):
     members, labels, mu_sub, class_of = subgroup_lattice_oracle(group)
     assert [s.members for s in lat.subgroups] == members
     assert lat.labels == labels
-    assert lat.mu_sub == mu_sub
+    assert expanded_lattice(lat).mu_sub == mu_sub
     assert lat.class_of == class_of
 
 
@@ -448,6 +452,101 @@ def test_z8_cubed_has_802_subgroups():
     assert len(_diagonal_power(8, 3).lattice().subgroups) == 802
 
 
+def _nonzero(matrix, value=False):
+    """The non-zero entries of each row of a dense matrix, as the ascending
+    column indices or (with `value`) as (column, entry) pairs."""
+    return [[(j, x) if value else j for j, x in enumerate(row) if x]
+            for row in matrix]
+
+
+def _row_groups():
+    """(name, group) over the pool groups, S4, A5, S5, S4 x Z/2, (Z/2)^4 and
+    every ninth symmetry group of duality_family(24, 3)."""
+    yield from {**pool(), **larger()}.items()
+    yield "S4xZ2", _s4_z2()
+    yield "Z2^4", _diagonal_power(2, 4)
+    for i, f in enumerate(duality_family(24, 3)[::9]):
+        yield f"G_f #{9 * i}", symmetry_group(f)
+
+
+def test_stored_rows_match_dense_oracles():
+    # up-sets, Moebius rows and the table of marks, stored sparse, against
+    # dense inclusion, the dense Moebius recursion and counted fixed cosets
+    for name, group in _row_groups():
+        lat = group.lattice()
+        leq = leq_oracle(lat)
+        zeta_conj = zeta_conj_oracle(lat, leq)
+        assert lat.up == _nonzero(leq), name
+        assert lat.mu == _nonzero(moebius_oracle(leq), value=True), name
+        assert lat.class_up == _nonzero(zeta_conj), name
+        assert lat.class_mu == _nonzero(moebius_oracle(zeta_conj),
+                                        value=True), name
+        marks = marks_coset_oracle(group)
+        tom = table_of_marks(group)
+        assert tom.rows == _nonzero(marks, value=True), name
+        assert tom.diagonal == [row[k] for k, row in enumerate(marks)], name
+        assert tom.matrix == marks, name
+
+
+def _relabeled(group, seed):
+    """`group` rebuilt as a `table` presentation whose element pi[i] is the
+    group's element i, for a seeded random permutation pi; and pi."""
+    pi = list(range(group.order))
+    random.Random(seed).shuffle(pi)
+    table = [[0] * group.order for _ in pi]
+    for i, row in enumerate(group.table):
+        for j, x in enumerate(row):
+            table[pi[i]][pi[j]] = pi[x]
+    return build_group({"kind": "table", "table": table}), pi
+
+
+RELABELED_GROUPS = {
+    "S4": ORACLE_GROUPS["S4"][0],
+    "A5": ORACLE_GROUPS["A5"][0],
+    "S4xZ2": _s4_z2,
+    "D4": lambda: pool()["D4"],
+    "Z6^2": lambda: _diagonal_power(6, 2),
+    "Z2^4": lambda: _diagonal_power(2, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(RELABELED_GROUPS))
+def test_relabeled_table_presentation_has_the_same_lattice(name):
+    # a presentation-independent check: every lattice and Burnside-ring
+    # datum of the relabeled table is the original's, mapped through pi
+    group = RELABELED_GROUPS[name]()
+    lat = group.lattice()
+    ns, nc = len(lat.subgroups), lat.num_classes
+    marks = table_of_marks(group).matrix
+    counts = [commuting_class_counts(group, k) for k in range(3)]
+    for seed in range(3):
+        other, pi = _relabeled(group, seed)
+        olat = other.lattice()
+        # sigma maps subgroups and tau classes of `group` onto those of `other`
+        sigma = [olat.subgroup_index(frozenset(pi[m] for m in s.members))
+                 for s in lat.subgroups]
+        assert sorted(sigma) == list(range(len(olat.subgroups))), seed
+        tau = [olat.class_of[sigma[r]] for r in lat.representatives]
+        assert sorted(tau) == list(range(olat.num_classes)), seed
+        assert [olat.class_of[sigma[i]] for i in range(ns)] == \
+            [tau[c] for c in lat.class_of], seed
+        assert [olat.normalizers[sigma[i]] for i in range(ns)] == \
+            [sigma[j] for j in lat.normalizers], seed
+        for i, row in enumerate(lat.mu):
+            assert sorted(olat.mu[sigma[i]]) == \
+                sorted((sigma[j], m) for j, m in row), seed
+        for c, row in enumerate(lat.class_mu):
+            assert sorted(olat.class_mu[tau[c]]) == \
+                sorted((tau[b], m) for b, m in row), seed
+        omarks = table_of_marks(other).matrix
+        assert [[omarks[tau[k]][tau[h]] for h in range(nc)]
+                for k in range(nc)] == marks, seed
+        for k in range(3):
+            ocounts = commuting_class_counts(other, k)
+            assert [ocounts[tau[c]] for c in range(nc)] == list(counts[k]), \
+                (seed, k)
+
+
 def test_lattice_construction_is_deterministic():
     a = perm_group(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
     b = perm_group(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
@@ -456,7 +555,8 @@ def test_lattice_construction_is_deterministic():
     assert [s.members for s in la.subgroups] == \
            [s.members for s in lb.subgroups]
     assert la.labels == lb.labels
-    assert la.mu_sub == lb.mu_sub and la.mu_conj == lb.mu_conj
+    da, db = expanded_lattice(la), expanded_lattice(lb)
+    assert da.mu_sub == db.mu_sub and da.mu_conj == db.mu_conj
     assert a.fingerprint == b.fingerprint
 
 

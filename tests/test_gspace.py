@@ -12,7 +12,7 @@ from eqindex.burnside import cardinality, marks_vector, one, r_k
 from eqindex import gspace
 from eqindex.gspace import GSimplicialComplex
 
-from complex_suite import SQUARE_EDGES, suite
+from complex_suite import suite
 
 NAMES = [name for name, _ in suite()]
 

@@ -118,7 +118,7 @@ def test_import_eqindex_loads_no_submodule():
     (["index", "invert"],
      {"group": Z6, "per_subgroup": {"H1_0": 1, "H2_1": 1, "H3_2": 1,
                                     "H6_3": 1}},
-     ["eqindex.invertible", "dataclasses"]),
+     ["eqindex.gspace", "eqindex.invertible", "dataclasses"]),
     (["poly", "analyze"], {"E": [[2, 1], [0, 3]]},
      ["eqindex.gspace", "eqindex.indices", "dataclasses"]),
 ], ids=["group-info", "group-lattice", "burnside-rk", "index-invert",

@@ -15,7 +15,7 @@ from eqindex.gspace import chi_G_simplicial, chi_G_stratified
 
 from complex_suite import suite
 from groups_pool import larger, pool, random_elements
-from oracles import fixed_data_sub_moebius_oracle
+from oracles import expanded_lattice, fixed_data_sub_moebius_oracle
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -92,6 +92,7 @@ def test_per_subgroup_formula_equals_marks_on_nonabelian_groups():
     for name in ["S3", "D4"]:
         g = pool()[name]
         lat = g.lattice()
+        zeta_conj = expanded_lattice(lat).zeta_conj
         for b in random_elements(g, 25, seed=13):
             d = fixed_indices_from_index(b)
             mv = marks_vector(b)
@@ -100,7 +101,7 @@ def test_per_subgroup_formula_equals_marks_on_nonabelian_groups():
             for c in range(lat.num_classes):
                 total = sum(b.coeffs[k] * (g.order // lat.class_order(k))
                             for k in range(lat.num_classes)
-                            if lat.zeta_conj[c][k])
+                            if zeta_conj[c][k])
                 assert d.per_class[c] == total
 
 

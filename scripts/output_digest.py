@@ -22,7 +22,8 @@ Hashes, in order:
     degree 8, and for k = 0..2 on every ninth symmetry group of
     duality_family(24, 3);
   * `lattice_to_json` of S4, A5 and S5 and of every subgroup of each, as a
-    standalone group;
+    standalone group, then of (Z/6)^3 and of Z/4 x Z/6 as a diagonal, a
+    permutation and a (seeded, relabeled) table presentation;
   * on the simplicial suite: `chi_G_simplicial` and `chi_k_direct` for
     k = 0..4 (or the error it raises);
   * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5: `index_from_fixed_indices` on the
@@ -61,8 +62,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from eqindex import (burnside, cli, gspace, indices, jsonio,  # noqa: E402
-                     perm_group)
+from eqindex import (build_group, burnside, cli, gspace,  # noqa: E402
+                     indices, jsonio, perm_group)
 from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 symmetry_group, transpose)
@@ -190,11 +191,32 @@ def commuting_lines():
                 burnside.commuting_class_counts(g, k))
 
 
+def abelian_groups():
+    """(Z/6)^3, and Z/4 x Z/6 as a diagonal group, as a 4-cycle and a 6-cycle
+    on disjoint points, and as a table relabeled by a seeded shuffle."""
+    z6_3 = build_group({"kind": "diagonal", "phases": [
+        [[1, 6] if i == j else 0 for j in range(3)] for i in range(3)]})
+    diagonal = build_group({"kind": "diagonal",
+                            "phases": [[[1, 4], 0], [0, [1, 6]]]})
+    perm = perm_group(10, [[1, 2, 3, 0, 4, 5, 6, 7, 8, 9],
+                           [0, 1, 2, 3, 5, 6, 7, 8, 9, 4]])
+    pi = list(range(diagonal.order))
+    random.Random(7).shuffle(pi)
+    table = [[0] * diagonal.order for _ in pi]
+    for i, row in enumerate(diagonal.table):
+        for j, x in enumerate(row):
+            table[pi[i]][pi[j]] = pi[x]
+    return [z6_3, diagonal, perm, build_group({"kind": "table",
+                                               "table": table})]
+
+
 def lattice_lines():
     for g in larger().values():
         yield jsonio.dumps(jsonio.lattice_to_json(g))
         for sub in g.lattice().subgroups:
             yield jsonio.dumps(jsonio.lattice_to_json(sub.as_group()))
+    for g in abelian_groups():
+        yield jsonio.dumps(jsonio.lattice_to_json(g))
 
 
 def simplicial_lines():

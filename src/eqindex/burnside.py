@@ -253,10 +253,12 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    t = group.table
-    abelian = [group.is_abelian or all(t[x][y] == t[y][x] for x in s.members
-                                       for y in s.members)
-               for s in lat.subgroups]
+    if group.is_abelian:
+        abelian = [True] * len(lat.subgroups)
+    else:
+        t = group.table
+        abelian = [all(t[x][y] == t[y][x] for x in s.members
+                       for y in s.members) for s in lat.subgroups]
     counts = [0] * lat.num_classes
     for b, row in enumerate(lat.mu):
         power = lat.subgroups[b].order ** (k + 1)

@@ -4,9 +4,11 @@ Groups are built from one of three presentations (permutation generators,
 diagonal rational-phase generators, or an explicit multiplication table);
 their keys are enumerated at once and sorted canonically, so lattices,
 conjugacy classes and Burnside coefficients are deterministic across runs.
-A diagonal group's |G|^2 product table waits for its first read.  Every
-subgroup generated by elements (`closure`, each join of the lattice, Light's
-associativity test) comes from one coset walk, `_join`.
+A diagonal group's |G|^2 product table waits for its first read, and its
+subgroup lattice never reads it: cyclic subgroups come from key multiples
+and each join from the translation rows of the few elements it adds.
+Every subgroup generated by elements (`closure`, each join of the lattice,
+Light's associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -91,7 +93,7 @@ def _join(table, base, gens) -> frozenset:
     """The subgroup generated by the subgroup A = `base` and the elements
     `gens`, provided `gens` generate A too or each of them centralizes A:
     Dimino's coset walk (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, 1991).
+    Groups*, 1991).  Only the rows `table[s]` of the s in `gens` are read.
 
     Each new left coset s xA is the image of a known coset under the row of
     s, and is new exactly when the image of one of its elements is.  The
@@ -333,12 +335,14 @@ class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, normalizers, and the
     Moebius functions of both posets (Sub G and ConjSub G).
 
-    Subgroups are enumerated from the cyclic subgroups: every subgroup is a
-    join of cyclic ones, so each known subgroup A is joined only with the
-    cyclic subgroups <g> that neither contain A nor lie in A, by `_join` on
-    the generators of A and g (g alone if the group is abelian).  They are
-    then sorted canonically (by order, then by sorted member ids); the
-    representative of each conjugacy class is its minimal subgroup.
+    Subgroups are enumerated from the cyclic subgroups.  In an abelian
+    group they are walked up along prime-index cover edges
+    (`_cover_joins`); otherwise every subgroup is a join of cyclic ones, so
+    each known subgroup A is joined with the cyclic subgroups <g> that
+    neither contain A nor lie in A, by `_join` on the generators of A and
+    g.  They are then sorted canonically (by order, then by sorted member
+    ids); the representative of each conjugacy class is its minimal
+    subgroup.
 
     `generators[i]` are the generators of the join that first produced
     subgroup i: at most log2|H| + 1, since each join at least doubles.
@@ -361,27 +365,18 @@ class SubgroupLattice:
                 f"subgroup enumeration limited to order {MAX_ORDER}")
         self.group = group
         abelian = group.is_abelian
-        table = group.table
         cyclic_of, cyclics = _cyclic_subgroups(group)
-        gens = {c: (g,) if len(c) > 1 else () for g, c in cyclics.items()}
-        work = list(gens)
-        while work:
-            a = work.pop()
-            gens_a = gens[a]
-            for g, c in cyclics.items():
-                if c <= a or a <= c:
-                    continue
-                j = _join(table, a, (g,) if abelian else gens_a + (g,))
-                if j not in gens:
-                    gens[j] = gens_a + (g,)
-                    work.append(j)
+        if abelian:
+            gens = _cover_joins(group, cyclic_of, cyclics)
+        else:
+            gens = _cyclic_joins(group.table, cyclic_of, cyclics)
         canonical, self.labels = canonical_order(gens)
         self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
-        self.cyclic_generators = {self.member_index[c]: g
-                                  for g, c in cyclics.items()}
+        self.cyclic_generators = {self.member_index[cyclic_of[g]]: g
+                                  for g in cyclics}
         ns = len(self.subgroups)
         self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
                             for s in self.subgroups])
@@ -544,32 +539,108 @@ def _moebius_rows(up) -> list:
 
 
 def _cyclic_subgroups(group: FiniteGroup):
-    """Per element its cyclic subgroup, and {generator: members} with one
-    generator per cyclic subgroup.
+    """Per element its cyclic subgroup (a member set), and {g: powers} with
+    one generator g per cyclic subgroup and powers[i] = g^i.
 
-    <g> is found by walking the powers of g along its table row; once <g>
-    of order k is known, every g^i with gcd(i, k) = 1 generates the same
-    subgroup and is not walked again.
+    The powers of g are its key multiples i k mod den in a diagonal group,
+    and are walked along its table row otherwise; once <g> of order k is
+    known, every g^i with gcd(i, k) = 1 generates the same subgroup and is
+    not walked again.
     """
-    table, e = group.table, group.identity
+    e = group.identity
+    if group.denominator is None:
+        table = group.table
+
+        def powers_of(g):
+            row, powers, x = table[g], [e], g
+            while x != e:
+                powers.append(x)
+                x = row[x]
+            return powers
+    else:
+        den, index = group.denominator, group.index
+
+        def powers_of(g):
+            k = group.keys[g]
+            multiples = range(1, den // math.gcd(den, *k))
+            return [e, *map(index.__getitem__, zip(
+                *([i * y % den for i in multiples] for y in k)))]
     cyclic_of = [None] * group.order
     cyclics = {}
     for g in group.elements():
         if cyclic_of[g] is not None:
             continue
-        row = table[g]
-        powers = [e]
-        x = g
-        while x != e:
-            powers.append(x)
-            x = row[x]
+        powers = cyclics[g] = powers_of(g)
         members = frozenset(powers)
         k = len(powers)
         for i, x in enumerate(powers):
             if math.gcd(i, k) == 1:
                 cyclic_of[x] = members
-        cyclics[g] = members
     return cyclic_of, cyclics
+
+
+def _cyclic_joins(table, cyclic_of, cyclics) -> dict:
+    """{members: generators} for every subgroup of a group given by its
+    table: every subgroup is a join of cyclic subgroups, so each known A is
+    joined with every cyclic <g> that neither contains A nor lies in A."""
+    gens = {cyclic_of[g]: (g,) if len(p) > 1 else ()
+            for g, p in cyclics.items()}
+    work = list(gens)
+    while work:
+        a = work.pop()
+        gens_a = gens[a]
+        for g in cyclics:
+            c = cyclic_of[g]
+            if c <= a or a <= c:
+                continue
+            j = _join(table, a, gens_a + (g,))
+            if j not in gens:
+                gens[j] = gens_a + (g,)
+                work.append(j)
+    return gens
+
+
+def _cover_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
+    """{members: generators} for every subgroup of an abelian group, walked
+    up from the trivial subgroup along prime-index cover edges.
+
+    A known A is joined only with the generators g of prime-power order
+    p^k with g not in A and p g in A, so that A + <g> covers A with index
+    p; a g inside a cover of A found earlier is skipped, since A + <g> is
+    that cover.  This reaches every subgroup: each H != 1 covers a maximal
+    subgroup A of prime index p, and for h in H \\ A the p-part of h is
+    such a g.  A diagonal group's joins read the translation rows of their
+    g, built from the key columns (`_translation`); each such g is joined
+    at A = <p g> at the latest, since a cover of <p g> that contains g is
+    <g> itself.
+    """
+    steps = []  # (g, p g) per cyclic generator g of prime-power order
+    for g, powers in cyclics.items():
+        order = len(powers)
+        p = next((d for d in range(2, order + 1) if order % d == 0), 0)
+        if p and pow(p, order, order) == 0:  # order is a power of p
+            steps.append((g, powers[p % order]))
+    if group.denominator is None:
+        rows = group.table
+    else:
+        cols = list(zip(*group.keys))
+        rows = {g: _translation(cols, group.index, group.keys[g],
+                                group.denominator) for g, _ in steps}
+    trivial = cyclic_of[group.identity]
+    gens = {trivial: ()}
+    work = [trivial]
+    while work:
+        a = work.pop()
+        covered = set(a)
+        for g, pg in steps:
+            if g in covered or pg not in a:
+                continue
+            c = _join(rows, a, (g,))
+            covered.update(c)
+            if c not in gens:
+                gens[c] = gens[a] + (g,)
+                work.append(c)
+    return gens
 
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
@@ -719,11 +790,17 @@ def _diagonal_cosets(generators, denom):
     order = sorted(range(len(walk)), key=walk.__getitem__)
 
     def table():
-        rows = [list(map(found.__getitem__, zip(
-            *([(v + y) % denom for v in col] for col, y in zip(cols, g)))))
-            for g in used]
+        rows = [_translation(cols, found, g, denom) for g in used]
         return _canonical_table(order, steps, rows)
     return [walk[w] for w in order], table, 0
+
+
+def _translation(cols, index, g, denom) -> list:
+    """The row of g in the table of a diagonal group: the index of x + g mod
+    `denom` for every element x, read from the key columns `cols` with one
+    comprehension per coordinate and looked up in `index` (key -> index)."""
+    return list(map(index.__getitem__, zip(
+        *([(v + y) % denom for v in col] for col, y in zip(cols, g)))))
 
 
 def _build_table(presentation):

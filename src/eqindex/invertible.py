@@ -355,29 +355,39 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
                           gft: FiniteGroup):
     """The induced map G_{f~} -> Hom(G_f, Q/Z) must be injective.
 
-    Returns the annihilator map, member set H of G_f -> H^T = {b : <a, b> = 0
-    for every a in H}, which enforces |H| |H^T| = |G_f|; for H = G_f this is
-    non-degeneracy, checked here.  The pairing is additive in a, so H^T is the
-    intersection of ann(c) over the cyclic subgroups <c> <= H, and one row of
-    pairings per cyclic generator c of G_f is all that is computed.  G_{f~}
-    is checked to consist of symmetries of the transpose.
+    Returns the annihilator map, member set of a subgroup H of G_f ->
+    H^T = {b : <a, b> = 0 for every a in H}, which enforces
+    |H| |H^T| = |G_f|; for H = G_f this is non-degeneracy, checked here.
+    The pairing is additive in a, so H^T is the intersection of ann(c) over
+    the generators c that G_f's lattice records for H.  ann(c) is computed
+    once per element recorded there, from the key columns of G_{f~}: the
+    numerators of <c, b> for every b at once, one comprehension per
+    coordinate.  A member set that is not a subgroup of G_f is a
+    PairingError.  G_{f~} is checked to consist of symmetries of the
+    transpose.
     """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
     _check_symmetries(tuple(zip(*f.E)), gft)
     lat = gf.lattice()
-    cyclics = list(lat.cyclic_generators.items())
-    rows = _pairings(f, [gf.keys[c] for _, c in cyclics], gf.denominator,
-                     gft.keys, gft.denominator)
-    zeros = {s: frozenset(j for j, v in enumerate(row) if not v)
-             for (s, _), row in zip(cyclics, rows)}
+    den, cols = gft.denominator, list(zip(*gft.keys))
+    zeros = {}
+    for c in {c for gens in lat.generators for c in gens}:
+        values = [0] * gft.order
+        for x, col in zip(_integral_image(f.E, gf.keys[c], gf.denominator),
+                          cols):
+            if x:
+                values = [v + x * y for v, y in zip(values, col)]
+        zeros[c] = frozenset(j for j, v in enumerate(values) if not v % den)
     everything = frozenset(range(gft.order))
 
     def annihilator(members) -> frozenset:
-        members = frozenset(members)
-        ann = everything.intersection(
-            *(zeros[s] for s in {lat.cyclic_of[m] for m in members}))
-        if len(ann) * len(members) != gf.order:
+        i = lat.member_index.get(frozenset(members))
+        if i is None:
+            raise PairingError("member set is not a subgroup of G_f")
+        ann = everything.intersection(*map(zeros.__getitem__,
+                                           lat.generators[i]))
+        if len(ann) * lat.subgroups[i].order != gf.order:
             raise PairingError(
                 "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
         return ann

@@ -343,6 +343,21 @@ def test_commuting_class_counts_sum_to_element_and_pair_counts():
             g.order * len(g.element_conjugacy_classes()), g
 
 
+def test_commuting_counts_of_a_diagonal_group_build_no_table(monkeypatch):
+    # an abelian group needs no commutator check, so neither r_k nor its
+    # lattice reads the Cayley table of a diagonal group
+    from eqindex import groups
+    calls = []
+    real = groups._canonical_table
+    monkeypatch.setattr(groups, "_canonical_table",
+                        lambda *args: calls.append(args) or real(*args))
+    g = build_group({"kind": "diagonal", "phases": [[[1, 4], 0], [0, [1, 6]]]})
+    for k in range(1, 3):
+        # every (k+1)-tuple commutes, and [G/G] has one fixed point
+        assert r_k(one(g), k) == g.order ** k
+    assert calls == [] and "table" not in vars(g)
+
+
 # -- permutation character ---------------------------------------------------------
 
 def test_character_of_one_is_constant_one():

@@ -352,8 +352,12 @@ def _s4_z2():
                           [0, 1, 2, 3, 5, 4]])
 
 
-# group -> (builder, number of subgroups)
+# group -> (builder, number of subgroups); the abelian ones take the
+# cover-edge walk, on table rows (Z2, Z2xZ2) or on keys
 ORACLE_GROUPS = {
+    "Z2": (lambda: pool()["Z2"], 2),
+    "Z6": (lambda: pool()["Z6"], 4),
+    "Z2xZ2": (lambda: pool()["Z2xZ2"], 5),
     "S3": (lambda: pool()["S3"], 6),
     "D4": (lambda: pool()["D4"], 10),
     "Q8": (_q8, 6),
@@ -375,6 +379,7 @@ def _assert_lattice_matches_oracle(group):
     assert lat.labels == labels
     assert expanded_lattice(lat).mu_sub == mu_sub
     assert lat.class_of == class_of
+    assert lat.up == _nonzero(leq_oracle(lat))
 
 
 @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
@@ -395,7 +400,7 @@ def test_q8_is_the_quaternion_group():
 def test_lattice_matches_all_pairs_oracle_on_symmetry_groups():
     from invertible_family import duality_family
     from eqindex import symmetry_group
-    for f in duality_family(24, 3)[::9]:
+    for f in duality_family(24, 3):
         _assert_lattice_matches_oracle(symmetry_group(f))
 
 
@@ -452,6 +457,17 @@ def test_z8_cubed_has_802_subgroups():
     assert len(_diagonal_power(8, 3).lattice().subgroups) == 802
 
 
+def test_z12_cubed_has_3612_subgroups():
+    assert len(_diagonal_power(12, 3).lattice().subgroups) == 3612
+
+
+def test_z10_squared_times_z20_has_1728_subgroups():
+    group = diagonal_group([[Fraction(1, 10), 0, 0], [0, Fraction(1, 10), 0],
+                            [0, 0, Fraction(1, 20)]])
+    assert group.order == groups.MAX_ORDER
+    assert len(group.lattice().subgroups) == 1728
+
+
 def _nonzero(matrix, value=False):
     """The non-zero entries of each row of a dense matrix, as the ascending
     column indices or (with `value`) as (column, entry) pairs."""
@@ -500,6 +516,10 @@ def _relabeled(group, seed):
     return build_group({"kind": "table", "table": table}), pi
 
 
+def _z4_z6_diagonal():
+    return diagonal_group([[Fraction(1, 4), 0], [0, Fraction(1, 6)]])
+
+
 RELABELED_GROUPS = {
     "S4": ORACLE_GROUPS["S4"][0],
     "A5": ORACLE_GROUPS["A5"][0],
@@ -507,6 +527,12 @@ RELABELED_GROUPS = {
     "D4": lambda: pool()["D4"],
     "Z6^2": lambda: _diagonal_power(6, 2),
     "Z2^4": lambda: _diagonal_power(2, 4),
+    # one abelian group in all three presentations: a 4-cycle and a 6-cycle
+    # on disjoint points, and a seeded relabeling as a table
+    "Z4xZ6 diagonal": _z4_z6_diagonal,
+    "Z4xZ6 perm": lambda: perm_group(10, [[1, 2, 3, 0, 4, 5, 6, 7, 8, 9],
+                                          [0, 1, 2, 3, 5, 6, 7, 8, 9, 4]]),
+    "Z4xZ6 table": lambda: _relabeled(_z4_z6_diagonal(), 7)[0],
 }
 
 

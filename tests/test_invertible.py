@@ -354,12 +354,13 @@ def test_pairing_rejects_groups_that_are_not_symmetries():
         check_perfect_pairing(CHAIN, z6, gft)
 
 
-def test_annihilator_of_non_subgroup_violates_order_product():
+def test_annihilator_of_non_subgroup_is_pairing_error():
     gf, gft = symmetry_group(CHAIN), symmetry_group(DUAL_CHAIN)
     g = gf
     order3 = next(i for i in g.elements()
                   if i != g.identity and g.mul(i, g.mul(i, i)) == g.identity)
-    # {e, a} with a of order 3 annihilates like <a>: |H^T| = 2, 2 * 2 != 6
+    # {e, a} with a of order 3 is not a subgroup, so it has no recorded
+    # generators to annihilate
     annihilator = check_perfect_pairing(CHAIN, gf, gft)
     with pytest.raises(PairingError):
         annihilator({g.identity, order3})
@@ -664,7 +665,7 @@ def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
     assert duality_check(CHAIN).all_match
 
 
-def test_duality_pipeline_builds_two_groups_one_lattice_one_table(monkeypatch):
+def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
     counts = Counter()
 
     def count(module, name):
@@ -682,11 +683,11 @@ def test_duality_pipeline_builds_two_groups_one_lattice_one_table(monkeypatch):
     f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
     report = duality_check(f)
     ind = index_df(f, symmetry_group(f))
-    # G_f and G_{f~}, G_f's lattice, G_f's table (for the lattice), and the
-    # fixed-coordinate masks of G_f and G_{f~}, each built once
+    # G_f and G_{f~}, G_f's lattice and the fixed-coordinate masks of G_f
+    # and G_{f~}, each built once; no Cayley table of either group
     assert counts == {"diagonal_group_from_integers": 2,
-                      "SubgroupLattice": 1, "_canonical_table": 1,
-                      "_fixed_masks": 2}
+                      "SubgroupLattice": 1, "_fixed_masks": 2}
+    assert counts["_canonical_table"] == 0
     assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
     assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))

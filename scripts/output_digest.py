@@ -8,7 +8,9 @@ Hashes, in order:
     dual group G_{f~} (keys, generator keys, id);
   * the stdout and exit code of `poly analyze`, `poly index` and
     `poly dual-check`, in json and tsv, on every fixture of
-    duality_family(24, 3) (run in-process through `cli.main`);
+    duality_family(24, 3) (run in-process through `cli.main`), and of
+    `poly dual-check` on polynomials whose transpose is not a valid germ
+    (head-one chains in two and three variables);
   * the stdout and exit code of `group info` and `group lattice` on a few
     diagonal presentations: no coordinates, repeated generators, the order
     bound reached and exceeded; and of `group lattice` on S4 x Z/2 (degree
@@ -93,12 +95,20 @@ def _cli(argv):
     return f"{' '.join(argv)} {code}\n{out.getvalue()}"
 
 
+# x y + y^2 and x y + y z + z^2: valid germs whose transposes have weight 0
+INVALID_DUALS = [[[1, 1], [0, 2]], [[1, 1, 0], [0, 1, 1], [0, 0, 2]]]
+
+
 def cli_lines():
     for f in duality_family(24, 3):
         payload = json.dumps({"E": [list(r) for r in f.E]})
         for sub in ("analyze", "index", "dual-check"):
             for fmt in ("json", "tsv"):
                 yield _cli(["poly", sub, payload, "--format", fmt])
+    for E in INVALID_DUALS:
+        for fmt in ("json", "tsv"):
+            yield _cli(["poly", "dual-check", json.dumps({"E": E}),
+                        "--format", fmt])
 
 
 DIAGONAL_PRESENTATIONS = [

@@ -18,7 +18,6 @@ over one common denominator (the phases x / denominator mod 1); phases as
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -225,9 +224,12 @@ class FiniteGroup:
 
     def _fixed_masks(self) -> list:
         """Per element of a diagonal group, the bitmask of the coordinates it
-        acts trivially on: the group's `fixed_masks`."""
-        return [sum(1 << j for j, x in enumerate(k) if x == 0)
-                for k in self.keys]
+        acts trivially on (the group's `fixed_masks`), by key columns."""
+        masks = [0] * self.order
+        for j, col in enumerate(zip(*self.keys)):
+            bit = 1 << j
+            masks = [m if x else m | bit for m, x in zip(masks, col)]
+        return masks
 
     fixed_masks = _OnFirstRead("fixed_masks", lambda g: g._fixed_masks())
 
@@ -241,6 +243,7 @@ class FiniteGroup:
     def _hashed_id(self) -> str:
         """An id hashed from the elements (phase vectors of a diagonal group
         as Fractions) and the table: the group's `fingerprint`."""
+        import hashlib  # only here, so that most CLI children never load it
         keys = self.keys if self.denominator is None else \
             [self.phases(i) for i in self.elements()]
         h = hashlib.sha1()

@@ -6,10 +6,12 @@ standard Fermat/chain/loop block shapes are accepted, which guarantees that
 restricting to the fixed subspace of any diagonal symmetry subgroup stays
 invertible.
 
-`symmetry_group` returns G_f as a plain diagonal `FiniteGroup` (integer
-vectors over its denominator; n is the length of a key).  A phase vector a
-is a symmetry of f exactly when E a is integral, and the duality pairing of
-a in G_f with b in G_{f~} is
+`validate` runs the one fraction-free elimination of a dual pair (det E,
+adj(E), weights adj(E) 1 / det E), `transpose` reuses it through
+adj(E^T) = adj(E)^T, and `symmetry_group` returns G_f, read from adj(E), as
+a plain diagonal `FiniteGroup` (integer vectors over its denominator; n is
+the length of a key).  A phase vector a is a symmetry of f exactly when E a
+is integral, and the duality pairing of a in G_f with b in G_{f~} is
     <a, b> = (E a) . b mod 1.
 
 Milnor numbers come from the weighted-homogeneous product formula
@@ -20,7 +22,8 @@ with its tail, so the monomials of f inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
 over f's own weights q_i (0 for empty L), without restricting f.  Loci
 are coordinate bitmasks, each distinct one evaluated once per call; each
-element's mask is read from the group's `fixed_masks`, built once per group.
+element's mask is read from the group's `fixed_masks`, built once per group,
+and a subgroup's locus from the masks of its recorded generators.
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
@@ -28,7 +31,8 @@ chi^H(M_f) at K is chi(M_f^K), and Fix <g, h> = Fix g & Fix h; so with c_a
 elements of H whose fixed-coordinate bitmask is a, Burnside's lemma gives
     r_0 = 1 - (sum_a c_a chi(M_f^a)) / |G|          (H = G),
     r_1 = |H| - (sum_{a,b} c_a c_b chi(M_f^{a & b})) / |H|,
-read off at most 2^n fixed loci without rebuilding H as a group.
+read off at most 2^n fixed loci without rebuilding H as a group; the sum
+is symmetric in (a, b), so each unordered pair of masks is taken once.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from .burnside import BurnsideElement, element_from_marks, one
@@ -116,10 +120,12 @@ class Atom(NamedTuple):
 
 
 class InvertiblePolynomial:
-    __slots__ = ("E", "atoms", "weights", "det", "_symmetry_group")
+    """`adjugate` holds the columns of adj(E): E^{-1} = adjugate / det."""
+    __slots__ = ("E", "atoms", "weights", "det", "adjugate", "_symmetry_group")
 
-    def __init__(self, E, atoms, weights, det):
+    def __init__(self, E, atoms, weights, det, adjugate=()):
         self.E, self.atoms, self.weights, self.det = E, atoms, weights, det
+        self.adjugate = adjugate
         self._symmetry_group = None
 
     @property
@@ -134,21 +140,27 @@ def validate(matrix) -> InvertiblePolynomial:
     """Check an exponent matrix and decompose it into Fermat/chain/loop atoms.
 
     Rejects anything that is not a disjoint union of the three standard
-    shapes, and any matrix whose weight system leaves (0, 1].
+    shapes, and any matrix whose weight system leaves (0, 1].  The one
+    fraction-free elimination of the dual pair runs here, on [E | I]: it
+    gives det E, the columns of adj(E) and the weights adj(E) 1 / det E.
     """
     E = tuple(tuple(_int(x, "exponent", InvalidPolynomialError) for x in row)
               for row in matrix)
     n = len(E)
-    if n == 0:
-        return InvertiblePolynomial(E=(), atoms=(), weights=(), det=1)
     if any(len(row) != n for row in E):
         raise InvalidPolynomialError("exponent matrix must be square")
     if any(x < 0 for row in E for x in row):
         raise InvalidPolynomialError("exponents must be non-negative")
-    d, adj_ones = _fraction_free_solve(E, [[1] * n])
+    d, adj = _fraction_free_solve(
+        E, [[int(r == c) for r in range(n)] for c in range(n)])
     if d == 0:
         raise InvalidPolynomialError("exponent matrix has determinant zero")
+    return _decompose(E, d, tuple(map(tuple, adj)))
 
+
+def _decompose(E, d, adjugate) -> InvertiblePolynomial:
+    """Atoms and checked weights of E, given d = det E != 0 and adj(E)."""
+    n = len(E)
     # each monomial is z_h^a (head only) or z_h^a z_t (head and a tail of
     # exponent one); collect the possible (head, tail) readings per row
     options = []
@@ -206,12 +218,13 @@ def validate(matrix) -> InvertiblePolynomial:
                           tuple(E[head_row[v]][v] for v in cycle)))
     atoms.sort(key=lambda a: a.variables[0])
 
-    weights = tuple(Fraction(x, d) for x in adj_ones[0])
+    weights = tuple(Fraction(sum(row), d) for row in zip(*adjugate))
     for q in weights:
         if not 0 < q <= 1:
             raise InvalidPolynomialError(
                 f"weight {q} outside (0, 1]; not an invertible polynomial germ")
-    return InvertiblePolynomial(E=E, atoms=tuple(atoms), weights=weights, det=d)
+    return InvertiblePolynomial(E=E, atoms=tuple(atoms), weights=weights,
+                                det=d, adjugate=adjugate)
 
 
 def _assign_heads(options, n):
@@ -260,9 +273,9 @@ def milnor_number(f: InvertiblePolynomial) -> int:
 
 
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
-    """The dual polynomial: transpose the exponent matrix."""
-    n = f.n
-    return validate(tuple(tuple(f.E[j][i] for j in range(n)) for i in range(n)))
+    """The dual polynomial, from E^T, det E and adj(E^T) = adj(E)^T: no
+    elimination, but the same shape decomposition and weight checks."""
+    return _decompose(tuple(zip(*f.E)), f.det, tuple(zip(*f.adjugate)))
 
 
 # -- the diagonal symmetry group ----------------------------------------------
@@ -270,7 +283,8 @@ def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
 def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     """G_f as a diagonal group, generated by the columns of
     E^{-1} = adj(E) / det E mod 1, as integer vectors over |det E| (reduced
-    by their common gcd); order |det E|.  Built once per f and kept on it."""
+    by their common gcd); order |det E|.  adj(E) is the one `validate`
+    stored on f.  Built once per f and kept on it."""
     if f._symmetry_group is not None:
         return f._symmetry_group
     if f.n == 0:
@@ -278,9 +292,7 @@ def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     if abs(f.det) > MAX_ORDER:
         raise OrderBoundError(
             f"symmetry group order {abs(f.det)} exceeds {MAX_ORDER}")
-    identity_cols = [[1 if r == c else 0 for r in range(f.n)]
-                     for c in range(f.n)]
-    d, cols = _fraction_free_solve(f.E, identity_cols)
+    d, cols = f.det, f.adjugate
     if d < 0:
         d, cols = -d, [[-x for x in col] for col in cols]
     group = diagonal_group_from_integers(cols, d)
@@ -308,7 +320,7 @@ def _integral_image(matrix, vec, den) -> list:
         raise PairingError("phase vector has wrong dimension")
     out = []
     for row in matrix:
-        s = sum(m * v for m, v in zip(row, vec))
+        s = sum(map(operator.mul, row, vec))
         if s % den:
             raise PairingError("phase vector is not a symmetry of the polynomial")
         out.append(s // den)
@@ -336,7 +348,11 @@ def _pairings(f: InvertiblePolynomial, a_rows, den_a, b_rows, den_b) -> list:
 
 def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     """The duality pairing <a, b> = (E a) . b mod 1 for a in G_f, b in
-    G_{f~}; b must be a symmetry of the transpose (E^T b integral)."""
+    G_{f~}; b must be a symmetry of the transpose (E^T b integral).  Phases
+    are ints (not bools) or Fractions; anything else is a PairingError."""
+    for x in (*a, *b):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise PairingError(f"phase must be an int or a Fraction, got {x!r}")
     den_a, a_rows = _as_integers([a])
     den_b, b_rows = _as_integers([b])
     _integral_image(tuple(zip(*f.E)), b_rows[0], den_b)
@@ -399,8 +415,9 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
 # -- fixed loci and Milnor fibre data ------------------------------------------
 
 def _locus_mask(masks, members) -> int:
-    """The bitmask of the coordinates fixed by every listed element."""
-    return reduce(operator.and_, map(masks.__getitem__, members), -1)
+    """The bitmask of the coordinates fixed by every listed element; all of
+    them, the mask of the identity (element 0), when none is listed."""
+    return reduce(operator.and_, map(masks.__getitem__, members), masks[0])
 
 
 def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
@@ -449,14 +466,15 @@ def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
 def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
     """chi^G(M_f) over a diagonal symmetry group, from its marks: the mark
     at K is chi(M_f^K), read at each class representative and computed once
-    per distinct fixed locus.  A mark vector outside the image of the
-    Burnside ring is an IntegralityError."""
+    per distinct fixed locus, the AND over the generators that the lattice
+    records for K (Fix K is the intersection of Fix g over any generating
+    set).  A mark vector outside the Burnside ring is an IntegralityError."""
     _check_symmetries(f.E, group)
-    chi = cache(partial(_fixed_chi, f))
     masks = group.fixed_masks
     lat = group.lattice()
-    marks = [chi(_locus_mask(masks, lat.subgroups[r].members))
-             for r in lat.representatives]
+    loci = [_locus_mask(masks, lat.generators[r]) for r in lat.representatives]
+    chi = {a: _fixed_chi(f, a) for a in set(loci)}
+    marks = [chi[a] for a in loci]
     return element_from_marks(group, marks)
 
 
@@ -521,24 +539,28 @@ class DualityReport(NamedTuple):
 def _orbifold_indices(f: InvertiblePolynomial, group: FiniteGroup,
                       member_sets) -> tuple:
     """r_0 of ind^G(df), and r_1 of ind^H(df) for each member set H, by the
-    mask formulas of the module docstring.
+    mask formulas of the module docstring, each unordered pair of masks
+    summed once: c_a^2 chi(a) + 2 c_a c_b chi(a & b).
 
-    chi(M_f^L) is computed once per distinct mask L; a non-integral average
-    is an IntegralityError.
+    chi(M_f^L) is computed once for each locus L = Fix g & Fix h, in a dict
+    per call; a non-integral average is an IntegralityError.
     """
     _check_symmetries(f.E, group)
-    chi = cache(partial(_fixed_chi, f))
     masks = group.fixed_masks
-    total = sum(c * chi(a) for a, c in Counter(masks).items())
+    distinct = set(masks)
+    chi = {L: _fixed_chi(f, L) for L in {a & b for a in distinct
+                                         for b in distinct}}
+    total = sum(c * chi[a] for a, c in Counter(masks).items())
     if total % group.order:
         raise IntegralityError(
             "orbit count of the Milnor fibre is not an integer")
     r0 = 1 - total // group.order
     values = []
     for members in member_sets:
-        counts = Counter(masks[m] for m in members)
-        total = sum(ca * cb * chi(a & b)
-                    for a, ca in counts.items() for b, cb in counts.items())
+        counts = list(Counter(map(masks.__getitem__, members)).items())
+        total = sum(ca * (ca * chi[a] + 2 * sum(cb * chi[a & b]
+                                                for b, cb in counts[i + 1:]))
+                    for i, (a, ca) in enumerate(counts))
         h = len(members)
         if total % h:
             raise IntegralityError(

@@ -114,15 +114,17 @@ def test_import_eqindex_loads_no_submodule():
     (["group", "lattice"], Z6, LAYERS + ["dataclasses"]),
     (["burnside", "rk", "--k", "1"],
      {"group": Z6, "element": {"coeffs": [{"class": "H1_0", "a": 1}]}},
-     ["eqindex.gspace", "eqindex.indices", "eqindex.invertible"]),
+     ["eqindex.gspace", "eqindex.indices", "eqindex.invertible", "hashlib"]),
     (["index", "invert"],
      {"group": Z6, "per_subgroup": {"H1_0": 1, "H2_1": 1, "H3_2": 1,
                                     "H6_3": 1}},
      ["eqindex.gspace", "eqindex.invertible", "dataclasses"]),
     (["poly", "analyze"], {"E": [[2, 1], [0, 3]]},
      ["eqindex.gspace", "eqindex.indices", "dataclasses"]),
+    (["poly", "dual-check"], {"E": [[2, 1], [0, 3]]},
+     ["eqindex.gspace", "eqindex.indices", "dataclasses", "hashlib"]),
 ], ids=["group-info", "group-lattice", "burnside-rk", "index-invert",
-        "poly-analyze"])
+        "poly-analyze", "poly-dual-check"])
 def test_subcommand_loads_only_its_layers(argv, payload, unloaded):
     code, modules = child(CLI_CHILD, *argv, json.dumps(payload))
     assert code == 0

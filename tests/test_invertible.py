@@ -242,8 +242,27 @@ def test_transpose_of_head_one_chain_is_degenerate():
     f = validate([[1, 1], [0, 2]])  # x y + y^2: a valid germ
     assert milnor_number(f) == 1
     # but its dual x + x y^2 is not weighted-homogeneous with positive weights
-    with pytest.raises(InvalidPolynomialError):
+    with pytest.raises(InvalidPolynomialError,
+                       match=r"^weight 0 outside \(0, 1\]; not an invertible "
+                             r"polynomial germ$"):
         transpose(f)
+
+
+def test_stored_adjugate_and_transpose_match_independent_routes():
+    cases = list(duality_family(24, 3)) + [validate([[1, 2], [2, 0]]),
+                                           validate([[1]])]
+    assert cases[-2].det == -4
+    for f in cases:
+        identity = [[int(r == c) for r in range(f.n)] for c in range(f.n)]
+        assert [[Fraction(x, f.det) for x in col] for col in f.adjugate] \
+            == _solve_fraction(f.E, identity), f.E
+        # transpose reuses det E and adj(E)^T; validate eliminates E^T anew
+        ft, expected = transpose(f), validate(tuple(zip(*f.E)))
+        for name in ("E", "atoms", "weights", "det", "adjugate"):
+            assert getattr(ft, name) == getattr(expected, name), (f.E, name)
+        g, h = symmetry_group(ft), symmetry_group(expected)
+        for name in ("keys", "denominator", "generator_keys", "fingerprint"):
+            assert getattr(g, name) == getattr(h, name), (f.E, name)
 
 
 # -- pairing & dual subgroups ----------------------------------------------------------
@@ -266,6 +285,15 @@ def test_pairing_bilinear_and_zero_on_identity():
 def test_pairing_rejects_non_members():
     with pytest.raises(PairingError):
         pairing(CHAIN, (Fraction(1, 5), Fraction(0)), (Fraction(0), Fraction(0)))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", None, True, False])
+def test_pairing_rejects_phases_that_are_not_int_or_fraction(bad):
+    f = validate([[2, 1], [0, 2]])
+    for a, b in (((bad, 0), (0, 0)), ((0, 0), (0, bad))):
+        with pytest.raises(PairingError, match=f"got {bad!r}$"):
+            pairing(f, a, b)
+    assert pairing(f, (Fraction(1, 4), Fraction(1, 2)), (1, 0)) == 0
 
 
 def test_pairing_is_perfect_on_family_sample():
@@ -383,10 +411,14 @@ def test_locus_masks_match_the_key_oracle():
     checked = 0
     for f in duality_family(24, 3):
         for gf in (symmetry_group(f), symmetry_group(transpose(f))):
-            for sub in gf.lattice().subgroups:
+            lat = gf.lattice()
+            for sub, gens in zip(lat.subgroups, lat.generators):
                 expected = sum(1 << j for j in fixed_locus(gf, sub.members))
                 assert _locus_mask(gf.fixed_masks, sub.members) == expected, \
                     (f.E, sub.members)
+                # Fix K is the intersection of Fix g over generators of K
+                assert _locus_mask(gf.fixed_masks, gens) == expected, \
+                    (f.E, sub.members, gens)
                 checked += 1
     assert checked > 1000
 
@@ -680,12 +712,15 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
     count(groups, "SubgroupLattice")
     count(invertible, "diagonal_group_from_integers")
     count(groups.FiniteGroup, "_fixed_masks")
+    count(invertible, "_fraction_free_solve")
     f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
     report = duality_check(f)
     ind = index_df(f, symmetry_group(f))
-    # G_f and G_{f~}, G_f's lattice and the fixed-coordinate masks of G_f
-    # and G_{f~}, each built once; no Cayley table of either group
-    assert counts == {"diagonal_group_from_integers": 2,
+    # one elimination for f and f~; G_f and G_{f~}, G_f's lattice and the
+    # fixed-coordinate masks of G_f and G_{f~}, each built once; no Cayley
+    # table of either group
+    assert counts == {"_fraction_free_solve": 1,
+                      "diagonal_group_from_integers": 2,
                       "SubgroupLattice": 1, "_fixed_masks": 2}
     assert counts["_canonical_table"] == 0
     assert report.all_sign_match and cardinality(ind) == -milnor_number(f)

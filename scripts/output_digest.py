@@ -14,7 +14,7 @@ Hashes, in order:
   * the stdout and exit code of `group info` and `group lattice` on a few
     diagonal presentations: no coordinates, repeated generators, the order
     bound reached and exceeded; and of `group lattice` on S4 x Z/2 (degree
-    6) and (Z/2)^4 (degree 8) as permutation groups;
+    6), (Z/2)^4 (degree 8) and S4 x S3 (degree 7) as permutation groups;
   * on Z2, Z6, Z2xZ2, S3, D4, S4 and A5, as canonical JSON: the table of
     marks, the restriction of every basis element to every subgroup, the
     induction of every basis element of every subgroup, and the fixed-set
@@ -124,10 +124,12 @@ DIAGONAL_PRESENTATIONS = [
 
 
 # S4 x Z/2: S4 on the points 0..3, Z/2 swapping 4 and 5; (Z/2)^4: four
-# disjoint transpositions (2i 2i+1)
+# disjoint transpositions (2i 2i+1); S4 x S3: S4 on 0..3, S3 on 4..6
 PERM_PRESENTATIONS = [
     (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]),
     (8, [[j ^ 1 if j // 2 == i else j for j in range(8)] for i in range(4)]),
+    (7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 0, 4, 5, 6],
+         [0, 1, 2, 3, 5, 4, 6], [0, 1, 2, 3, 5, 6, 4]]),
 ]
 
 

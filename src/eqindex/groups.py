@@ -7,8 +7,9 @@ conjugacy classes and Burnside coefficients are deterministic across runs.
 A diagonal group's |G|^2 product table waits for its first read, and its
 subgroup lattice never reads it: cyclic subgroups come from key multiples
 and each join from the translation rows of the few elements it adds.
-Every subgroup generated by elements (`closure`, each join of the lattice,
-Light's associativity test) comes from one coset walk, `_join`.
+Every group's subgroups come from one walk by prime steps up from the
+trivial subgroup, and every subgroup generated by elements (`closure`, each
+join of that walk, Light's associativity test) from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -338,14 +339,13 @@ class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, normalizers, and the
     Moebius functions of both posets (Sub G and ConjSub G).
 
-    Subgroups are enumerated from the cyclic subgroups.  In an abelian
-    group they are walked up along prime-index cover edges
-    (`_cover_joins`); otherwise every subgroup is a join of cyclic ones, so
-    each known subgroup A is joined with the cyclic subgroups <g> that
-    neither contain A nor lie in A, by `_join` on the generators of A and
-    g.  They are then sorted canonically (by order, then by sorted member
-    ids); the representative of each conjugacy class is its minimal
-    subgroup.
+    Subgroups of every group are enumerated by one walk up from the trivial
+    subgroup (`_prime_step_joins`): each known subgroup A is joined with
+    the recorded cyclic generators g of prime-power order p^k with g not
+    in A and g^p in A, skipping a g that lies in an earlier join of index
+    p over A.  They are then sorted canonically (by order, then by sorted
+    member ids); the representative of each conjugacy class is its
+    minimal subgroup.
 
     `generators[i]` are the generators of the join that first produced
     subgroup i: at most log2|H| + 1, since each join at least doubles.
@@ -369,10 +369,7 @@ class SubgroupLattice:
         self.group = group
         abelian = group.is_abelian
         cyclic_of, cyclics = _cyclic_subgroups(group)
-        if abelian:
-            gens = _cover_joins(group, cyclic_of, cyclics)
-        else:
-            gens = _cyclic_joins(group.table, cyclic_of, cyclics)
+        gens = _prime_step_joins(group, cyclic_of, cyclics)
         canonical, self.labels = canonical_order(gens)
         self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
@@ -582,64 +579,47 @@ def _cyclic_subgroups(group: FiniteGroup):
     return cyclic_of, cyclics
 
 
-def _cyclic_joins(table, cyclic_of, cyclics) -> dict:
-    """{members: generators} for every subgroup of a group given by its
-    table: every subgroup is a join of cyclic subgroups, so each known A is
-    joined with every cyclic <g> that neither contains A nor lies in A."""
-    gens = {cyclic_of[g]: (g,) if len(p) > 1 else ()
-            for g, p in cyclics.items()}
-    work = list(gens)
-    while work:
-        a = work.pop()
-        gens_a = gens[a]
-        for g in cyclics:
-            c = cyclic_of[g]
-            if c <= a or a <= c:
-                continue
-            j = _join(table, a, gens_a + (g,))
-            if j not in gens:
-                gens[j] = gens_a + (g,)
-                work.append(j)
-    return gens
+def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
+    """{members: generators} for every subgroup, walked up from the trivial
+    subgroup by prime steps.
 
-
-def _cover_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
-    """{members: generators} for every subgroup of an abelian group, walked
-    up from the trivial subgroup along prime-index cover edges.
-
-    A known A is joined only with the generators g of prime-power order
-    p^k with g not in A and p g in A, so that A + <g> covers A with index
-    p; a g inside a cover of A found earlier is skipped, since A + <g> is
-    that cover.  This reaches every subgroup: each H != 1 covers a maximal
-    subgroup A of prime index p, and for h in H \\ A the p-part of h is
-    such a g.  A diagonal group's joins read the translation rows of their
-    g, built from the key columns (`_translation`); each such g is joined
-    at A = <p g> at the latest, since a cover of <p g> that contains g is
-    <g> itself.
+    A known A is joined with each recorded generator g of prime-power order
+    p^k with g not in A and g^p in A.  A g inside an earlier join J from A
+    with |J| = p |A| is skipped: J covers A, so by Lagrange <A, g> = J.
+    This reaches every subgroup H != 1 from a maximal subgroup A of H: H
+    is generated by its prime-power elements, so some p-element lies
+    outside A, one g of least order has g^p in A, and H = <A, g>; the
+    recorded generator of <g> meets the same condition.  In an abelian
+    group every step is a cover, and g centralizes A, so `_join` needs g
+    alone; otherwise it is given the generators of A and g.  A diagonal
+    group's joins read the translation rows of the step generators, built
+    from the key columns (`_translation`).
     """
-    steps = []  # (g, p g) per cyclic generator g of prime-power order
+    steps = []  # (g, g^p, p) per recorded generator g of prime-power order
     for g, powers in cyclics.items():
         order = len(powers)
         p = next((d for d in range(2, order + 1) if order % d == 0), 0)
         if p and pow(p, order, order) == 0:  # order is a power of p
-            steps.append((g, powers[p % order]))
+            steps.append((g, powers[p % order], p))
     if group.denominator is None:
         rows = group.table
     else:
         cols = list(zip(*group.keys))
         rows = {g: _translation(cols, group.index, group.keys[g],
-                                group.denominator) for g, _ in steps}
+                                group.denominator) for g, _, _ in steps}
+    abelian = group.is_abelian
     trivial = cyclic_of[group.identity]
     gens = {trivial: ()}
     work = [trivial]
     while work:
         a = work.pop()
         covered = set(a)
-        for g, pg in steps:
-            if g in covered or pg not in a:
+        for g, gp, p in steps:
+            if g in covered or gp not in a:
                 continue
-            c = _join(rows, a, (g,))
-            covered.update(c)
+            c = _join(rows, a, (g,) if abelian else gens[a] + (g,))
+            if len(c) == p * len(a):
+                covered.update(c)
             if c not in gens:
                 gens[c] = gens[a] + (g,)
                 work.append(c)

@@ -123,7 +123,7 @@ class InvertiblePolynomial:
     """`adjugate` holds the columns of adj(E): E^{-1} = adjugate / det."""
     __slots__ = ("E", "atoms", "weights", "det", "adjugate", "_symmetry_group")
 
-    def __init__(self, E, atoms, weights, det, adjugate=()):
+    def __init__(self, E, atoms, weights, det, adjugate):
         self.E, self.atoms, self.weights, self.det = E, atoms, weights, det
         self.adjugate = adjugate
         self._symmetry_group = None
@@ -348,8 +348,12 @@ def _pairings(f: InvertiblePolynomial, a_rows, den_a, b_rows, den_b) -> list:
 
 def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     """The duality pairing <a, b> = (E a) . b mod 1 for a in G_f, b in
-    G_{f~}; b must be a symmetry of the transpose (E^T b integral).  Phases
-    are ints (not bools) or Fractions; anything else is a PairingError."""
+    G_{f~}; b must be a symmetry of the transpose (E^T b integral).  a and
+    b are lists or tuples of phases, ints (not bools) or Fractions; anything
+    else is a PairingError."""
+    for name, v in (("a", a), ("b", b)):
+        if not isinstance(v, (list, tuple)):
+            raise PairingError(f"{name} must be a list or a tuple, got {v!r}")
     for x in (*a, *b):
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise PairingError(f"phase must be an int or a Fraction, got {x!r}")

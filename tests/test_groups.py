@@ -352,8 +352,8 @@ def _s4_z2():
                           [0, 1, 2, 3, 5, 4]])
 
 
-# group -> (builder, number of subgroups); the abelian ones take the
-# cover-edge walk, on table rows (Z2, Z2xZ2) or on keys
+# group -> (builder, number of subgroups); the diagonal ones are walked on
+# translation rows built from their keys, the others on table rows
 ORACLE_GROUPS = {
     "Z2": (lambda: pool()["Z2"], 2),
     "Z6": (lambda: pool()["Z6"], 4),
@@ -388,6 +388,30 @@ def test_lattice_matches_all_pairs_oracle(name):
     group = build()
     _assert_lattice_matches_oracle(group)
     assert len(group.lattice().subgroups) == count
+
+
+def _s4_s3():
+    """S4 x S3 of degree 7: S4 on the points 0..3, S3 on 4..6."""
+    return perm_group(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 0, 4, 5, 6],
+                          [0, 1, 2, 3, 5, 4, 6], [0, 1, 2, 3, 5, 6, 4]])
+
+
+@pytest.mark.parametrize("build, subgroups, classes, max_joins", [
+    (ORACLE_GROUPS["S5"][0], 156, 19, 6000),
+    (_s4_s3, 372, 70, 16000),
+], ids=["S5", "S4xS3"])
+def test_one_prime_step_walk_bounds_the_joins(monkeypatch, build, subgroups,
+                                              classes, max_joins):
+    # a non-abelian group is walked by prime steps too, joining each known
+    # subgroup only with elements whose p-th power it contains
+    group = build()
+    calls = []
+    join = groups._join
+    monkeypatch.setattr(groups, "_join",
+                        lambda *args: calls.append(1) or join(*args))
+    lat = group.lattice()
+    assert (len(lat.subgroups), lat.num_classes) == (subgroups, classes)
+    assert len(calls) <= max_joins
 
 
 def test_q8_is_the_quaternion_group():

@@ -178,7 +178,8 @@ def test_milnor_matches_jacobian_oracle_on_family():
 def test_milnor_product_must_be_a_non_negative_integer():
     for weights in ((Fraction(2, 3),), (Fraction(-1, 2),),
                     (Fraction(1, 3), Fraction(3, 4))):
-        f = InvertiblePolynomial(E=(), atoms=(), weights=weights, det=1)
+        f = InvertiblePolynomial(E=(), atoms=(), weights=weights, det=1,
+                                 adjugate=())
         with pytest.raises(InvalidPolynomialError):
             milnor_number(f)
 
@@ -294,6 +295,19 @@ def test_pairing_rejects_phases_that_are_not_int_or_fraction(bad):
         with pytest.raises(PairingError, match=f"got {bad!r}$"):
             pairing(f, a, b)
     assert pairing(f, (Fraction(1, 4), Fraction(1, 2)), (1, 0)) == 0
+
+
+@pytest.mark.parametrize("bad", [1, None])
+def test_pairing_rejects_phase_vectors_that_are_not_sequences(bad):
+    f = validate([[2, 1], [0, 2]])
+    for name, a, b in (("a", bad, (0, 0)), ("b", (0, 0), bad)):
+        with pytest.raises(PairingError, match=f"^{name} must be a list"):
+            pairing(f, a, b)
+
+
+def test_polynomial_without_adjugate_is_rejected_at_construction():
+    with pytest.raises(TypeError, match="adjugate"):
+        InvertiblePolynomial(E=((2,),), atoms=(), weights=(), det=2)
 
 
 def test_pairing_is_perfect_on_family_sample():

@@ -42,7 +42,9 @@ Hashes, in order:
   * a second round on the same objects: `chi_k_direct` for k = 4..0 (or
     the error it raises) and `chi_G_simplicial` on the simplicial suite,
     then every restriction and induction above again.  Values stored on a
-    complex or a subgroup group by the first round must not change them.
+    complex or a subgroup group by the first round must not change them;
+  * the stdout and exit code of `poly index` and `poly dual-check` on the
+    6-variable Fermat quadric E = 2 I_6, G_f = (Z/2)^6 with 2825 subgroups.
 
 Every error is hashed as its kind and its message.
 
@@ -362,13 +364,20 @@ def index_cli_lines():
             yield _cli(["euler", "strat", json.dumps(payload)] + extra)
 
 
+def quadric_lines():
+    payload = json.dumps({"E": [[2 * (i == j) for j in range(6)]
+                                for i in range(6)]})
+    for sub in ("index", "dual-check"):
+        yield _cli(["poly", sub, payload])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
                       burnside_lines(), fixed_index_lines(), commuting_lines(),
                       lattice_lines(), simplicial_lines(), inversion_lines(),
                       gsv_lines(), strata_lines(), index_cli_lines(),
-                      second_round_lines()):
+                      second_round_lines(), quadric_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -23,8 +23,8 @@ integrality is a theorem, so a violation means a bug or inconsistent input.
 
 from __future__ import annotations
 
-from .errors import IntegralityError, NotASubgroupError, OrderBoundError
-from .groups import FiniteGroup, Subgroup, expand
+from .errors import IntegralityError, NotASubgroupError, OrderBoundError, _int
+from .groups import FiniteGroup, Subgroup, commuting, expand
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -239,13 +239,14 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
 
 def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     """Number of pairwise-commuting (k+1)-tuples whose generated subgroup lies
-    in each conjugacy class.  Cached per group and k.
+    in each conjugacy class.  Cached per group and k; a k that is not an
+    int (a bool, a float, a string) is a ValueError, as a negative k is.
 
-    Each abelian A (its members commute pairwise; every A, when G is abelian)
-    adds Hall's phi_{k+1}(A), summed over the non-zero mu(B, A) of the
-    lattice's Moebius rows `mu`.
+    Each abelian A (its recorded generators commute pairwise; every A, when
+    G is abelian) adds Hall's phi_{k+1}(A), summed over the non-zero
+    mu(B, A) of the lattice's Moebius rows `mu`.
     """
-    if k in group._tuple_counts:
+    if _int(k, "k", ValueError) in group._tuple_counts:
         return group._tuple_counts[k]
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -253,12 +254,8 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    if group.is_abelian:
-        abelian = [True] * len(lat.subgroups)
-    else:
-        t = group.table
-        abelian = [all(t[x][y] == t[y][x] for x in s.members
-                       for y in s.members) for s in lat.subgroups]
+    abelian = [group.is_abelian or commuting(group.table, gens)
+               for gens in lat.generators]
     counts = [0] * lat.num_classes
     for b, row in enumerate(lat.mu):
         power = lat.subgroups[b].order ** (k + 1)
@@ -273,8 +270,10 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
 def r_k(b: BurnsideElement, k: int) -> int:
     """The reduction r_G^(k): averaged fixed-point count over commuting
     (k+1)-tuples.  r_0 counts orbits, so it is the sum of the coefficients
-    (r_0 [G/H] = 1); r_1 is the orbifold reduction."""
+    (r_0 [G/H] = 1); r_1 is the orbifold reduction.  Any k == 0 is checked
+    here, any other by `commuting_class_counts`."""
     if k == 0:
+        _int(k, "k", ValueError)
         return sum(b.coeffs)
     counts = commuting_class_counts(b.group, k)
     mv = marks_vector(b)

@@ -113,13 +113,24 @@ def _join(table, base, gens) -> frozenset:
     return frozenset(members)
 
 
+def commuting(table, ids) -> bool:
+    """Whether the elements `ids` (say, generators) commute pairwise."""
+    return all(table[a][b] == table[b][a] for a in ids for b in ids)
+
+
 class _OnFirstRead:
     """An attribute computed on its first read, then a plain instance
-    attribute: set with setattr, since filling `__dict__` directly (as
-    `functools.cached_property` does) slows every later attribute read."""
+    attribute.  Instances keep attributes inline, under keys their class
+    shares, unless `__dict__` is filled directly (as `cached_property` does)
+    or a key is first set once a few dozen instances exist; either slows all
+    later reads.  So values are set with setattr, keys at class creation."""
 
-    def __init__(self, name, build):
-        self.name, self.build = name, build
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        setattr(object.__new__(owner), name, None)
 
     def __get__(self, obj, owner=None):
         value = self.build(obj)
@@ -134,13 +145,16 @@ class FiniteGroup:
     of the product keys[i] * keys[j]; for permutations the product is
     "apply j first, then i".  A diagonal group has a `denominator`: its keys
     are integer vectors x standing for the phases x / denominator mod 1.
-    `table` may be a function that builds it on first use; `inverse` waits too,
-    and so do a diagonal group's fixed-coordinate `fixed_masks`.
+    `table` may be a function that builds it on first use; `inverse`, a
+    diagonal group's `fixed_masks` and `is_abelian`, read from the
+    `generator_keys` (which generate the group), wait too.
     """
 
-    table = _OnFirstRead("table", lambda g: g._make_table())
+    table = _OnFirstRead(lambda g: g._make_table())
     inverse = _OnFirstRead(
-        "inverse", lambda g: [row.index(g.identity) for row in g.table])
+        lambda g: [row.index(g.identity) for row in g.table])
+    is_abelian = _OnFirstRead(
+        lambda g: g.denominator is not None or commuting(g.table, g.generators))
 
     def __init__(self, keys, table, identity, presentation, generator_keys,
                  parent=None, parent_index=None, denominator=None):
@@ -162,7 +176,6 @@ class FiniteGroup:
         self._element_classes = None
         self._tuple_counts = {}
         self._parent_classes = None
-        self._abelian = True if denominator is not None else None
 
     # -- basic structure ---------------------------------------------------
 
@@ -179,15 +192,6 @@ class FiniteGroup:
     @property
     def generators(self) -> list[int]:
         return [self.index[k] for k in self.generator_keys]
-
-    @property
-    def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            self._abelian = all(t[i][j] == t[j][i]
-                                for i in range(self.order)
-                                for j in range(i + 1, self.order))
-        return self._abelian
 
     def closure(self, seed: Iterable[int]) -> frozenset:
         """The subgroup generated by the element indices in `seed`."""
@@ -232,7 +236,7 @@ class FiniteGroup:
             masks = [m if x else m | bit for m, x in zip(masks, col)]
         return masks
 
-    fixed_masks = _OnFirstRead("fixed_masks", lambda g: g._fixed_masks())
+    fixed_masks = _OnFirstRead(lambda g: g._fixed_masks())
 
     def element_repr(self, i: int):
         """JSON-able canonical representation of an element."""
@@ -252,7 +256,7 @@ class FiniteGroup:
         h.update(repr(self.table).encode())
         return f"G{self.order}-{h.hexdigest()[:10]}"
 
-    fingerprint = _OnFirstRead("fingerprint", _hashed_id)
+    fingerprint = _OnFirstRead(_hashed_id)
 
     def same_group(self, other: "FiniteGroup") -> bool:
         if self is other:
@@ -306,22 +310,23 @@ class Subgroup:
         phase vectors stay phase vectors) and the canonical order is the
         parent's, restricted.  The generator keys are those the parent's
         lattice recorded for this subgroup: the generators of the join that
-        first produced it, at most log2|H| + 1 of them.
+        first produced it, at most log2|H| + 1 of them.  The table waits for
+        its first read, so a diagonal subgroup group is just its keys.
         """
         if self._group is None:
-            lat = self.parent.lattice()
+            parent = self.parent
+            lat = parent.lattice()
             gens = lat.generators[lat.subgroup_index(self.members)]
             idxs = sorted(self.members)
             child_of = {p: c for c, p in enumerate(idxs)}
-            keys = [self.parent.keys[p] for p in idxs]
-            table = [[child_of[self.parent.table[a][b]] for b in idxs]
-                     for a in idxs]
             self._group = FiniteGroup(
-                keys, table, child_of[self.parent.identity],
+                [parent.keys[p] for p in idxs],
+                lambda: [[child_of[row[b]] for b in idxs]
+                         for row in map(parent.table.__getitem__, idxs)],
+                child_of[parent.identity],
                 {"kind": "table", "derived": "subgroup"},
-                [self.parent.keys[g] for g in gens],
-                parent=self.parent, parent_index=idxs,
-                denominator=self.parent.denominator)
+                [parent.keys[g] for g in gens], parent=parent,
+                parent_index=idxs, denominator=parent.denominator)
         return self._group
 
     def __eq__(self, other):
@@ -349,25 +354,32 @@ class SubgroupLattice:
 
     `generators[i]` are the generators of the join that first produced
     subgroup i: at most log2|H| + 1, since each join at least doubles.
-    `cyclic_of[g]` is the index of <g>, and `cyclic_generators` maps the
-    index of each cyclic subgroup to one generator of it.
+    `cyclic_of[g]` is the index of <g>.
 
     Both posets are stored as sparse rows, never as square matrices, since
     few pairs are comparable and fewer have a non-zero Moebius value:
     `up[i]` lists, ascending, the subgroups that contain subgroup i (i
     first), and `mu[i]` the pairs (j, mu(i, j)) with mu(i, j) != 0.
     `class_up` and `class_mu` are the same rows over ConjSub G, where
-    [H] <= [K] when H lies in a conjugate of K; for an abelian group they
-    are the very lists `up` and `mu`.  `class_orders[c]` is the order of
-    the subgroups in class c.
+    [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
+    classes are single subgroups, they are the very lists `up` and `mu`.
+    The marks, restriction and induction never read these three, so they
+    wait for their first read.  `class_orders[c]` is the order of class c.
     """
+
+    mu = _OnFirstRead(lambda lat: _moebius_rows(lat.up))
+    class_up = _OnFirstRead(lambda lat: (
+        lat.up if lat.group.is_abelian else
+        [sorted({lat.class_of[j] for j in lat.up[r]})
+         for r in lat.representatives]))
+    class_mu = _OnFirstRead(lambda lat: (
+        lat.mu if lat.group.is_abelian else _moebius_rows(lat.class_up)))
 
     def __init__(self, group: FiniteGroup):
         if group.order > MAX_ORDER:
             raise OrderBoundError(
                 f"subgroup enumeration limited to order {MAX_ORDER}")
         self.group = group
-        abelian = group.is_abelian
         cyclic_of, cyclics = _cyclic_subgroups(group)
         gens = _prime_step_joins(group, cyclic_of, cyclics)
         canonical, self.labels = canonical_order(gens)
@@ -375,8 +387,6 @@ class SubgroupLattice:
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
-        self.cyclic_generators = {self.member_index[cyclic_of[g]]: g
-                                  for g in cyclics}
         ns = len(self.subgroups)
         self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
                             for s in self.subgroups])
@@ -385,7 +395,7 @@ class SubgroupLattice:
         # stabilizer: each class representative R is conjugated by every g
         # once; the images are its class, the g with R^g = R are N(R), and
         # each conjugate R^x has normalizer N(R)^x for the first such x
-        if abelian:
+        if group.is_abelian:
             self.classes = [[i] for i in range(ns)]
             self.class_of = list(range(ns))
             self.normalizers = [ns - 1] * ns
@@ -411,21 +421,8 @@ class SubgroupLattice:
                     self.normalizers[j] = self.member_index[conj(stab, x)]
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
-
         self.class_orders = [self.subgroups[r].order
                              for r in self.representatives]
-
-        # Moebius functions of Sub G and ConjSub G (canonical index order
-        # extends inclusion); for abelian G every class is one subgroup, so
-        # the two posets share their rows
-        self.mu = _moebius_rows(self.up)
-        if abelian:
-            self.class_up, self.class_mu = self.up, self.mu
-        else:
-            self.class_up = [sorted({self.class_of[j] for j in self.up[r]})
-                             for r in self.representatives]
-            self.class_mu = _moebius_rows(self.class_up)
-
         self.class_labels = [self.labels[r] for r in self.representatives]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._class_label_index = {lab: c

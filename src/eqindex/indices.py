@@ -94,17 +94,20 @@ def fixed_indices_from_index(b: BurnsideElement) -> FixedSetIndexData:
     per_subgroup[H] = sum over subgroups K >= H of a_[K] |N_G(K)|/|K|,
     which is the mark of b at [H];
     per_class[[H]]  = sum over classes [K] >= [H] of a_[K] |G|/|K|,
-    read along the up-set of [H] in ConjSub(G).
+    read along the up-set of [H] in ConjSub(G).  Both are integral and
+    class-constant by construction, so the record is not re-checked.
     """
     group = b.group
     lat = group.lattice()
     marks = marks_vector(b)
-    per_subgroup = {h: marks[c] for h, c in enumerate(lat.class_of)}
     n = group.order
     weighted = [a * (n // q) for a, q in zip(b.coeffs, lat.class_orders)]
-    per_class = {c: sum(map(weighted.__getitem__, up))
-                 for c, up in enumerate(lat.class_up)}
-    return FixedSetIndexData(group, per_subgroup, per_class)
+    data = FixedSetIndexData.__new__(FixedSetIndexData)
+    data.group = group
+    data.per_subgroup = {h: marks[c] for h, c in enumerate(lat.class_of)}
+    data.per_class = {c: sum(map(weighted.__getitem__, up))
+                      for c, up in enumerate(lat.class_up)}
+    return data
 
 
 def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:

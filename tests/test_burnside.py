@@ -10,6 +10,7 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               induce, marks_vector,
                               multiply, one, permutation_character, r_k,
                               restrict, table_of_marks)
+from eqindex.gspace import build_complex, chi_k_direct
 from eqindex.invertible import symmetry_group
 
 from groups_pool import abelian_names, larger, pool, random_elements
@@ -341,6 +342,24 @@ def test_commuting_class_counts_sum_to_element_and_pair_counts():
         assert sum(commuting_class_counts(g, 0)) == g.order, g
         assert sum(commuting_class_counts(g, 1)) == \
             g.order * len(g.element_conjugacy_classes()), g
+
+
+def test_k_that_is_not_an_int_is_a_value_error_and_is_not_stored():
+    # 2.0 == 2 as a dict key: a float k that reached the per-group cache
+    # would make every later count at k = 2 a float
+    s3 = perm_group(3, [[1, 0, 2], [1, 2, 0]])
+    b = basis_element(s3, 0)
+    point = build_complex(s3, [0], [[0]])
+    for k in (1.5, 2.0, True, "1"):
+        for fn, arg in ((r_k, b), (commuting_class_counts, s3),
+                        (chi_k_direct, point)):
+            with pytest.raises(ValueError, match="^k must be an integer"):
+                fn(arg, k)
+    counts = commuting_class_counts(s3, 2)
+    assert list(counts) == commuting_counts_oracle(s3, 2)
+    assert {type(c) for c in counts} == {int}
+    assert type(r_k(b, 2)) is int and r_k(b, 2) == 1
+    assert type(chi_k_direct(point, 2)) is int
 
 
 def test_commuting_counts_of_a_diagonal_group_build_no_table(monkeypatch):

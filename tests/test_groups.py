@@ -435,9 +435,32 @@ def test_lattice_records_cyclic_subgroups_and_generators():
         for g in group.elements():
             assert lat.subgroups[lat.cyclic_of[g]].members == \
                 closure_oracle(group.table, group.identity, [g])
-        assert sorted(lat.cyclic_generators) == sorted(set(lat.cyclic_of))
-        for s, g in lat.cyclic_generators.items():
-            assert lat.cyclic_of[g] == s
+        # the recorded generators generate each subgroup: `is_abelian` of
+        # a subgroup group and the abelian test of the commuting counts
+        # read them alone
+        for s, gens in zip(lat.subgroups, lat.generators):
+            assert closure_oracle(group.table, group.identity, gens) == \
+                s.members
+
+
+def test_is_abelian_from_generators_matches_the_table_scan():
+    # is_abelian tests pairs of generators; a subgroup group waits for its
+    # table until is_abelian (or anything else) reads it
+    def scan(g):
+        t = g.table
+        return all(t[i][j] == t[j][i] for i in g.elements()
+                   for j in g.elements())
+
+    checked = [*pool().values(), *larger().values(), _s4_z2()]
+    for parent in (ORACLE_GROUPS["S4"][0](),
+                   perm_group(4, [[1, 2, 3, 0], [0, 3, 2, 1]])):
+        for s in parent.lattice().subgroups:
+            child = s.as_group()
+            assert "table" not in vars(child)
+            checked.append(child)
+    for g in checked:
+        assert g.is_abelian == scan(g), g
+    assert {g.is_abelian for g in checked} == {True, False}
 
 
 def test_join_of_a_subgroup_and_an_element_matches_the_closure_oracle():

@@ -114,6 +114,22 @@ def test_round_trip_identity():
             assert index_from_fixed_indices(fixed_indices_from_index(b)) == b
 
 
+def test_fixed_indices_are_not_re_checked(monkeypatch):
+    # the values are computed integral and class-constant, so building the
+    # record runs none of FixedSetIndexData's checks; the round trip still
+    # holds, and the class-poset inversion reads the unchecked per_class
+    from eqindex import indices
+    calls = []
+    real = indices._int
+    monkeypatch.setattr(indices, "_int",
+                        lambda *args: calls.append(args) or real(*args))
+    for g in [*pool().values(), larger()["S4"]]:
+        for b in random_elements(g, 5, seed=3):
+            data = fixed_indices_from_index(b)
+            assert calls == [], g
+            assert index_from_fixed_indices(data) == b
+
+
 def test_inversion_without_per_class_data():
     z6 = pool()["Z6"]
     for b in random_elements(z6, 10, seed=19):

@@ -723,6 +723,7 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(groups, "_canonical_table")
+    count(groups, "_moebius_rows")
     count(groups, "SubgroupLattice")
     count(invertible, "diagonal_group_from_integers")
     count(groups.FiniteGroup, "_fixed_masks")
@@ -732,14 +733,36 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
     ind = index_df(f, symmetry_group(f))
     # one elimination for f and f~; G_f and G_{f~}, G_f's lattice and the
     # fixed-coordinate masks of G_f and G_{f~}, each built once; no Cayley
-    # table of either group
+    # table of either group and no Moebius rows of the lattice
     assert counts == {"_fraction_free_solve": 1,
                       "diagonal_group_from_integers": 2,
                       "SubgroupLattice": 1, "_fixed_masks": 2}
-    assert counts["_canonical_table"] == 0
+    assert counts["_canonical_table"] == counts["_moebius_rows"] == 0
     assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
     assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))
+
+
+def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
+        monkeypatch):
+    # restriction to every subgroup reads the marks of G_f and of each
+    # subgroup group, whose lattice walks its keys: neither group's Cayley
+    # table nor either lattice's Moebius rows is built
+    counts = Counter()
+    for name in ("_canonical_table", "_moebius_rows"):
+        fn = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda *args, name=name, fn=fn:
+                            counts.update([name]) or fn(*args))
+    checked = 0
+    for f in duality_family(24, 3)[::6]:
+        f = validate(f.E)  # a fresh G_f, with nothing built on it yet
+        gf = symmetry_group(f)
+        ind = index_df(f, gf)
+        for sub in gf.lattice().subgroups:
+            assert restrict(ind, sub) == index_df(f, sub.as_group()), \
+                (f.E, sub.members)
+            checked += 1
+    assert checked > 20 and counts == {}
 
 
 @pytest.mark.parametrize("matrix, error", [

@@ -45,6 +45,10 @@ Hashes, in order:
     complex or a subgroup group by the first round must not change them;
   * the stdout and exit code of `poly index` and `poly dual-check` on the
     6-variable Fermat quadric E = 2 I_6, G_f = (Z/2)^6 with 2825 subgroups.
+  * the stdout, stderr and exit code of the CLI's help and usage errors, at
+    80 columns: `--help`, every group's and every subcommand's `--help`, an
+    unknown group, an unknown subcommand in each group, a missing command
+    and a missing subcommand, and `burnside rk` with `--k -1` and `--k x`.
 
 Every error is hashed as its kind and its message.
 
@@ -58,6 +62,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 from itertools import chain
@@ -371,13 +376,50 @@ def quadric_lines():
         yield _cli(["poly", sub, payload])
 
 
+SUBCOMMANDS = {
+    "group": ["info", "lattice"],
+    "burnside": ["marks", "mul", "restrict", "induce", "rk", "char"],
+    "euler": ["strat", "simplicial", "orbifold"],
+    "index": ["from-strata", "invert", "induce", "ph-check", "gsv"],
+    "poly": ["analyze", "index", "dual-check"],
+}
+
+
+def _cli_exit(argv):
+    """`cli.main(argv)` in-process, returning or exiting: its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
+
+
+def usage_lines():
+    # argparse wraps help and usage text to the terminal width
+    os.environ["COLUMNS"] = "80"
+    yield _cli_exit(["--help"])
+    yield _cli_exit(["nope"])
+    yield _cli_exit([])
+    for group, subs in SUBCOMMANDS.items():
+        yield _cli_exit([group, "--help"])
+        yield _cli_exit([group, "nope"])
+        yield _cli_exit([group])
+        for sub in subs:
+            yield _cli_exit([group, sub, "--help"])
+    for k in ("-1", "x"):
+        yield _cli_exit(["burnside", "rk", "--k", k])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
                       burnside_lines(), fixed_index_lines(), commuting_lines(),
                       lattice_lines(), simplicial_lines(), inversion_lines(),
                       gsv_lines(), strata_lines(), index_cli_lines(),
-                      second_round_lines(), quadric_lines()):
+                      second_round_lines(), quadric_lines(), usage_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -17,7 +17,7 @@ from .errors import EqIndexError, InputError
 
 
 def _read_payload(args):
-    if getattr(args, "inline", None):
+    if args.inline is not None:
         text = args.inline
         source = "<inline>"
     else:
@@ -273,58 +273,55 @@ def nonnegative_int(text) -> int:
     return k
 
 
-def build_parser() -> argparse.ArgumentParser:
+# group -> (its help, {subcommand: handler}); OPTIONS adds to _add_common's
+COMMANDS = {
+    "group": ("group construction and lattices", {
+        "info": cmd_group_info, "lattice": cmd_group_lattice}),
+    "burnside": ("Burnside ring operations", {
+        "marks": cmd_burnside_marks, "mul": cmd_burnside_mul,
+        "restrict": cmd_burnside_restrict, "induce": cmd_burnside_induce,
+        "rk": cmd_burnside_rk, "char": cmd_burnside_char}),
+    "euler": ("equivariant Euler characteristics", {
+        "strat": cmd_euler_strat, "simplicial": cmd_euler_simplicial,
+        "orbifold": cmd_euler_orbifold}),
+    "index": ("radial/GSV index assembly", {
+        "from-strata": cmd_index_from_strata, "invert": cmd_index_invert,
+        "induce": cmd_index_induce, "ph-check": cmd_index_ph_check,
+        "gsv": cmd_index_gsv}),
+    "poly": ("invertible polynomial pipelines", {
+        "analyze": cmd_poly_analyze, "index": cmd_poly_index,
+        "dual-check": cmd_poly_dual_check}),
+}
+OPTIONS = {
+    cmd_burnside_rk: {"--k": {"type": nonnegative_int, "default": 0}},
+    cmd_euler_strat: {"--reduced": {"action": "store_true"}},
+    cmd_euler_orbifold: {"--k": {"type": nonnegative_int, "default": 1}},
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """Every command group's parser, with the subcommand parsers of the
+    group argv[0] names, or of every group when it names none (or is none)."""
+    groups = COMMANDS.keys() & argv[:1] or COMMANDS
     parser = argparse.ArgumentParser(
         prog="eqindex",
         description="Exact Burnside-ring invariants and equivariant indices")
     top = parser.add_subparsers(dest="command", required=True)
-
-    group = top.add_parser("group", help="group construction and lattices")
-    gsub = group.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("info"); _add_common(p); p.set_defaults(func=cmd_group_info)
-    p = gsub.add_parser("lattice"); _add_common(p); p.set_defaults(func=cmd_group_lattice)
-
-    burn = top.add_parser("burnside", help="Burnside ring operations")
-    bsub = burn.add_subparsers(dest="subcommand", required=True)
-    p = bsub.add_parser("marks"); _add_common(p); p.set_defaults(func=cmd_burnside_marks)
-    p = bsub.add_parser("mul"); _add_common(p); p.set_defaults(func=cmd_burnside_mul)
-    p = bsub.add_parser("restrict"); _add_common(p); p.set_defaults(func=cmd_burnside_restrict)
-    p = bsub.add_parser("induce"); _add_common(p); p.set_defaults(func=cmd_burnside_induce)
-    p = bsub.add_parser("rk"); _add_common(p)
-    p.add_argument("--k", type=nonnegative_int, default=0)
-    p.set_defaults(func=cmd_burnside_rk)
-    p = bsub.add_parser("char"); _add_common(p); p.set_defaults(func=cmd_burnside_char)
-
-    euler = top.add_parser("euler", help="equivariant Euler characteristics")
-    esub = euler.add_subparsers(dest="subcommand", required=True)
-    p = esub.add_parser("strat"); _add_common(p)
-    p.add_argument("--reduced", action="store_true")
-    p.set_defaults(func=cmd_euler_strat)
-    p = esub.add_parser("simplicial"); _add_common(p); p.set_defaults(func=cmd_euler_simplicial)
-    p = esub.add_parser("orbifold"); _add_common(p)
-    p.add_argument("--k", type=nonnegative_int, default=1)
-    p.set_defaults(func=cmd_euler_orbifold)
-
-    index = top.add_parser("index", help="radial/GSV index assembly")
-    isub = index.add_subparsers(dest="subcommand", required=True)
-    p = isub.add_parser("from-strata"); _add_common(p); p.set_defaults(func=cmd_index_from_strata)
-    p = isub.add_parser("invert"); _add_common(p); p.set_defaults(func=cmd_index_invert)
-    p = isub.add_parser("induce"); _add_common(p); p.set_defaults(func=cmd_index_induce)
-    p = isub.add_parser("ph-check"); _add_common(p); p.set_defaults(func=cmd_index_ph_check)
-    p = isub.add_parser("gsv"); _add_common(p); p.set_defaults(func=cmd_index_gsv)
-
-    poly = top.add_parser("poly", help="invertible polynomial pipelines")
-    psub = poly.add_subparsers(dest="subcommand", required=True)
-    p = psub.add_parser("analyze"); _add_common(p); p.set_defaults(func=cmd_poly_analyze)
-    p = psub.add_parser("index"); _add_common(p); p.set_defaults(func=cmd_poly_index)
-    p = psub.add_parser("dual-check"); _add_common(p); p.set_defaults(func=cmd_poly_dual_check)
-
+    for name, (text, handlers) in COMMANDS.items():
+        sub = top.add_parser(name, help=text).add_subparsers(
+            dest="subcommand", required=True)
+        if name in groups:
+            for subname, func in handlers.items():
+                p = sub.add_parser(subname); _add_common(p)
+                p.set_defaults(func=func)
+                for flag, kwargs in OPTIONS.get(func, {}).items():
+                    p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return _emit(args, args.func(args, _read_payload(args)))
     except EqIndexError as exc:

@@ -248,10 +248,13 @@ class FiniteGroup:
     def _hashed_id(self) -> str:
         """An id hashed from the elements (phase vectors of a diagonal group
         as Fractions) and the table: the group's `fingerprint`."""
-        import hashlib  # only here, so that most CLI children never load it
+        try:  # the built-in module, so that no CLI child loads OpenSSL
+            from _sha1 import sha1
+        except ImportError:
+            from hashlib import sha1
         keys = self.keys if self.denominator is None else \
             [self.phases(i) for i in self.elements()]
-        h = hashlib.sha1()
+        h = sha1()
         h.update(repr(keys).encode())
         h.update(repr(self.table).encode())
         return f"G{self.order}-{h.hexdigest()[:10]}"

@@ -169,12 +169,17 @@ def stratum_index_from_json(group: FiniteGroup, obj) -> StratifiedGData:
 def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
     from .gspace import build_complex
     try:
-        vertices = list(obj["vertices"])
-        simplices = [frozenset(s) for s in obj["simplices"]]
+        vertices, simplices = obj["vertices"], obj["simplices"]
+        if not (isinstance(vertices, list) and isinstance(simplices, list)
+                and all(isinstance(s, list) for s in simplices)):
+            raise TypeError(
+                "vertices, simplices and each simplex must be lists")
+        simplices = [frozenset(s) for s in simplices]
         sorted(set(vertices))  # build_complex needs them hashable and ordered
     except Exception as exc:
         raise InputError(f"bad complex payload: {exc}") from None
-    action = obj.get("action") or {}
+    action = obj.get("action")
+    action = {} if action is None else action  # absent or null: the identity
     if not isinstance(action, dict):
         raise InputError("complex action must map generator labels to images")
     images = {}

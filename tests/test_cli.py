@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from eqindex.groups import build_group
 
 S3_PRES = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
 Z6_PRES = {"kind": "diagonal", "phases": [[[1, 6]]]}
+Z2_PRES = {"kind": "perm", "degree": 2, "generators": [[1, 0]]}
 
 
 def run(capsys, argv, payload=None):
@@ -242,6 +245,36 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_empty_inline_payload_is_malformed_json(capsys, monkeypatch):
+    # '' is the payload: stdin is not read
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"E": [[2]]}'))
+    code = cli.main(["poly", "analyze", ""])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert obj["error"]["kind"] == "InputError"
+    assert obj["error"]["message"].startswith("malformed JSON in <inline>")
+
+
+def test_a_subcommand_builds_the_parsers_of_its_group_only(capsys,
+                                                          monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out = run(capsys, ["poly", "index"], {"E": [[2, 0], [0, 3]]})
+    assert code == 0 and json.loads(out)["order"] == 6
+    # the top level, the 5 groups and poly's 3 subcommands
+    assert len(built) == 9
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["nope"])
+    assert len(built) == 1 + 5 + 19  # no group named: every parser
+
+
 MALFORMED = {
     "perm-without-degree": (["group", "info"], {"kind": "perm"}),
     "zero-denominator": (["group", "info"],
@@ -282,6 +315,22 @@ MALFORMED = {
     "generator-label-over-digit-limit": (["euler", "orbifold"], {
         "group": Z6_PRES, "complex": {"vertices": [0], "simplices": [[0]],
                                       "action": {"g" + "1" * 5000: [0]}}}),
+    # vertices, simplices and each simplex are JSON lists; an action is an
+    # object, absent or null
+    "vertices-string": (["euler", "simplicial"], {
+        "group": Z2_PRES, "complex": {"vertices": "ab",
+                                      "simplices": [["a"], ["b"]]}}),
+    "vertices-object": (["euler", "simplicial"], {
+        "group": Z2_PRES, "complex": {"vertices": {"0": 1, "1": 2},
+                                      "simplices": [["0"]]}}),
+    "simplex-string": (["euler", "simplicial"], {
+        "group": Z2_PRES, "complex": {"vertices": ["a", "b"],
+                                      "simplices": ["ab"]}}),
+    **{f"action-{name}": (["euler", "simplicial"], {
+        "group": Z2_PRES, "complex": {"vertices": [0], "simplices": [[0]],
+                                      "action": action}})
+       for name, action in [("zero", 0), ("empty-string", ""),
+                            ("false", False), ("empty-list", [])]},
     "simplex-with-null": (["euler", "orbifold"], {
         "group": Z6_PRES, "complex": {"vertices": [0, 1],
                                       "simplices": [[0, None]]}}),
@@ -362,7 +411,6 @@ def test_group_json_roundtrip():
 
 # -- payload-shape fuzzing ------------------------------------------------------------
 
-Z2_PRES = {"kind": "perm", "degree": 2, "generators": [[1, 0]]}
 H2_1 = {"coeffs": [{"class": "H2_1", "a": 1}]}  # [G/H2_1], in S3 and in Z6
 CIRCLE = {"vertices": [0, 1, 2, 3], "simplices": [[0, 1], [1, 2], [2, 3], [3, 0]],
           "action": {"g0": [0, 3, 2, 1]}}

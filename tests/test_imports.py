@@ -109,23 +109,41 @@ def test_import_eqindex_loads_no_submodule():
     assert {"eqindex.gspace", "eqindex.invertible"}.isdisjoint(after)
 
 
+# group-info, group-lattice, index-invert and poly-analyze print a group id:
+# its SHA-1 comes from the built-in _sha1, so no child loads OpenSSL
 @pytest.mark.parametrize("argv, payload, unloaded", [
-    (["group", "info"], Z6, LAYERS + ["dataclasses"]),
-    (["group", "lattice"], Z6, LAYERS + ["dataclasses"]),
+    (["group", "info"], Z6, LAYERS + ["dataclasses", "_hashlib"]),
+    (["group", "lattice"], Z6, LAYERS + ["dataclasses", "_hashlib"]),
     (["burnside", "rk", "--k", "1"],
      {"group": Z6, "element": {"coeffs": [{"class": "H1_0", "a": 1}]}},
-     ["eqindex.gspace", "eqindex.indices", "eqindex.invertible", "hashlib"]),
+     ["eqindex.gspace", "eqindex.indices", "eqindex.invertible", "hashlib",
+      "_hashlib"]),
     (["index", "invert"],
      {"group": Z6, "per_subgroup": {"H1_0": 1, "H2_1": 1, "H3_2": 1,
                                     "H6_3": 1}},
-     ["eqindex.gspace", "eqindex.invertible", "dataclasses"]),
+     ["eqindex.gspace", "eqindex.invertible", "dataclasses", "_hashlib"]),
     (["poly", "analyze"], {"E": [[2, 1], [0, 3]]},
-     ["eqindex.gspace", "eqindex.indices", "dataclasses"]),
+     ["eqindex.gspace", "eqindex.indices", "dataclasses", "_hashlib"]),
     (["poly", "dual-check"], {"E": [[2, 1], [0, 3]]},
-     ["eqindex.gspace", "eqindex.indices", "dataclasses", "hashlib"]),
+     ["eqindex.gspace", "eqindex.indices", "dataclasses", "hashlib",
+      "_hashlib"]),
 ], ids=["group-info", "group-lattice", "burnside-rk", "index-invert",
         "poly-analyze", "poly-dual-check"])
 def test_subcommand_loads_only_its_layers(argv, payload, unloaded):
     code, modules = child(CLI_CHILD, *argv, json.dumps(payload))
     assert code == 0
     assert [m for m in unloaded if m in modules] == []
+
+
+def test_ids_without_the_builtin_sha1_come_from_hashlib():
+    # an interpreter built without _sha1 hashes through hashlib: same ids
+    ids, modules = child(
+        "import json, sys\n"
+        "sys.modules['_sha1'] = None  # import _sha1 raises ImportError\n"
+        "from fractions import Fraction\n"
+        "from eqindex import cyclic_group, diagonal_group\n"
+        "ids = [cyclic_group(6).fingerprint, diagonal_group(\n"
+        "    [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]).fingerprint]\n"
+        "print(json.dumps([ids, sorted(sys.modules)]))")
+    assert ids == ["G6-8d4588526e", "G6-7616eab582"]
+    assert "hashlib" in modules

@@ -49,6 +49,11 @@ Hashes, in order:
     80 columns: `--help`, every group's and every subcommand's `--help`, an
     unknown group, an unknown subcommand in each group, a missing command
     and a missing subcommand, and `burnside rk` with `--k -1` and `--k x`.
+  * on (Z/2)^5 (degree 10, 374 subgroups) and S4 x Z/2 (degree 6) as
+    permutation groups: `commuting_class_counts` for k = 0..2, and
+    `index_from_fixed_indices` with per-class data on the fixed-set indices
+    of every basis element and of five random elements, as given and with
+    one per-class entry moved.
 
 Every error is hashed as its kind and its message.
 
@@ -413,13 +418,39 @@ def usage_lines():
         yield _cli_exit(["burnside", "rk", "--k", k])
 
 
+# (Z/2)^5: five disjoint transpositions (2i 2i+1)
+Z2_5 = (10, [[j ^ 1 if j // 2 == i else j for j in range(10)]
+             for i in range(5)])
+
+
+def poset_lines():
+    rng = random.Random(71)
+    for degree, gens in (Z2_5, PERM_PRESENTATIONS[0]):
+        g = perm_group(degree, gens)
+        for k in range(3):
+            yield f"{degree} {k} " + repr(
+                burnside.commuting_class_counts(g, k))
+        nc = g.lattice().num_classes
+        for b in [burnside.basis_element(g, c) for c in range(nc)] + \
+                random_elements(g, 5, seed=73):
+            data = indices.fixed_indices_from_index(b)
+            moved = rng.randrange(nc)
+            for per_class in (data.per_class, {
+                    **data.per_class, moved: data.per_class[moved] + 1}):
+                yield f"{degree} " + _outcome(
+                    lambda: indices.index_from_fixed_indices(
+                        indices.FixedSetIndexData(g, data.per_subgroup,
+                                                  per_class)))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
                       burnside_lines(), fixed_index_lines(), commuting_lines(),
                       lattice_lines(), simplicial_lines(), inversion_lines(),
                       gsv_lines(), strata_lines(), index_cli_lines(),
-                      second_round_lines(), quadric_lines(), usage_lines()):
+                      second_round_lines(), quadric_lines(), usage_lines(),
+                      poset_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

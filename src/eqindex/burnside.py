@@ -13,8 +13,8 @@ canonical lattice order.  Every map is read from the subgroup lattice:
   * induction from H: [H/K] -> [G/K], through the same class map, which is
     computed once per subgroup group and stored on it;
   * commuting-tuple counts: pairwise-commuting tuples lie in an abelian
-    subgroup A, and P. Hall's phi_{k+1}(A) = sum over B <= A of mu(B, A)
-    |B|^(k+1) counts the (k+1)-tuples of A that generate A.
+    subgroup A, and P. Hall's phi_{k+1}(A), the (k+1)-tuples of A that
+    generate A, solves |A|^(k+1) = sum over B <= A of phi_{k+1}(B).
 
 The tests check marks, restriction and the counts against brute-force
 oracles.  Any non-integral coefficient on the way back is a hard error --
@@ -243,25 +243,25 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     int (a bool, a float, a string) is a ValueError, as a negative k is.
 
     Each abelian A (its recorded generators commute pairwise; every A, when
-    G is abelian) adds Hall's phi_{k+1}(A), summed over the non-zero
-    mu(B, A) of the lattice's Moebius rows `mu`.
+    G is abelian) adds Hall's phi_{k+1}(A), solved upward along the
+    up-sets from |A|^(k+1) = sum over B <= A of phi_{k+1}(B).
     """
     if _int(k, "k", ValueError) in group._tuple_counts:
         return group._tuple_counts[k]
     if k < 0:
         raise ValueError("k must be >= 0")
-    # kept so that outputs do not change; re-deriving it is ROADMAP item 5
+    # kept so that outputs do not change; re-deriving it is ROADMAP item 1
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    abelian = [group.is_abelian or commuting(group.table, gens)
-               for gens in lat.generators]
+    phi = [s.order ** (k + 1) for s in lat.subgroups]
+    for b, up in enumerate(lat.up):  # phi[b] is final once b is reached
+        for a in up[1:]:
+            phi[a] -= phi[b]
     counts = [0] * lat.num_classes
-    for b, row in enumerate(lat.mu):
-        power = lat.subgroups[b].order ** (k + 1)
-        for a, m in row:
-            if abelian[a]:
-                counts[lat.class_of[a]] += m * power
+    for a, gens in enumerate(lat.generators):
+        if group.is_abelian or commuting(group.table, gens):
+            counts[lat.class_of[a]] += phi[a]
     result = tuple(counts)
     group._tuple_counts[k] = result
     return result

@@ -18,6 +18,8 @@ from .errors import EqIndexError, InputError
 
 def _read_payload(args):
     if args.inline is not None:
+        if args.infile is not None:
+            args.usage_error("an inline payload and --in cannot both be given")
         text = args.inline
         source = "<inline>"
     else:
@@ -313,7 +315,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         if name in groups:
             for subname, func in handlers.items():
                 p = sub.add_parser(subname); _add_common(p)
-                p.set_defaults(func=func)
+                p.set_defaults(func=func, usage_error=p.error)
                 for flag, kwargs in OPTIONS.get(func, {}).items():
                     p.add_argument(flag, **kwargs)
     return parser

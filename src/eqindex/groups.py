@@ -366,8 +366,10 @@ class SubgroupLattice:
     `class_up` and `class_mu` are the same rows over ConjSub G, where
     [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
     classes are single subgroups, they are the very lists `up` and `mu`.
-    The marks, restriction and induction never read these three, so they
-    wait for their first read.  `class_orders[c]` is the order of class c.
+    Computations read only the up-sets (`class_up` for the class-poset
+    inversion); `mu` and `class_mu` are for `group lattice` output.  So
+    these three wait for their first read.  `class_orders[c]` is the
+    order of class c.
     """
 
     mu = _OnFirstRead(lambda lat: _moebius_rows(lat.up))

@@ -5,9 +5,9 @@ orbits; the operations here are the Burnside-ring bookkeeping that turns
 such data into an equivariant index and back (quotient-strata indices just
 sum, by `gspace.chi_G_stratified`).
 Fixed-set data are the marks of the index, so they invert through the table
-of marks; class-poset data, when given, are inverted by the Moebius function
-of ConjSub(G) as a cross-check and must agree.  Any non-integral coefficient
-is a hard error.
+of marks; class-poset data, when given, are inverted by back substitution
+along the up-sets of ConjSub(G) as a cross-check and must agree.  Any
+non-integral coefficient is a hard error.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
 
     ind(V^H) is the mark of the index at [H], so the values at the class
     representatives are inverted through the table of marks.  When per-class
-    data is present it is inverted independently over ConjSub(G),
-
-        a_[H] = (|H|/|G|) sum_[K] mu([H], [K]) ind(V^{[K]}),
-
-    and the two results must coincide.  Either inversion must be integral.
+    data is present it is inverted independently over ConjSub(G): with
+    w_[K] = a_[K] |G|/|K|, ind(V^{[H]}) = w_[H] + sum over [K] > [H] of
+    w_[K], solved from the top class down along the class up-sets, and
+    a_[H] = (|H|/|G|) w_[H].  The two results must coincide; either
+    inversion must be integral.
     """
     group = data.group
     lat = group.lattice()
@@ -130,14 +130,14 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
         raise IntegralityError(
             "subgroup-poset inversion produced a non-integer coefficient") from None
     if data.per_class is not None:
-        n = group.order
-        per_class = data.per_class
+        up = lat.class_up
+        w = [data.per_class[c] for c in range(lat.num_classes)]
+        for c in range(len(w) - 1, -1, -1):  # w[d] is final for d > c
+            for d in up[c][1:]:
+                w[c] -= w[d]
         coeffs_conj = []
-        for q, row in zip(lat.class_orders, lat.class_mu):
-            total = 0
-            for k, m in row:
-                total += m * per_class[k]
-            a, r = divmod(q * total, n)
+        for q, total in zip(lat.class_orders, w):
+            a, r = divmod(q * total, group.order)
             if r:
                 raise IntegralityError(
                     "class-poset inversion produced a non-integer coefficient")

@@ -10,9 +10,12 @@ from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               induce, marks_vector,
                               multiply, one, permutation_character, r_k,
                               restrict, table_of_marks)
-from eqindex.gspace import build_complex, chi_k_direct
+from eqindex.gspace import GSimplicialComplex, build_complex, chi_k_direct
+from eqindex.indices import fixed_indices_from_index, index_from_fixed_indices
 from eqindex.invertible import symmetry_group
+from eqindex.jsonio import lattice_to_json
 
+from complex_suite import suite
 from groups_pool import abelian_names, larger, pool, random_elements
 from invertible_family import duality_family
 from oracles import (burnside_product_oracle, commuting_counts_oracle,
@@ -375,6 +378,40 @@ def test_commuting_counts_of_a_diagonal_group_build_no_table(monkeypatch):
         # every (k+1)-tuple commutes, and [G/G] has one fixed point
         assert r_k(one(g), k) == g.order ** k
     assert calls == [] and "table" not in vars(g)
+
+
+@pytest.mark.parametrize("degree, gens, name", [
+    # Z2^4: four disjoint transpositions (2i 2i+1)
+    (8, [[j ^ 1 if j // 2 == i else j for j in range(8)] for i in range(4)],
+     "octahedron-klein-product"),
+    (4, [[1, 0, 2, 3], [1, 2, 3, 0]], "square-dihedral4-subdivided"),
+], ids=["Z2^4-and-Klein-complex", "S4-and-D4-complex"])
+def test_counts_and_inversions_build_no_moebius_rows(monkeypatch, degree,
+                                                     gens, name):
+    # commuting counts and the class-poset inversion walk the up-sets: on
+    # fresh groups only `lattice_to_json` builds Moebius rows; chi_k_direct
+    # runs on the complex's own group (Klein four, abelian; D4, not), the
+    # other calls on the group of the id
+    from eqindex import groups
+    calls = []
+    real = groups._moebius_rows
+    monkeypatch.setattr(groups, "_moebius_rows",
+                        lambda up: calls.append(len(up)) or real(up))
+    g = perm_group(degree, gens)
+    x = dict(suite())[name]
+    fresh = GSimplicialComplex(build_group(x.group.presentation), x.vertices,
+                               x.simplices, x.action)
+    for b in [one(g)] + random_elements(g, 3, seed=24):
+        for k in range(3):
+            r_k(b, k)
+        data = fixed_indices_from_index(b)
+        assert data.per_class is not None
+        assert index_from_fixed_indices(data) == b
+    assert [chi_k_direct(fresh, k) for k in range(3)] == \
+        [chi_k_direct(x, k) for k in range(3)]
+    assert calls == []
+    lattice_to_json(g)
+    assert len(calls) == (1 if g.is_abelian else 2)  # mu, and class_mu
 
 
 # -- permutation character ---------------------------------------------------------

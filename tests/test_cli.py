@@ -255,6 +255,20 @@ def test_empty_inline_payload_is_malformed_json(capsys, monkeypatch):
     assert obj["error"]["message"].startswith("malformed JSON in <inline>")
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_inline_payload_and_in_file_is_a_usage_error(capsys, tmp_path,
+                                                     exists):
+    path = tmp_path / "payload.json"
+    if exists:
+        path.write_text('{"E": [[3]]}')
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poly", "analyze", '{"E": [[2]]}', "--in", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(
+        "error: an inline payload and --in cannot both be given\n")
+
+
 def test_a_subcommand_builds_the_parsers_of_its_group_only(capsys,
                                                           monkeypatch):
     built = []

@@ -146,13 +146,26 @@ def test_all_ones_inverts_to_one():
 
 
 def test_inversion_flavors_disagreement_detected():
-    z6 = pool()["Z6"]
-    b = basis_element(z6, 0)
-    d = fixed_indices_from_index(b)
-    per_class = dict(d.per_class)
-    per_class[3] += 1  # corrupt the top class value
-    with pytest.raises((InconsistentDataError, IntegralityError)):
-        index_from_fixed_indices(FixedSetIndexData(z6, d.per_subgroup, per_class))
+    # a per-class value moved by one below the top class moves that class's
+    # coefficient by |H|/|G|, and a moved top value moves the coefficient of
+    # each maximal class [M] by -|M|/|G|, never an integer; the per-class data
+    # of another element inverts to that element, which the marks contradict
+    groups = {**pool(), "S4": larger()["S4"], "A5": larger()["A5"]}
+    for name, g in groups.items():
+        b, other = random_elements(g, 2, seed=24)
+        assert b != other, name
+        d = fixed_indices_from_index(b)
+        for c in range(g.lattice().num_classes):
+            per_class = {**d.per_class, c: d.per_class[c] + 1}
+            with pytest.raises(IntegralityError, match="^class-poset "
+                               "inversion produced a non-integer coefficient$"):
+                index_from_fixed_indices(
+                    FixedSetIndexData(g, d.per_subgroup, per_class))
+        per_class = fixed_indices_from_index(other).per_class
+        with pytest.raises(InconsistentDataError, match="^the two Moebius "
+                           "inversions disagree; input data is inconsistent$"):
+            index_from_fixed_indices(
+                FixedSetIndexData(g, d.per_subgroup, per_class))
 
 
 def test_inversion_nonintegral_input_detected():

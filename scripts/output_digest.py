@@ -54,6 +54,10 @@ Hashes, in order:
     `index_from_fixed_indices` with per-class data on the fixed-set indices
     of every basis element and of five random elements, as given and with
     one per-class entry moved.
+  * on S4 and A5, for every subgroup as a standalone group H: the
+    restriction of every basis element of B(H) to every subgroup of H, the
+    induction of every basis element of each of those back to H, and
+    `lattice_to_json` of every subgroup of H as a standalone group.
 
 Every error is hashed as its kind and its message.
 
@@ -443,6 +447,15 @@ def poset_lines():
                                                   per_class)))
 
 
+def grandchild_lines():
+    for g in (larger()["S4"], larger()["A5"]):
+        for sub in g.lattice().subgroups:
+            child = sub.as_group()
+            yield from restriction_lines(child)
+            for grand in child.lattice().subgroups:
+                yield jsonio.dumps(jsonio.lattice_to_json(grand.as_group()))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -450,7 +463,7 @@ def main():
                       lattice_lines(), simplicial_lines(), inversion_lines(),
                       gsv_lines(), strata_lines(), index_cli_lines(),
                       second_round_lines(), quadric_lines(), usage_lines(),
-                      poset_lines()):
+                      poset_lines(), grandchild_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -10,8 +10,8 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     triangular table of marks;
   * restriction to H: the marks at each K <= H are those of b at K's class
     in G, inverted over the table of marks of H;
-  * induction from H: [H/K] -> [G/K], through the same class map, which is
-    computed once per subgroup group and stored on it;
+  * induction from H: [H/K] -> [G/K], through the same class map, the
+    `parent_classes` of H's lattice;
   * commuting-tuple counts: pairwise-commuting tuples lie in an abelian
     subgroup A, and P. Hall's phi_{k+1}(A), the (k+1)-tuples of A that
     generate A, solves |A|^(k+1) = sum over B <= A of phi_{k+1}(B).
@@ -195,21 +195,6 @@ def cardinality(b: BurnsideElement) -> int:
     return marks_vector(b)[0]
 
 
-def _parent_classes(child: FiniteGroup) -> list:
-    """For each conjugacy class of subgroups of `child`, a subgroup group,
-    the class of its parent that contains it.  It depends only on the child
-    and the parent's canonical lattice, so it is computed once per child and
-    stored there; callers check the target group first."""
-    if child._parent_classes is None:
-        lat = child.parent.lattice()
-        child_lat = child.lattice()
-        child._parent_classes = [
-            lat.class_index_of(frozenset(child.parent_index[i]
-                                         for i in child_lat.subgroups[r].members))
-            for r in child_lat.representatives]
-    return child._parent_classes
-
-
 def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:
     """R^G_H: the same G-set viewed as an H-set, over ConjSub(H).
 
@@ -221,7 +206,7 @@ def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:
     child = sub.as_group()
     marks = marks_vector(b)
     return element_from_marks(
-        child, [marks[p] for p in _parent_classes(child)])
+        child, [marks[p] for p in child.lattice().parent_classes])
 
 
 def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
@@ -232,7 +217,7 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
     if child.parent is None or not child.parent.same_group(group):
         raise NotASubgroupError("element's group is not a subgroup of the target")
     out = [0] * group.lattice().num_classes
-    for a, p in zip(b.coeffs, _parent_classes(child)):
+    for a, p in zip(b.coeffs, child.lattice().parent_classes):
         out[p] += a
     return BurnsideElement(group, out)
 

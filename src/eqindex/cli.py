@@ -23,9 +23,9 @@ def _read_payload(args):
         text = args.inline
         source = "<inline>"
     else:
-        source = args.infile or "<stdin>"
+        source = "<stdin>" if args.infile is None else args.infile
         try:
-            if args.infile:
+            if args.infile is not None:
                 with open(args.infile, "r", encoding="utf-8") as fh:
                     text = fh.read()
             else:
@@ -61,7 +61,7 @@ def _emit(args, obj) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = jsonio.dumps(obj) + "\n"
-    if args.outfile:
+    if args.outfile is not None:
         try:
             with open(args.outfile, "w", encoding="utf-8") as fh:
                 fh.write(text)

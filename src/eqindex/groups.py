@@ -7,9 +7,10 @@ conjugacy classes and Burnside coefficients are deterministic across runs.
 A diagonal group's |G|^2 product table waits for its first read, and its
 subgroup lattice never reads it: cyclic subgroups come from key multiples
 and each join from the translation rows of the few elements it adds.
-Every group's subgroups come from one walk by prime steps up from the
-trivial subgroup, and every subgroup generated by elements (`closure`, each
-join of that walk, Light's associativity test) from one coset walk, `_join`.
+Each group's subgroups are enumerated once, by prime steps up from the
+trivial subgroup or, for a subgroup group, off its parent's lattice; every
+subgroup generated by elements (`closure`, each join of that walk, Light's
+associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -175,7 +176,6 @@ class FiniteGroup:
         self._marks = None
         self._element_classes = None
         self._tuple_counts = {}
-        self._parent_classes = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -347,13 +347,13 @@ class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, normalizers, and the
     Moebius functions of both posets (Sub G and ConjSub G).
 
-    Subgroups of every group are enumerated by one walk up from the trivial
-    subgroup (`_prime_step_joins`): each known subgroup A is joined with
-    the recorded cyclic generators g of prime-power order p^k with g not
-    in A and g^p in A, skipping a g that lies in an earlier join of index
-    p over A.  They are then sorted canonically (by order, then by sorted
-    member ids); the representative of each conjugacy class is its
-    minimal subgroup.
+    Subgroups come from one walk by prime steps up from the trivial
+    subgroup (`_prime_step_joins`) or, for a subgroup group H, from H's
+    down-set in the parent's lattice.  They are sorted canonically (by
+    order, then by sorted member ids), which the sorted `parent_index`
+    keeps; the representative of each conjugacy class is its minimal
+    subgroup.  `parent_classes[c]` is the parent's class of class c's
+    representative (None without a parent), the map of `restrict`/`induce`.
 
     `generators[i]` are the generators of the join that first produced
     subgroup i: at most log2|H| + 1, since each join at least doubles.
@@ -385,8 +385,21 @@ class SubgroupLattice:
             raise OrderBoundError(
                 f"subgroup enumeration limited to order {MAX_ORDER}")
         self.group = group
-        cyclic_of, cyclics = _cyclic_subgroups(group)
-        gens = _prime_step_joins(group, cyclic_of, cyclics)
+        if group.parent is None:
+            cyclic_of, cyclics = _cyclic_subgroups(group)
+            gens = _prime_step_joins(group, cyclic_of, cyclics)
+        else:  # H's down-set in the parent's lattice, renumbered: the
+            # subgroups up to H (in canonical order) whose generators lie in H
+            plat = group.parent.lattice()
+            child_of = {p: c for c, p in enumerate(group.parent_index)}
+            top = plat.subgroup_index(group.parent_index)
+            down = [i for i in range(top + 1)
+                    if all(map(child_of.__contains__, plat.generators[i]))]
+            sets = {i: frozenset(map(child_of.get, plat.subgroups[i].members))
+                    for i in down}
+            gens = {sets[i]: tuple(map(child_of.get, plat.generators[i]))
+                    for i in down}
+            cyclic_of = [sets[plat.cyclic_of[p]] for p in group.parent_index]
         canonical, self.labels = canonical_order(gens)
         self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
@@ -429,6 +442,8 @@ class SubgroupLattice:
         self.class_orders = [self.subgroups[r].order
                              for r in self.representatives]
         self.class_labels = [self.labels[r] for r in self.representatives]
+        self.parent_classes = None if group.parent is None else [
+            plat.class_of[down[r]] for r in self.representatives]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._class_label_index = {lab: c
                                    for c, lab in enumerate(self.class_labels)}

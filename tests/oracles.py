@@ -4,7 +4,8 @@ Nothing here shares code with the package paths it checks: the Milnor-number
 oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
 the marks and restriction oracles count fixed cosets and H-orbits on G/K;
-the induction oracle conjugates each K by every element of G;
+the induction oracle conjugates each K by every element of G; the
+parent-class oracle looks each member set up in a parent lattice;
 the reduction oracle averages fixed-coset counts over commuting tuples
 directly on cosets; the commuting-tuple oracle enumerates every tuple and
 closes it, and the lattice oracle joins every pair of subgroups, both
@@ -231,6 +232,15 @@ def induce_conjugacy_oracle(b, group) -> BurnsideElement:
                 if lat.subgroups[r].members in conjugates]
         coeffs[k] += a
     return BurnsideElement(group, coeffs)
+
+
+def parent_classes_oracle(parent_index, parent_lattice, members) -> list:
+    """The class in `parent_lattice` of each member set in `members` (ids of
+    a subgroup group whose element i is element parent_index[i] of the
+    parent), by mapping each set through `parent_index` and looking it up."""
+    return [parent_lattice.class_index_of(frozenset(parent_index[i]
+                                                    for i in ms))
+            for ms in members]
 
 
 def r_k_coset_oracle(group, members, k) -> int:

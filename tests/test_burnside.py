@@ -209,9 +209,9 @@ def test_restrict_matches_coset_oracle():
 
 
 def test_stored_class_map_matches_oracles():
-    """restrict and induce store the child-to-parent class map on the
-    subgroup group at first use; the first call, the second and calls with
-    an equal group rebuilt from the same presentation agree with the
+    """restrict and induce read the child-to-parent class map that the
+    subgroup group's lattice stores; the first call, the second and calls
+    with an equal group rebuilt from the same presentation agree with the
     oracles, and a target that is not the parent is still refused."""
     presentations = [g.presentation for g in
                      (*pool().values(), larger()["S4"], larger()["A5"])]

@@ -255,6 +255,21 @@ def test_empty_inline_payload_is_malformed_json(capsys, monkeypatch):
     assert obj["error"]["message"].startswith("malformed JSON in <inline>")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--in", ""], "cannot read : "),
+    (['{"E": [[2]]}', "--out", ""], "cannot write : "),
+], ids=["in", "out"])
+def test_empty_file_path_is_an_input_error(capsys, monkeypatch, argv,
+                                           message):
+    # '' names no file: stdin and stdout do not stand in for it
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"E": [[2]]}'))
+    code = cli.main(["poly", "analyze", *argv])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert obj["error"]["kind"] == "InputError"
+    assert obj["error"]["message"].startswith(message)
+
+
 @pytest.mark.parametrize("exists", [True, False])
 def test_inline_payload_and_in_file_is_a_usage_error(capsys, tmp_path,
                                                      exists):

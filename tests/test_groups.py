@@ -18,7 +18,8 @@ from groups_pool import abelian_names, larger, pool
 from invertible_family import duality_family
 from oracles import (closure_oracle, expanded_lattice, leq_oracle,
                      marks_coset_oracle, moebius_oracle,
-                     subgroup_lattice_oracle, zeta_conj_oracle)
+                     parent_classes_oracle, subgroup_lattice_oracle,
+                     zeta_conj_oracle)
 
 
 def test_cyclic_closure_from_3cycle():
@@ -441,6 +442,45 @@ def test_lattice_records_cyclic_subgroups_and_generators():
         for s, gens in zip(lat.subgroups, lat.generators):
             assert closure_oracle(group.table, group.identity, gens) == \
                 s.members
+
+
+def _assert_slice_matches_a_fresh_enumeration(child, fresh_parent):
+    """The lattice of the subgroup group `child`, read from its parent's,
+    against the lattice of a parentless `table` presentation of it; the
+    parent classes are looked up in `fresh_parent`'s lattice, a parentless
+    group equal to the parent.  Returns the parentless child."""
+    fresh = build_group({"kind": "table", "table": child.table})
+    lat, ref = child.lattice(), fresh.lattice()
+    assert [s.members for s in lat.subgroups] == \
+        [s.members for s in ref.subgroups]
+    for name in ("labels", "up", "class_of", "normalizers", "class_up",
+                 "mu", "class_mu"):
+        assert getattr(lat, name) == getattr(ref, name), name
+    for s, gens in zip(lat.subgroups, lat.generators):
+        assert closure_oracle(child.table, child.identity, gens) == s.members
+    assert lat.parent_classes == parent_classes_oracle(
+        child.parent_index, fresh_parent.lattice(),
+        [ref.subgroups[r].members for r in ref.representatives])
+    return fresh
+
+
+def test_subgroup_lattices_are_slices_of_the_parent_lattice():
+    # every subgroup group and every subgroup group of those (every parent
+    # here has order <= 60) against a fresh enumeration of the same table
+    parents = [*pool().values(), larger()["S4"], larger()["A5"], _s4_z2()]
+    parents += [symmetry_group(f) for f in duality_family(24, 3)[::6]]
+    count = 0
+    for parent in parents:
+        assert parent.lattice().parent_classes is None
+        for sub in parent.lattice().subgroups:
+            child = sub.as_group()
+            fresh = _assert_slice_matches_a_fresh_enumeration(child, parent)
+            for grand in child.lattice().subgroups:
+                _assert_slice_matches_a_fresh_enumeration(grand.as_group(),
+                                                          fresh)
+                count += 1
+            count += 1
+    assert count == 2913
 
 
 def test_is_abelian_from_generators_matches_the_table_scan():

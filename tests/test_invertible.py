@@ -745,15 +745,17 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
 
 def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
         monkeypatch):
-    # restriction to every subgroup reads the marks of G_f and of each
-    # subgroup group, whose lattice walks its keys: neither group's Cayley
-    # table nor either lattice's Moebius rows is built
-    counts = Counter()
-    for name in ("_canonical_table", "_moebius_rows"):
+    # criterion 8's loop: restriction to every subgroup reads the marks of
+    # G_f and of each subgroup group.  Each G_f is walked by prime steps
+    # once, and each subgroup group's lattice is read off G_f's with no
+    # walk of its own; no Cayley table and no Moebius row is built
+    calls = []
+    for name in ("_cyclic_subgroups", "_prime_step_joins", "_canonical_table",
+                 "_moebius_rows"):
         fn = getattr(groups, name)
         monkeypatch.setattr(groups, name, lambda *args, name=name, fn=fn:
-                            counts.update([name]) or fn(*args))
-    checked = 0
+                            calls.append((name, args[0])) or fn(*args))
+    walked, checked = [], 0
     for f in duality_family(24, 3)[::6]:
         f = validate(f.E)  # a fresh G_f, with nothing built on it yet
         gf = symmetry_group(f)
@@ -762,7 +764,11 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
             assert restrict(ind, sub) == index_df(f, sub.as_group()), \
                 (f.E, sub.members)
             checked += 1
-    assert checked > 20 and counts == {}
+        walked.append(gf)
+    assert checked > 20
+    for name in ("_cyclic_subgroups", "_prime_step_joins"):
+        assert [g for n, g in calls if n == name] == walked, name
+    assert len(calls) == 2 * len(walked)  # no table, no Moebius rows
 
 
 @pytest.mark.parametrize("matrix, error", [

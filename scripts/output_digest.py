@@ -58,6 +58,8 @@ Hashes, in order:
     restriction of every basis element of B(H) to every subgroup of H, the
     induction of every basis element of each of those back to H, and
     `lattice_to_json` of every subgroup of H as a standalone group.
+  * for every fixture of duality_family(200, 2), up to 90 subgroups per
+    G_f: the `duality_check` report as canonical JSON.
 
 Every error is hashed as its kind and its message.
 
@@ -456,6 +458,11 @@ def grandchild_lines():
                 yield jsonio.dumps(jsonio.lattice_to_json(grand.as_group()))
 
 
+def wide_duality_lines():
+    for f in duality_family(200, 2):
+        yield jsonio.dumps(jsonio.duality_report_to_json(duality_check(f)))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -463,7 +470,8 @@ def main():
                       lattice_lines(), simplicial_lines(), inversion_lines(),
                       gsv_lines(), strata_lines(), index_cli_lines(),
                       second_round_lines(), quadric_lines(), usage_lines(),
-                      poset_lines(), grandchild_lines()):
+                      poset_lines(), grandchild_lines(),
+                      wide_duality_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

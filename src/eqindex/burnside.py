@@ -222,14 +222,23 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
     return BurnsideElement(group, out)
 
 
+def hall_phi(lat, k: int) -> list:
+    """P. Hall's phi_k(K), the k-tuples of K that generate K, for each K of
+    a lattice: |K|^k = sum over B <= K of phi_k(B), solved up the up-sets."""
+    phi = [s.order ** k for s in lat.subgroups]
+    for b, up in enumerate(lat.up):  # phi[b] is final once b is reached
+        for a in up[1:]:
+            phi[a] -= phi[b]
+    return phi
+
+
 def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     """Number of pairwise-commuting (k+1)-tuples whose generated subgroup lies
     in each conjugacy class.  Cached per group and k; a k that is not an
     int (a bool, a float, a string) is a ValueError, as a negative k is.
 
     Each abelian A (its recorded generators commute pairwise; every A, when
-    G is abelian) adds Hall's phi_{k+1}(A), solved upward along the
-    up-sets from |A|^(k+1) = sum over B <= A of phi_{k+1}(B).
+    G is abelian) adds Hall's phi_{k+1}(A), from `hall_phi`.
     """
     if _int(k, "k", ValueError) in group._tuple_counts:
         return group._tuple_counts[k]
@@ -239,10 +248,7 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    phi = [s.order ** (k + 1) for s in lat.subgroups]
-    for b, up in enumerate(lat.up):  # phi[b] is final once b is reached
-        for a in up[1:]:
-            phi[a] -= phi[b]
+    phi = hall_phi(lat, k + 1)
     counts = [0] * lat.num_classes
     for a, gens in enumerate(lat.generators):
         if group.is_abelian or commuting(group.table, gens):

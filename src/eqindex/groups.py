@@ -228,15 +228,17 @@ class FiniteGroup:
         return tuple(Fraction(x, self.denominator) for x in self.keys[i])
 
     def _fixed_masks(self) -> list:
-        """Per element of a diagonal group, the bitmask of the coordinates it
-        acts trivially on (the group's `fixed_masks`), by key columns."""
+        """Per element, the bitmask of the coordinates it acts trivially on,
+        by key columns: `fixed_masks` of a diagonal group without a parent."""
         masks = [0] * self.order
         for j, col in enumerate(zip(*self.keys)):
             bit = 1 << j
             masks = [m if x else m | bit for m, x in zip(masks, col)]
         return masks
 
-    fixed_masks = _OnFirstRead(lambda g: g._fixed_masks())
+    fixed_masks = _OnFirstRead(lambda g: g._fixed_masks() if g.parent is None
+                               else list(map(g.parent.fixed_masks.__getitem__,
+                                             g.parent_index)))
 
     def element_repr(self, i: int):
         """JSON-able canonical representation of an element."""
@@ -262,10 +264,10 @@ class FiniteGroup:
     fingerprint = _OnFirstRead(_hashed_id)
 
     def same_group(self, other: "FiniteGroup") -> bool:
-        if self is other:
-            return True
-        return (self.denominator == other.denominator
-                and self.keys == other.keys and self.table == other.table)
+        # keys over one denominator fix the law: tables only without one
+        return self is other or (
+            self.denominator == other.denominator and self.keys == other.keys
+            and (self.denominator is not None or self.table == other.table))
 
     def lattice(self) -> "SubgroupLattice":
         if self._lattice is None:

@@ -184,6 +184,7 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
     otherwise; these fixed-set values must be constant on conjugacy classes
     and are inverted by `index_from_fixed_indices`.
     """
+    _int(k, "k", ValueError)
     lat = group.lattice()
     ns = len(lat.subgroups)
     if set(fixed_dims.keys()) != set(range(ns)):

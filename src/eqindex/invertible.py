@@ -27,24 +27,26 @@ and a subgroup's locus from the masks of its recorded generators.
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
-chi^H(M_f) at K is chi(M_f^K), and Fix <g, h> = Fix g & Fix h; so with c_a
-elements of H whose fixed-coordinate bitmask is a, Burnside's lemma gives
-    r_0 = 1 - (sum_a c_a chi(M_f^a)) / |G|          (H = G),
-    r_1 = |H| - (sum_{a,b} c_a c_b chi(M_f^{a & b})) / |H|,
-read off at most 2^n fixed loci without rebuilding H as a group; the sum
-is symmetric in (a, b), so each unordered pair of masks is taken once.
+chi^H(M_f) at K is chi(M_f^K), and Fix <g, h> = Fix g & Fix h; so Burnside's
+lemma, over the pairs of H grouped by the subgroup K they generate, gives
+    r_0 = 1 - (sum over K of phi_1(K) chi(M_f^{Fix K})) / |G|     (H = G),
+    r_1 = |H| - (sum over K <= H of phi_2(K) chi(M_f^{Fix K})) / |H|,
+with P. Hall's phi_k(K), the k-tuples of K that generate K, solved along
+the up-sets of G_f's lattice.  G_{f~} needs no lattice and no fixed masks:
+K -> K^T reverses inclusion and |K^T| = |G| / |K|, so the same up-sets
+carry the dual's sums, and Fix K^T = {j : rho_j in K} for the columns
+rho_j = E^{-1} e_j that generate G_f, since <rho_j, b> = b_j.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
-from .burnside import BurnsideElement, element_from_marks, one
+from .burnside import BurnsideElement, element_from_marks, hall_phi, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError, _int)
 from .groups import (MAX_ORDER, FiniteGroup, canonical_order,
@@ -467,6 +469,13 @@ def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
     return 1 + (-1) ** (len(locus) - 1) * mu
 
 
+def _chis(f: InvertiblePolynomial, loci) -> list:
+    """chi(M_f^L) for each locus L of `loci`, each distinct one computed
+    once."""
+    chi = {L: _fixed_chi(f, L) for L in set(loci)}
+    return [chi[L] for L in loci]
+
+
 def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
     """chi^G(M_f) over a diagonal symmetry group, from its marks: the mark
     at K is chi(M_f^K), read at each class representative and computed once
@@ -476,10 +485,8 @@ def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement
     _check_symmetries(f.E, group)
     masks = group.fixed_masks
     lat = group.lattice()
-    loci = [_locus_mask(masks, lat.generators[r]) for r in lat.representatives]
-    chi = {a: _fixed_chi(f, a) for a in set(loci)}
-    marks = [chi[a] for a in loci]
-    return element_from_marks(group, marks)
+    return element_from_marks(group, _chis(f, [
+        _locus_mask(masks, lat.generators[r]) for r in lat.representatives]))
 
 
 def index_df(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
@@ -540,37 +547,53 @@ class DualityReport(NamedTuple):
         return [p for p in self.pairs if not p.matches]
 
 
-def _orbifold_indices(f: InvertiblePolynomial, group: FiniteGroup,
-                      member_sets) -> tuple:
-    """r_0 of ind^G(df), and r_1 of ind^H(df) for each member set H, by the
-    mask formulas of the module docstring, each unordered pair of masks
-    summed once: c_a^2 chi(a) + 2 c_a c_b chi(a & b).
+def _fixed_loci(group: FiniteGroup) -> tuple:
+    """The bitmasks of Fix K and of Fix K^T for each subgroup K of G_f: the
+    AND over K's recorded generators, and {j : rho_j in K} for the j-th
+    generator key rho_j of G_f, the K in the up-set of <rho_j>."""
+    lat = group.lattice()
+    dual = [0] * len(lat.up)
+    for j, g in enumerate(group.generator_keys):
+        for k in lat.up[lat.cyclic_of[group.index[g]]]:
+            dual[k] |= 1 << j
+    return [_locus_mask(group.fixed_masks, gens)
+            for gens in lat.generators], dual
 
-    chi(M_f^L) is computed once for each locus L = Fix g & Fix h, in a dict
-    per call; a non-integral average is an IntegralityError.
-    """
-    _check_symmetries(f.E, group)
-    masks = group.fixed_masks
-    distinct = set(masks)
-    chi = {L: _fixed_chi(f, L) for L in {a & b for a in distinct
-                                         for b in distinct}}
-    total = sum(c * chi[a] for a, c in Counter(masks).items())
-    if total % group.order:
+
+def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,
+                      group: FiniteGroup) -> tuple:
+    """(r_0, v, r_0~, v~): r_0 of ind(df) over G = G_f and v[i], its r_1 over
+    the i-th subgroup H, and the same of ind(df~) over G_{f~} and H^T, by the
+    phi sums of the module docstring; phi_1(K) counts the g with <g> = K."""
+    lat = group.lattice()
+    up, orders = lat.up, [s.order for s in lat.subgroups]
+    loci, dual_loci = _fixed_loci(group)
+    w, dual_w = _chis(f, loci), _chis(ft, dual_loci)
+    sums = [0] * len(up)
+    for b, p in enumerate(hall_phi(lat, 2)):
+        for a in up[b] if w[b] else ():
+            sums[a] += p * w[b]
+    dual_orders = [group.order // h for h in orders]
+    phi1, phi2, terms, dual_sums = ([0] * len(up) for _ in range(4))
+    # phi~_k(K^T) is pulled from the K' in up[K], already final (up[K]
+    # starts at K, still 0); the subgroups of H^T are the K^T, K in up[H]
+    for b in range(len(up) - 1, -1, -1):
+        q, row = dual_orders[b], up[b]
+        phi1[b] = q - sum(map(phi1.__getitem__, row))
+        phi2[b] = q * q - sum(map(phi2.__getitem__, row))
+        terms[b] = phi2[b] * dual_w[b]
+        dual_sums[b] = sum(map(terms.__getitem__, row))
+    total = sum(map(w.__getitem__, lat.cyclic_of))
+    dual_total = sum(map(operator.mul, phi1, dual_w))
+    if total % group.order or dual_total % group.order:
         raise IntegralityError(
             "orbit count of the Milnor fibre is not an integer")
-    r0 = 1 - total // group.order
-    values = []
-    for members in member_sets:
-        counts = list(Counter(map(masks.__getitem__, members)).items())
-        total = sum(ca * (ca * chi[a] + 2 * sum(cb * chi[a & b]
-                                                for b, cb in counts[i + 1:]))
-                    for i, (a, ca) in enumerate(counts))
-        h = len(members)
-        if total % h:
-            raise IntegralityError(
-                "orbifold Euler characteristic of the Milnor fibre is not an integer")
-        values.append(h - total // h)
-    return r0, values
+    if any(t % h for t, h in zip(sums + dual_sums, orders + dual_orders)):
+        raise IntegralityError(
+            "orbifold Euler characteristic of the Milnor fibre is not an integer")
+    return (1 - total // group.order, [h - t // h for t, h in zip(sums, orders)],
+            1 - dual_total // group.order,
+            [h - t // h for t, h in zip(dual_sums, dual_orders)])
 
 
 def duality_check(f: InvertiblePolynomial) -> DualityReport:
@@ -588,8 +611,7 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     # under the perfect pairing H -> H^T is a bijection onto Sub(G_{f~}),
     # so the duals in canonical order are G_{f~}'s lattice and its labels
     dual_labels = dict(zip(*canonical_order(duals)))
-    r0, v = _orbifold_indices(f, gf, [s.members for s in lat.subgroups])
-    r0_dual, v_dual = _orbifold_indices(ft, gft, duals)
+    r0, v, r0_dual, v_dual = _orbifold_indices(f, ft, gf)
     pairs = [DualityPair(
         subgroup_label=lat.labels[i], subgroup_order=s.order,
         dual_label=dual_labels[d], dual_order=len(d),

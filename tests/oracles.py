@@ -12,9 +12,12 @@ closes it, and the lattice oracle joins every pair of subgroups, both
 closing by a breadth-first walk of their own; the exact-isotropy oracle
 assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
 through the table of marks; the fixed-locus oracle reads a diagonal group's
-keys, not its `fixed_masks`; the dense poset oracles compare member sets
-pairwise and run the textbook Moebius recursion over the square zeta
-matrix, where the lattice stores sparse up-sets and Moebius rows.
+keys, not its `fixed_masks`; the orbifold-index oracle counts the elements
+and pairs of each member set by fixed-coordinate masks read from the keys,
+where the package sums Hall's phi over up-sets; the dense poset oracles
+compare member sets pairwise and run the textbook Moebius recursion over
+the square zeta matrix, where the lattice stores sparse up-sets and Moebius
+rows.
 """
 
 from fractions import Fraction
@@ -359,6 +362,34 @@ def fixed_locus(group, members) -> frozenset:
     the group's denominator) is 0."""
     return frozenset(j for j in range(len(group.keys[0]))
                      if all(group.keys[m][j] == 0 for m in members))
+
+
+def orbifold_indices_oracle(f, group, member_sets, fixed_chi) -> tuple:
+    """r_0 of the index of df over a diagonal group G, and r_1 over each
+    member set H, by Burnside's lemma over elements and pairs: with c_a the
+    members whose keys vanish exactly on the coordinate mask a,
+        r_0 = 1 - (sum over a of c_a chi(a)) / |G|,
+        r_1 = |H| - (sum over a, b of c_a c_b chi(a & b)) / |H|,
+    where chi(L) = fixed_chi(f, L) is chi of the Milnor fibre on locus L."""
+    masks = [sum(1 << j for j, x in enumerate(key) if x == 0)
+             for key in group.keys]
+
+    def counts(members):
+        c = {}
+        for m in members:
+            c[masks[m]] = c.get(masks[m], 0) + 1
+        return c.items()
+
+    total = sum(c * fixed_chi(f, a) for a, c in counts(group.elements()))
+    assert total % group.order == 0
+    r0, values = 1 - total // group.order, []
+    for members in member_sets:
+        pairs = counts(members)
+        total = sum(ca * cb * fixed_chi(f, a & b)
+                    for a, ca in pairs for b, cb in pairs)
+        assert total % len(members) == 0
+        values.append(len(members) - total // len(members))
+    return r0, values
 
 
 # -- chi^G from fixed-point Euler characteristics -------------------------------

@@ -11,7 +11,8 @@ from eqindex import (GroupBuildError, NotASubgroupError, OrderBoundError,
                      normalizer, perm_group, trivial_group)
 
 from eqindex import groups
-from eqindex.burnside import commuting_class_counts, table_of_marks
+from eqindex.burnside import (BurnsideElement, commuting_class_counts,
+                              table_of_marks)
 from eqindex.invertible import symmetry_group, transpose, validate
 
 from groups_pool import abelian_names, larger, pool
@@ -274,6 +275,21 @@ def test_diagonal_keys_are_integers_over_the_denominator():
     assert not t.same_group(g) and t.denominator is None
     with pytest.raises(TypeError):
         t.phases(0)
+
+
+def test_equal_diagonal_groups_compare_without_tables(monkeypatch):
+    # keys over one denominator fix the group law, so neither table is built
+    def forbidden(*args):
+        raise AssertionError("a Cayley table was built")
+
+    monkeypatch.setattr(groups, "_canonical_table", forbidden)
+    phases = [[Fraction(1, 4), 0, Fraction(1, 2)], [0, Fraction(1, 3), 0]]
+    g, h = diagonal_group(phases), diagonal_group(phases)
+    assert g is not h and g.same_group(h) and h.same_group(g)
+    coeffs = range(g.lattice().num_classes)
+    assert BurnsideElement(g, coeffs) == BurnsideElement(h, coeffs)
+    assert BurnsideElement(g, coeffs) != BurnsideElement(h, [0] * len(coeffs))
+    assert not g.same_group(diagonal_group(phases[:1]))
 
 
 # -- lattices ------------------------------------------------------------------

@@ -378,6 +378,12 @@ def test_gsv_assemble_rejects_non_integers(dims, fixed_dims, field):
         gsv_assemble_from_dims(pool()["Z2"], dims, fixed_dims, 1)
 
 
+@pytest.mark.parametrize("k", [True, 0.5, "1", None])
+def test_gsv_assemble_rejects_a_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        gsv_assemble_from_dims(pool()["Z2"], {0: 4, 1: 2}, {0: 2, 1: 2}, k)
+
+
 def test_fixed_set_index_data_rejects_non_integers():
     z2 = pool()["Z2"]
     with pytest.raises(InconsistentDataError, match="^per_subgroup must"):

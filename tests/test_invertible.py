@@ -14,12 +14,12 @@ from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
 from eqindex import groups, invertible
 from eqindex.groups import build_group, diagonal_group
 from eqindex.invertible import (InvertiblePolynomial, _fixed_chi,
-                                _locus_mask, _orbifold_indices,
+                                _fixed_loci, _locus_mask, _orbifold_indices,
                                 check_perfect_pairing, det_int, solve_exact)
 
 from invertible_family import duality_family, mu_oracle_family
 from oracles import (chi_G_exact_isotropy_oracle, fixed_locus,
-                     milnor_number_jacobian)
+                     milnor_number_jacobian, orbifold_indices_oracle)
 
 FERMAT = validate([[2, 0], [0, 3]])        # x^2 + y^3
 CHAIN = validate([[2, 1], [0, 3]])         # x^2 y + y^3
@@ -422,19 +422,25 @@ def test_fixed_locus_examples():
 
 
 def test_locus_masks_match_the_key_oracle():
+    # G_f and G_{f~}, and the subgroup groups of every third G_f, whose
+    # masks are read off the parent's
+    family = duality_family(24, 3)
+    children = [sub.as_group() for f in family[::3]
+                for sub in symmetry_group(f).lattice().subgroups]
     checked = 0
-    for f in duality_family(24, 3):
-        for gf in (symmetry_group(f), symmetry_group(transpose(f))):
-            lat = gf.lattice()
-            for sub, gens in zip(lat.subgroups, lat.generators):
-                expected = sum(1 << j for j in fixed_locus(gf, sub.members))
-                assert _locus_mask(gf.fixed_masks, sub.members) == expected, \
-                    (f.E, sub.members)
-                # Fix K is the intersection of Fix g over generators of K
-                assert _locus_mask(gf.fixed_masks, gens) == expected, \
-                    (f.E, sub.members, gens)
-                checked += 1
-    assert checked > 1000
+    for gf in [g for f in family
+               for g in (symmetry_group(f), symmetry_group(transpose(f)))] \
+            + children:
+        lat = gf.lattice()
+        for sub, gens in zip(lat.subgroups, lat.generators):
+            expected = sum(1 << j for j in fixed_locus(gf, sub.members))
+            assert _locus_mask(gf.fixed_masks, sub.members) == expected, \
+                (gf.keys, sub.members)
+            # Fix K is the intersection of Fix g over generators of K
+            assert _locus_mask(gf.fixed_masks, gens) == expected, \
+                (gf.keys, sub.members, gens)
+            checked += 1
+    assert len(children) > 500 and checked > 2000
 
 
 def test_restrict_to_examples():
@@ -686,20 +692,56 @@ def test_duality_orbifold_indices_match_burnside_route():
     assert pairs > 500
 
 
+def test_duality_orbifold_indices_match_the_mask_pair_oracle():
+    # oracle: Burnside's lemma over the elements and pairs of every H and
+    # H^T, counted by fixed-coordinate masks read from the keys
+    for f in duality_family(60, 3):
+        rep = duality_check(f)
+        ft = transpose(f)
+        gf, gft = symmetry_group(f), symmetry_group(ft)
+        annihilator = check_perfect_pairing(f, gf, gft)
+        members = [s.members for s in gf.lattice().subgroups]
+        for poly, g, sets, r0, v in (
+                (f, gf, members, rep.orbit_index,
+                 [p.orbifold_index for p in rep.pairs]),
+                (ft, gft, list(map(annihilator, members)),
+                 rep.dual_orbit_index,
+                 [p.dual_orbifold_index for p in rep.pairs])):
+            assert (r0, v) == orbifold_indices_oracle(
+                poly, g, sets, _fixed_chi), f.E
+
+
+def test_dual_loci_are_read_from_the_columns_of_the_inverse():
+    # Fix K^T = {j : rho_j in K} for the columns rho_j of E^{-1}, against
+    # the AND of G_{f~}'s key-column masks over the annihilator of K
+    checked = 0
+    for f in duality_family(60, 3):
+        gf, gft = symmetry_group(f), symmetry_group(transpose(f))
+        annihilator = check_perfect_pairing(f, gf, gft)
+        loci, dual_loci = _fixed_loci(gf)
+        for sub, locus, dual_locus in zip(gf.lattice().subgroups, loci,
+                                          dual_loci):
+            assert locus == _locus_mask(gf.fixed_masks, sub.members)
+            assert dual_locus == _locus_mask(
+                gft.fixed_masks, annihilator(sub.members)), (f.E, sub.members)
+            checked += 1
+    assert checked > 10000
+
+
 def test_non_integral_orbit_count_is_integrality_error(monkeypatch):
     # x^3 over Z/3: r_0 = 1 - (chi(M_f) + 2 chi(empty)) / 3 = 1 - 3/3; a
     # chi(M_f) one too large makes the orbit count 4/3
     f = validate([[3]])
     g = symmetry_group(f)
-    assert _orbifold_indices(f, g, [])[0] == 0
+    assert _orbifold_indices(f, transpose(f), g)[0] == 0
     real = invertible._fixed_chi
 
     def off_by_one(poly, mask):
         return real(poly, mask) + bool(mask)
 
     monkeypatch.setattr(invertible, "_fixed_chi", off_by_one)
-    with pytest.raises(IntegralityError):
-        _orbifold_indices(f, g, [])
+    with pytest.raises(IntegralityError, match="^orbit count"):
+        _orbifold_indices(f, transpose(f), g)
 
 
 def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
@@ -731,12 +773,12 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
     f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
     report = duality_check(f)
     ind = index_df(f, symmetry_group(f))
-    # one elimination for f and f~; G_f and G_{f~}, G_f's lattice and the
-    # fixed-coordinate masks of G_f and G_{f~}, each built once; no Cayley
-    # table of either group and no Moebius rows of the lattice
+    # one elimination for f and f~; G_f and G_{f~}, G_f's lattice and G_f's
+    # fixed-coordinate masks, each built once (G_{f~}'s loci are read from
+    # G_f); no Cayley table of either group and no Moebius rows
     assert counts == {"_fraction_free_solve": 1,
                       "diagonal_group_from_integers": 2,
-                      "SubgroupLattice": 1, "_fixed_masks": 2}
+                      "SubgroupLattice": 1, "_fixed_masks": 1}
     assert counts["_canonical_table"] == counts["_moebius_rows"] == 0
     assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
@@ -747,13 +789,17 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
         monkeypatch):
     # criterion 8's loop: restriction to every subgroup reads the marks of
     # G_f and of each subgroup group.  Each G_f is walked by prime steps
-    # once, and each subgroup group's lattice is read off G_f's with no
-    # walk of its own; no Cayley table and no Moebius row is built
+    # once and its key columns are read once; each subgroup group's lattice
+    # and fixed masks are read off G_f's with no walk or column pass of its
+    # own; no Cayley table and no Moebius row is built
     calls = []
-    for name in ("_cyclic_subgroups", "_prime_step_joins", "_canonical_table",
-                 "_moebius_rows"):
-        fn = getattr(groups, name)
-        monkeypatch.setattr(groups, name, lambda *args, name=name, fn=fn:
+    for owner, name in ((groups, "_cyclic_subgroups"),
+                        (groups, "_prime_step_joins"),
+                        (groups, "_canonical_table"),
+                        (groups, "_moebius_rows"),
+                        (groups.FiniteGroup, "_fixed_masks")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, fn=fn:
                             calls.append((name, args[0])) or fn(*args))
     walked, checked = [], 0
     for f in duality_family(24, 3)[::6]:
@@ -766,9 +812,9 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
             checked += 1
         walked.append(gf)
     assert checked > 20
-    for name in ("_cyclic_subgroups", "_prime_step_joins"):
+    for name in ("_cyclic_subgroups", "_prime_step_joins", "_fixed_masks"):
         assert [g for n, g in calls if n == name] == walked, name
-    assert len(calls) == 2 * len(walked)  # no table, no Moebius rows
+    assert len(calls) == 3 * len(walked)  # no table, no Moebius rows
 
 
 @pytest.mark.parametrize("matrix, error", [
@@ -780,9 +826,18 @@ def test_symmetry_group_errors_are_raised_on_every_call(matrix, error):
             symmetry_group(f)
 
 
-def test_orbifold_index_of_non_subgroup_is_integrality_error():
-    # {e, g} in Z/3 is not a subgroup: the pair average 3/2 is not integral
-    f = validate([[3]])
+def test_non_integral_orbifold_index_is_integrality_error(monkeypatch):
+    # x^2 + y^2 over (Z/2)^2, whose elements fix {0, 1}, {1}, {0} and no
+    # coordinate: moving chi by +1 at {1} and by -1 at {0} keeps the orbit
+    # count, but the pair sum over the Z/2 fixing {1} becomes odd
+    f = validate([[2, 0], [0, 2]])
     g = symmetry_group(f)
-    with pytest.raises(IntegralityError):
-        _orbifold_indices(f, g, [frozenset([0, 1])])
+    assert _orbifold_indices(f, transpose(f), g)[0] == 0
+    real = invertible._fixed_chi
+
+    def moved(poly, mask):
+        return real(poly, mask) + {0b10: 1, 0b01: -1}.get(mask, 0)
+
+    monkeypatch.setattr(invertible, "_fixed_chi", moved)
+    with pytest.raises(IntegralityError, match="^orbifold Euler"):
+        _orbifold_indices(f, transpose(f), g)

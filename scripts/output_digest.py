@@ -60,6 +60,9 @@ Hashes, in order:
     `lattice_to_json` of every subgroup of H as a standalone group.
   * for every fixture of duality_family(200, 2), up to 90 subgroups per
     G_f: the `duality_check` report as canonical JSON.
+  * for every group of the S6 corpus (`tests/s6_corpus.py`), as a fresh
+    permutation group: `lattice_to_json` and the table of marks; then
+    `lattice_to_json` of A6, generated by (0 1 2) and (1 2 3 4 5).
 
 Every error is hashed as its kind and its message.
 
@@ -90,6 +93,7 @@ from eqindex.invertible import (duality_check, index_df,  # noqa: E402
 from complex_suite import suite  # noqa: E402
 from groups_pool import larger, pool, random_elements  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
+from s6_corpus import S6_CORPUS  # noqa: E402
 
 
 def library_lines():
@@ -463,6 +467,17 @@ def wide_duality_lines():
         yield jsonio.dumps(jsonio.duality_report_to_json(duality_check(f)))
 
 
+def corpus_lines():
+    for label, _, gens, *_ in S6_CORPUS:
+        g = perm_group(6, gens)
+        yield jsonio.dumps(jsonio.lattice_to_json(g))
+        yield jsonio.dumps({"group": label,
+                            "marks": burnside.table_of_marks(g).matrix})
+    a6 = perm_group(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
+    assert a6.order == 360
+    yield jsonio.dumps(jsonio.lattice_to_json(a6))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -471,7 +486,7 @@ def main():
                       gsv_lines(), strata_lines(), index_cli_lines(),
                       second_round_lines(), quadric_lines(), usage_lines(),
                       poset_lines(), grandchild_lines(),
-                      wide_duality_lines()):
+                      wide_duality_lines(), corpus_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

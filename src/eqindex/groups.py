@@ -8,9 +8,10 @@ A diagonal group's |G|^2 product table waits for its first read, and its
 subgroup lattice never reads it: cyclic subgroups come from key multiples
 and each join from the translation rows of the few elements it adds.
 Each group's subgroups are enumerated once, by prime steps up from the
-trivial subgroup or, for a subgroup group, off its parent's lattice; every
-subgroup generated by elements (`closure`, each join of that walk, Light's
-associativity test) comes from one coset walk, `_join`.
+trivial subgroup (extending one subgroup per conjugacy class, each class an
+orbit under the generators) or, for a subgroup group, off its parent's
+lattice; every subgroup generated by elements (`closure`, each join of that
+walk, Light's associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -314,8 +315,8 @@ class Subgroup:
         Element keys and the denominator are inherited from the parent (so
         phase vectors stay phase vectors) and the canonical order is the
         parent's, restricted.  The generator keys are those the parent's
-        lattice recorded for this subgroup: the generators of the join that
-        first produced it, at most log2|H| + 1 of them.  The table waits for
+        lattice recorded for this subgroup (`SubgroupLattice.generators`),
+        at most log2|H| + 1 of them.  The table waits for
         its first read, so a diagonal subgroup group is just its keys.
         """
         if self._group is None:
@@ -353,13 +354,15 @@ class SubgroupLattice:
     subgroup (`_prime_step_joins`) or, for a subgroup group H, from H's
     down-set in the parent's lattice.  They are sorted canonically (by
     order, then by sorted member ids), which the sorted `parent_index`
-    keeps; the representative of each conjugacy class is its minimal
-    subgroup.  `parent_classes[c]` is the parent's class of class c's
+    keeps.  A non-abelian group's conjugacy classes are orbits under its
+    generators, from the walk or on the down-set (`_class_orbit`); each
+    class's representative is its minimal subgroup, and normalizers are
+    read from `up`.  `parent_classes[c]` is the parent's class of class c's
     representative (None without a parent), the map of `restrict`/`induce`.
 
     `generators[i]` are the generators of the join that first produced
-    subgroup i: at most log2|H| + 1, since each join at least doubles.
-    `cyclic_of[g]` is the index of <g>.
+    subgroup i, or of a conjugate of it: at most log2|H| + 1, since each
+    join at least doubles.  `cyclic_of[g]` is the index of <g>.
 
     Both posets are stored as sparse rows, never as square matrices, since
     few pairs are comparable and fewer have a non-zero Moebius value:
@@ -389,9 +392,11 @@ class SubgroupLattice:
         self.group = group
         if group.parent is None:
             cyclic_of, cyclics = _cyclic_subgroups(group)
-            gens = _prime_step_joins(group, cyclic_of, cyclics)
+            gens, orbits = _prime_step_joins(group, cyclic_of, cyclics)
         else:  # H's down-set in the parent's lattice, renumbered: the
-            # subgroups up to H (in canonical order) whose generators lie in H
+            # subgroups up to H (in canonical order) whose generators lie in
+            # H, with the parent's up-sets cut to them; the renumbering is
+            # increasing, so it keeps the canonical order
             plat = group.parent.lattice()
             child_of = {p: c for c, p in enumerate(group.parent_index)}
             top = plat.subgroup_index(group.parent_index)
@@ -402,43 +407,30 @@ class SubgroupLattice:
             gens = {sets[i]: tuple(map(child_of.get, plat.generators[i]))
                     for i in down}
             cyclic_of = [sets[plat.cyclic_of[p]] for p in group.parent_index]
+            new = {p: c for c, p in enumerate(down)}
+            self.up = [[new[j] for j in plat.up[p] if j in new] for p in down]
         canonical, self.labels = canonical_order(gens)
         self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
         ns = len(self.subgroups)
-        self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
-                            for s in self.subgroups])
-
-        # conjugacy classes of subgroups and normalizers, by orbit and
-        # stabilizer: each class representative R is conjugated by every g
-        # once; the images are its class, the g with R^g = R are N(R), and
-        # each conjugate R^x has normalizer N(R)^x for the first such x
+        if group.parent is None:
+            self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
+                                for s in self.subgroups])
         if group.is_abelian:
             self.classes = [[i] for i in range(ns)]
             self.class_of = list(range(ns))
             self.normalizers = [ns - 1] * ns
         else:
-            conj = lambda ms, g: frozenset(group.conj(m, g) for m in ms)
-            self.class_of = [-1] * ns
-            self.normalizers = [-1] * ns
-            self.classes = []
-            for i, r in enumerate(self.subgroups):
-                if self.class_of[i] >= 0:
-                    continue
-                first = {}  # conjugate -> the first g that carries R to it
-                stab = []
-                for g in group.elements():
-                    j = self.member_index[conj(r.members, g)]
-                    first.setdefault(j, g)
-                    if j == i:
-                        stab.append(g)
-                c = len(self.classes)
-                self.classes.append(sorted(first))
-                for j, x in first.items():
-                    self.class_of[j] = c
-                    self.normalizers[j] = self.member_index[conj(stab, x)]
+            if group.parent is not None:  # the orbits under H's recorded
+                # generators, each outside the join of those before it
+                orbits = []
+                for m in canonical:
+                    if all(m not in orbit for orbit in orbits):
+                        orbits.append(
+                            _class_orbit(group, group.generators, m, gens))
+            self._classes_from_orbits(orbits)
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
         self.class_orders = [self.subgroups[r].order
@@ -449,6 +441,28 @@ class SubgroupLattice:
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._class_label_index = {lab: c
                                    for c, lab in enumerate(self.class_labels)}
+
+    def _classes_from_orbits(self, orbits):
+        """Classes, by least member, and normalizers from `_class_orbit`s.
+        N(R) for an orbit's R is the subgroup in up[R] of order |G|/|class|
+        whose generators normalize R; N(R^x) = N(R)^x is the one of that
+        order above R^x that holds the images of N(R)'s generators under x."""
+        group, subs, gens = self.group, self.subgroups, self.generators
+        orbits = sorted(({self.member_index[m]: x for m, x in o.items()}
+                         for o in orbits), key=min)
+        self.classes = [sorted(orbit) for orbit in orbits]
+        self.class_of, self.normalizers = [0] * len(subs), [0] * len(subs)
+        for c, orbit in enumerate(orbits):
+            r, order = next(iter(orbit)), group.order // len(orbit)  # x = 1
+            n = next(k for k in self.up[r] if subs[k].order == order and all(
+                group.conj(h, s) in subs[r].members
+                for s in gens[k] for h in gens[r]))
+            for i, x in orbit.items():
+                images = [group.conj(h, x) for h in gens[n]]
+                self.class_of[i] = c
+                self.normalizers[i] = next(
+                    k for k in self.up[i] if subs[k].order == order
+                    and subs[k].members.issuperset(images))
 
     # -- lookups ------------------------------------------------------------
 
@@ -598,9 +612,10 @@ def _cyclic_subgroups(group: FiniteGroup):
     return cyclic_of, cyclics
 
 
-def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
+def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> tuple:
     """{members: generators} for every subgroup, walked up from the trivial
-    subgroup by prime steps.
+    subgroup by prime steps, and the classes as `_class_orbit`s (none for
+    an abelian group, whose classes are single subgroups).
 
     A known A is joined with each recorded generator g of prime-power order
     p^k with g not in A and g^p in A.  A g inside an earlier join J from A
@@ -608,7 +623,10 @@ def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
     This reaches every subgroup H != 1 from a maximal subgroup A of H: H
     is generated by its prime-power elements, so some p-element lies
     outside A, one g of least order has g^p in A, and H = <A, g>; the
-    recorded generator of <g> meets the same condition.  In an abelian
+    recorded generator of <g> meets the same condition.  A new join's class
+    is recorded at once and only the join is extended: if that was R = A^y
+    in A's class, then H^y = <R, g'> for the recorded generator g' of
+    <g^y>, and H's class is reached.  In an abelian
     group every step is a cover, and g centralizes A, so `_join` needs g
     alone; otherwise it is given the generators of A and g.  A diagonal
     group's joins read the translation rows of the step generators, built
@@ -629,6 +647,9 @@ def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
     abelian = group.is_abelian
     trivial = cyclic_of[group.identity]
     gens = {trivial: ()}
+    orbits = [] if abelian else [{trivial: group.identity}]
+    conjugators = () if abelian else _irredundant(
+        group.table, group.identity, group.generators)
     work = [trivial]
     while work:
         a = work.pop()
@@ -639,10 +660,43 @@ def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> dict:
             c = _join(rows, a, (g,) if abelian else gens[a] + (g,))
             if len(c) == p * len(a):
                 covered.update(c)
-            if c not in gens:
-                gens[c] = gens[a] + (g,)
+            if c in gens:
+                continue
+            gens[c] = gens[a] + (g,)
+            work.append(c)
+            if not abelian:  # c's class, which c alone is to extend
+                orbits.append(_class_orbit(group, conjugators, c, gens))
+    return gens, orbits
+
+
+def _irredundant(table, identity, generators) -> tuple:
+    """The `generators` outside the join of those kept before them, which
+    generate what all of them do: in a group, each join at least doubles,
+    so at most log2|G| + 1 are kept."""
+    kept, reached = (), (identity,)
+    for s in generators:
+        if s not in reached:
+            kept += (s,)
+            reached = _join(table, reached, kept)
+    return kept
+
+
+def _class_orbit(group: FiniteGroup, conjugators, members, gens) -> dict:
+    """The class of the subgroup R = `members` as {R^x: x}, its orbit under
+    the `conjugators`, which generate the group.  `gens` maps subgroups to
+    their generators and gains those of each conjugate it lacks.  A known
+    conjugate that holds the images of another's generators is their join,
+    so only a new one's members are conjugated."""
+    conj, orbit, work = group.conj, {members: group.identity}, [members]
+    for m in work:  # work grows while it is read
+        for s in conjugators:
+            images = tuple(conj(h, s) for h in gens[m])
+            if not any(k.issuperset(images) for k in orbit):
+                c = frozenset(conj(y, s) for y in m)
+                orbit[c] = group.mul(orbit[m], s)
+                gens.setdefault(c, images)
                 work.append(c)
-    return gens
+    return orbit
 
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
@@ -839,23 +893,16 @@ def _check_associative(table, identity):
     """Light's associativity test on a greedily built generating set.
 
     The elements g with (x g) y = x (g y) for all x, y are closed under
-    products, so checking generators is complete: each element not yet
-    reached is checked, then joined to the checked ones by `_join`, which
-    reaches only their products.  While the checks pass these form a group,
-    so each join at least doubles and at most log2(n) + 1 rows of n^2
-    products are checked.
+    products, so checking generators is complete: every element is reached
+    by `_irredundant` as a product of the kept ones.  Those up to the first
+    that fails generate groups, so at most log2(n) + 1 rows of n^2 products
+    are checked.
     """
-    gens = ()
-    reached = (identity,)
-    for g in range(len(table)):
-        if g in reached:
-            continue
+    for g in _irredundant(table, identity, range(len(table))):
         row_g = table[g]
         for row_x in table:
             if table[row_x[g]] != [row_x[y] for y in row_g]:
                 raise GroupBuildError("table is not associative")
-        gens += (g,)
-        reached = _join(table, reached, gens)
 
 
 # -- convenience constructors (used all over the tests and scripts) ---------

@@ -184,7 +184,8 @@ def gsv_assemble_from_dims(group: FiniteGroup, dims: dict, fixed_dims: dict,
     otherwise; these fixed-set values must be constant on conjugacy classes
     and are inverted by `index_from_fixed_indices`.
     """
-    _int(k, "k", ValueError)
+    if _int(k, "k", ValueError) < 0:
+        raise ValueError("k must be >= 0")
     lat = group.lattice()
     ns = len(lat.subgroups)
     if set(fixed_dims.keys()) != set(range(ns)):

@@ -21,6 +21,7 @@ from oracles import (closure_oracle, expanded_lattice, leq_oracle,
                      marks_coset_oracle, moebius_oracle,
                      parent_classes_oracle, subgroup_lattice_oracle,
                      zeta_conj_oracle)
+from s6_corpus import S6_CORPUS
 
 
 def test_cyclic_closure_from_3cycle():
@@ -414,13 +415,14 @@ def _s4_s3():
 
 
 @pytest.mark.parametrize("build, subgroups, classes, max_joins", [
-    (ORACLE_GROUPS["S5"][0], 156, 19, 6000),
-    (_s4_s3, 372, 70, 16000),
-], ids=["S5", "S4xS3"])
+    (ORACLE_GROUPS["A5"][0], 59, 9, 190),
+    (ORACLE_GROUPS["S5"][0], 156, 19, 540),
+    (_s4_s3, 372, 70, 2000),
+], ids=["A5", "S5", "S4xS3"])
 def test_one_prime_step_walk_bounds_the_joins(monkeypatch, build, subgroups,
                                               classes, max_joins):
-    # a non-abelian group is walked by prime steps too, joining each known
-    # subgroup only with elements whose p-th power it contains
+    # a non-abelian group is walked by prime steps too, joining only one
+    # subgroup per class and only with elements whose p-th power it contains
     group = build()
     calls = []
     join = groups._join
@@ -429,6 +431,22 @@ def test_one_prime_step_walk_bounds_the_joins(monkeypatch, build, subgroups,
     lat = group.lattice()
     assert (len(lat.subgroups), lat.num_classes) == (subgroups, classes)
     assert len(calls) <= max_joins
+
+
+def test_classes_are_orbits_under_generators(monkeypatch):
+    # S5's classes are found by conjugating with its two generators, not
+    # with all 120 elements, and so are those of its subgroup groups
+    group = ORACLE_GROUPS["S5"][0]()
+    calls = []
+    conj = groups.FiniteGroup.conj
+    monkeypatch.setattr(groups.FiniteGroup, "conj",
+                        lambda *args: calls.append(1) or conj(*args))
+    lat = group.lattice()
+    assert lat.num_classes == 19 and len(calls) <= 8000
+    calls.clear()
+    for s in lat.subgroups:
+        s.as_group().lattice()
+    assert len(calls) <= 15000
 
 
 def test_q8_is_the_quaternion_group():
@@ -708,15 +726,36 @@ def test_normalizer_of_order2_in_s3_is_itself():
     assert normalizer(s3, h).members == h.members
 
 
+def _assert_normalizers_are_brute_force(g):
+    lat = g.lattice()
+    for i, s in enumerate(lat.subgroups):
+        n = lat.subgroups[lat.normalizers[i]]
+        assert s.members <= n.members
+        assert n.members == {
+            x for x in g.elements()
+            if frozenset(g.conj(m, x) for m in s.members) == s.members}
+
+
 def test_normalizer_contains_and_normalizes():
     for g in [*pool().values(), *larger().values()]:
-        lat = g.lattice()
-        for i, s in enumerate(lat.subgroups):
-            n = lat.subgroups[lat.normalizers[i]]
-            assert s.members <= n.members
-            assert n.members == {
-                x for x in g.elements()
-                if frozenset(g.conj(m, x) for m in s.members) == s.members}
+        _assert_normalizers_are_brute_force(g)
+
+
+@pytest.mark.parametrize("label, order, gens, subgroups, classes, normalizers",
+                         S6_CORPUS, ids=[entry[0] for entry in S6_CORPUS])
+def test_s6_corpus(label, order, gens, subgroups, classes, normalizers):
+    # S6's class representatives as fresh groups, against the counts their
+    # lattices had when the corpus was written; the two of order 120 (S5
+    # and its transitive twin) skip the all-pairs oracle, which is slow
+    group = perm_group(6, gens)
+    lat = group.lattice()
+    assert group.order == order
+    assert (len(lat.subgroups), lat.num_classes) == (subgroups, classes)
+    assert [lat.normalizer_order(r) for r in lat.representatives] == \
+        normalizers
+    _assert_normalizers_are_brute_force(group)
+    if order < 120:
+        _assert_lattice_matches_oracle(group)
 
 
 def test_subgroup_validation():

@@ -384,6 +384,13 @@ def test_gsv_assemble_rejects_a_k_that_is_not_an_int(k):
         gsv_assemble_from_dims(pool()["Z2"], {0: 4, 1: 2}, {0: 2, 1: 2}, k)
 
 
+@pytest.mark.parametrize("k", [-1, -5])
+def test_gsv_assemble_rejects_a_negative_k(k):
+    # k is a reduction order, k >= 0, as for commuting_class_counts
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        gsv_assemble_from_dims(pool()["Z2"], {0: 4, 1: 2}, {0: 2, 1: 2}, k)
+
+
 def test_fixed_set_index_data_rejects_non_integers():
     z2 = pool()["Z2"]
     with pytest.raises(InconsistentDataError, match="^per_subgroup must"):

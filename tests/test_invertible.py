@@ -789,12 +789,14 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
         monkeypatch):
     # criterion 8's loop: restriction to every subgroup reads the marks of
     # G_f and of each subgroup group.  Each G_f is walked by prime steps
-    # once and its key columns are read once; each subgroup group's lattice
-    # and fixed masks are read off G_f's with no walk or column pass of its
-    # own; no Cayley table and no Moebius row is built
+    # once, and its up-sets and key columns are built once; each subgroup
+    # group's lattice, up-sets and fixed masks are read off G_f's with no
+    # walk, up-set or column pass of its own; no Cayley table and no
+    # Moebius row is built
     calls = []
     for owner, name in ((groups, "_cyclic_subgroups"),
                         (groups, "_prime_step_joins"),
+                        (groups, "_up_sets"),
                         (groups, "_canonical_table"),
                         (groups, "_moebius_rows"),
                         (groups.FiniteGroup, "_fixed_masks")):
@@ -814,7 +816,8 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
     assert checked > 20
     for name in ("_cyclic_subgroups", "_prime_step_joins", "_fixed_masks"):
         assert [g for n, g in calls if n == name] == walked, name
-    assert len(calls) == 3 * len(walked)  # no table, no Moebius rows
+    assert [n for n, _ in calls].count("_up_sets") == len(walked)
+    assert len(calls) == 4 * len(walked)  # no table, no Moebius rows
 
 
 @pytest.mark.parametrize("matrix, error", [

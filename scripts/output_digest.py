@@ -63,6 +63,11 @@ Hashes, in order:
   * for every group of the S6 corpus (`tests/s6_corpus.py`), as a fresh
     permutation group: `lattice_to_json` and the table of marks; then
     `lattice_to_json` of A6, generated by (0 1 2) and (1 2 3 4 5).
+  * the stdout and exit code of `group lattice` and `burnside marks` on
+    cyclic groups in each presentation: diagonal (one phase 1/n, and
+    phases on two and three coordinates, one with a redundant generator),
+    permutation (every n-cycle up to n = 10, and (0 1)(2 3 4)) and table
+    (Z/1, Z/6 and a relabeled Z/8).
 
 Every error is hashed as its kind and its message.
 
@@ -478,6 +483,38 @@ def corpus_lines():
     yield jsonio.dumps(jsonio.lattice_to_json(a6))
 
 
+def _relabeled_cyclic_table(pi):
+    """The table of Z/len(pi) whose element pi[i] is the residue i."""
+    n = len(pi)
+    table = [[0] * n for _ in pi]
+    for i in range(n):
+        for j in range(n):
+            table[pi[i]][pi[j]] = pi[(i + j) % n]
+    return table
+
+
+CYCLIC_PRESENTATIONS = [
+    *({"kind": "diagonal", "phases": [[[1, n]]]}
+      for n in (1, 2, 12, 60, 64, 210)),
+    {"kind": "diagonal", "phases": [[[1, 2], [1, 3]]]},
+    {"kind": "diagonal", "phases": [[[1, 4], [1, 6], 0], [[1, 2], [1, 3], 0]]},
+    *({"kind": "perm", "degree": n,
+       "generators": [[(i + 1) % n for i in range(n)]]} for n in range(1, 11)),
+    {"kind": "perm", "degree": 5, "generators": [[1, 0, 3, 4, 2]]},
+    {"kind": "table", "table": [[0]]},
+    {"kind": "table", "table": [[(i + j) % 6 for j in range(6)]
+                                for i in range(6)]},
+    {"kind": "table",
+     "table": _relabeled_cyclic_table([3, 0, 5, 1, 7, 2, 6, 4])},
+]
+
+
+def cyclic_lines():
+    for pres in CYCLIC_PRESENTATIONS:
+        yield _cli(["group", "lattice", json.dumps(pres)])
+        yield _cli(["burnside", "marks", json.dumps({"group": pres})])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -486,7 +523,7 @@ def main():
                       gsv_lines(), strata_lines(), index_cli_lines(),
                       second_round_lines(), quadric_lines(), usage_lines(),
                       poset_lines(), grandchild_lines(),
-                      wide_duality_lines(), corpus_lines()):
+                      wide_duality_lines(), corpus_lines(), cyclic_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

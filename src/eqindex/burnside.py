@@ -46,17 +46,22 @@ class BurnsideElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    # an operand that is neither a Burnside element nor an int (bools are
+    # not coefficients) gets NotImplemented, so Python raises TypeError
     def _check(self, other):
-        if not (isinstance(other, BurnsideElement)
-                and other.group.same_group(self.group)):
+        if not other.group.same_group(self.group):
             raise ValueError("Burnside elements belong to different groups")
 
     def __add__(self, other):
+        if not isinstance(other, BurnsideElement):
+            return NotImplemented
         self._check(other)
         return BurnsideElement(self.group,
                                [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
+        if not isinstance(other, BurnsideElement):
+            return NotImplemented
         self._check(other)
         return BurnsideElement(self.group,
                                [a - b for a, b in zip(self.coeffs, other.coeffs)])
@@ -65,13 +70,13 @@ class BurnsideElement:
         return BurnsideElement(self.group, [-a for a in self.coeffs])
 
     def __rmul__(self, k):
-        if isinstance(k, int):
+        if isinstance(k, int) and not isinstance(k, bool):
             return BurnsideElement(self.group, [k * a for a in self.coeffs])
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return BurnsideElement(self.group, [other * a for a in self.coeffs])
+        if not isinstance(other, BurnsideElement):
+            return self.__rmul__(other)
         self._check(other)
         return multiply(self, other)
 

@@ -9,9 +9,10 @@ subgroup lattice never reads it: cyclic subgroups come from key multiples
 and each join from the translation rows of the few elements it adds.
 Each group's subgroups are enumerated once, by prime steps up from the
 trivial subgroup (extending one subgroup per conjugacy class, each class an
-orbit under the generators) or, for a subgroup group, off its parent's
-lattice; every subgroup generated by elements (`closure`, each join of that
-walk, Light's associativity test) comes from one coset walk, `_join`.
+orbit under the generators), as the cyclic subgroups of a cyclic group or,
+for a subgroup group, off its parent's lattice; every subgroup generated by
+elements (`closure`, each join of that walk, Light's associativity test)
+comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -147,9 +148,9 @@ class FiniteGroup:
     of the product keys[i] * keys[j]; for permutations the product is
     "apply j first, then i".  A diagonal group has a `denominator`: its keys
     are integer vectors x standing for the phases x / denominator mod 1.
-    `table` may be a function that builds it on first use; `inverse`, a
-    diagonal group's `fixed_masks` and `is_abelian`, read from the
-    `generator_keys` (which generate the group), wait too.
+    `table` may be a function that builds it on first use; `inverse` and
+    `is_abelian`, read from the `generator_keys` (which generate the
+    group), wait too.
     """
 
     table = _OnFirstRead(lambda g: g._make_table())
@@ -228,19 +229,6 @@ class FiniteGroup:
             raise TypeError("only diagonal groups have phase vectors")
         return tuple(Fraction(x, self.denominator) for x in self.keys[i])
 
-    def _fixed_masks(self) -> list:
-        """Per element, the bitmask of the coordinates it acts trivially on,
-        by key columns: `fixed_masks` of a diagonal group without a parent."""
-        masks = [0] * self.order
-        for j, col in enumerate(zip(*self.keys)):
-            bit = 1 << j
-            masks = [m if x else m | bit for m, x in zip(masks, col)]
-        return masks
-
-    fixed_masks = _OnFirstRead(lambda g: g._fixed_masks() if g.parent is None
-                               else list(map(g.parent.fixed_masks.__getitem__,
-                                             g.parent_index)))
-
     def element_repr(self, i: int):
         """JSON-able canonical representation of an element."""
         if self.denominator is not None:
@@ -316,8 +304,9 @@ class Subgroup:
         phase vectors stay phase vectors) and the canonical order is the
         parent's, restricted.  The generator keys are those the parent's
         lattice recorded for this subgroup (`SubgroupLattice.generators`),
-        at most log2|H| + 1 of them.  The table waits for
-        its first read, so a diagonal subgroup group is just its keys.
+        at most log2|H| + 1 of them, and one when the parent is cyclic.
+        The table waits for its first read, so a diagonal subgroup group is
+        just its keys.
         """
         if self._group is None:
             parent = self.parent
@@ -351,33 +340,38 @@ class SubgroupLattice:
     Moebius functions of both posets (Sub G and ConjSub G).
 
     Subgroups come from one walk by prime steps up from the trivial
-    subgroup (`_prime_step_joins`) or, for a subgroup group H, from H's
-    down-set in the parent's lattice.  They are sorted canonically (by
-    order, then by sorted member ids), which the sorted `parent_index`
-    keeps.  A non-abelian group's conjugacy classes are orbits under its
-    generators, from the walk or on the down-set (`_class_orbit`); each
-    class's representative is its minimal subgroup, and normalizers are
-    read from `up`.  `parent_classes[c]` is the parent's class of class c's
-    representative (None without a parent), the map of `restrict`/`induce`.
+    subgroup (`_prime_step_joins`), or, for a cyclic group, are its cyclic
+    subgroups with no walk, or, for a subgroup group H, are the parent's
+    row `down[H]`.  They are sorted canonically (by order, then by sorted
+    member ids), which the sorted `parent_index` keeps.  A non-abelian
+    group's conjugacy classes are orbits under its generators, from the
+    walk or on the down-set (`_class_orbit`); each class's representative
+    is its minimal subgroup, and normalizers are read from `up`.
+    `parent_classes[c]` is the parent's class of class c's representative
+    (None without a parent), the map of `restrict`/`induce`.
 
     `generators[i]` are the generators of the join that first produced
     subgroup i, or of a conjugate of it: at most log2|H| + 1, since each
-    join at least doubles.  `cyclic_of[g]` is the index of <g>.
+    join at least doubles.  In a cyclic group each subgroup records one
+    generator (the trivial subgroup none).  `cyclic_of[g]` is the index
+    of <g>.
 
     Both posets are stored as sparse rows, never as square matrices, since
     few pairs are comparable and fewer have a non-zero Moebius value:
     `up[i]` lists, ascending, the subgroups that contain subgroup i (i
-    first), and `mu[i]` the pairs (j, mu(i, j)) with mu(i, j) != 0.
+    first), its transpose `down[i]` those that subgroup i contains (i
+    last), and `mu[i]` the pairs (j, mu(i, j)) with mu(i, j) != 0.
     `class_up` and `class_mu` are the same rows over ConjSub G, where
     [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
     classes are single subgroups, they are the very lists `up` and `mu`.
     Computations read only the up-sets (`class_up` for the class-poset
-    inversion); `mu` and `class_mu` are for `group lattice` output.  So
-    these three wait for their first read.  `class_orders[c]` is the
-    order of class c.
+    inversion); `mu` and `class_mu` are for `group lattice` output, and
+    `down` for the lattices of subgroup groups.  So these four wait for
+    their first read.  `class_orders[c]` is the order of class c.
     """
 
     mu = _OnFirstRead(lambda lat: _moebius_rows(lat.up))
+    down = _OnFirstRead(lambda lat: _transpose(lat.up))
     class_up = _OnFirstRead(lambda lat: (
         lat.up if lat.group.is_abelian else
         [sorted({lat.class_of[j] for j in lat.up[r]})
@@ -392,16 +386,19 @@ class SubgroupLattice:
         self.group = group
         if group.parent is None:
             cyclic_of, cyclics = _cyclic_subgroups(group)
-            gens, orbits = _prime_step_joins(group, cyclic_of, cyclics)
-        else:  # H's down-set in the parent's lattice, renumbered: the
-            # subgroups up to H (in canonical order) whose generators lie in
-            # H, with the parent's up-sets cut to them; the renumbering is
-            # increasing, so it keeps the canonical order
+            if any(len(powers) == group.order for powers in cyclics.values()):
+                # a cyclic group: its subgroups are its cyclic subgroups,
+                # each generated by the one element that listed it
+                gens = {cyclic_of[g]: (g,) for g in cyclics}
+                gens[cyclic_of[group.identity]] = ()
+            else:
+                gens, orbits = _prime_step_joins(group, cyclic_of, cyclics)
+        else:  # H's down-set in the parent's lattice, renumbered, with the
+            # parent's up-sets cut to it; the renumbering is increasing, so
+            # it keeps the canonical order
             plat = group.parent.lattice()
             child_of = {p: c for c, p in enumerate(group.parent_index)}
-            top = plat.subgroup_index(group.parent_index)
-            down = [i for i in range(top + 1)
-                    if all(map(child_of.__contains__, plat.generators[i]))]
+            down = plat.down[plat.subgroup_index(group.parent_index)]
             sets = {i: frozenset(map(child_of.get, plat.subgroups[i].members))
                     for i in down}
             gens = {sets[i]: tuple(map(child_of.get, plat.generators[i]))
@@ -545,6 +542,16 @@ def _up_sets(cyclics) -> list:
             i = bits.find("1", i + 1)
         up.append(row)
     return up
+
+
+def _transpose(up) -> list:
+    """Per element of a poset, the ascending list of the elements below it
+    (itself last), given the ascending up-sets `up`."""
+    down = [[] for _ in up]
+    for i, row in enumerate(up):
+        for k in row:
+            down[k].append(i)
+    return down
 
 
 def _moebius_rows(up) -> list:
@@ -818,14 +825,14 @@ def _diagonal_cosets(generators, denom):
     g + H, ..., (m-1) g + H, one comprehension per coordinate column.
     Element w of a new coset is g plus element w - |H|, which is the step
     `_canonical_table` reads.  Only the keys are sorted here (identity
-    first); the generator rows and the table wait for the first read.
+    first); the steps, the generator rows and the table wait for the first
+    read.
     """
     n = len(generators[0])
     walk = [(0,) * n]
     found = {walk[0]: 0}
     cols = [[0] for _ in range(n)]
-    steps = [None]
-    used = []
+    used = []  # (g, the number of elements its cosets added)
     for g in dict.fromkeys(generators):
         size = len(walk)
         order = denom // math.gcd(denom, *g)
@@ -841,12 +848,14 @@ def _diagonal_cosets(generators, denom):
             col += [(v + c * y) % denom for c in range(1, m) for v in col]
         walk += zip(*(col[size:] for col in cols))
         found.update(zip(walk[size:], range(size, len(walk))))
-        steps += [(len(used), w) for w in range(len(walk) - size)]
-        used.append(g)
+        used.append((g, len(walk) - size))
     order = sorted(range(len(walk)), key=walk.__getitem__)
 
     def table():
-        rows = [_translation(cols, found, g, denom) for g in used]
+        steps = [None]
+        for k, (_, added) in enumerate(used):
+            steps += [(k, w) for w in range(added)]
+        rows = [_translation(cols, found, g, denom) for g, _ in used]
         return _canonical_table(order, steps, rows)
     return [walk[w] for w in order], table, 0
 

@@ -21,9 +21,10 @@ the Burnside element whose mark at K is chi(M_f^K), and the index of df is
 with its tail, so the monomials of f inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
 over f's own weights q_i (0 for empty L), without restricting f.  Loci
-are coordinate bitmasks, each distinct one evaluated once per call; each
-element's mask is read from the group's `fixed_masks`, built once per group,
-and a subgroup's locus from the masks of its recorded generators.
+are coordinate bitmasks, each distinct one evaluated once per call: a
+subgroup's locus is read from the keys of its recorded generators (a
+coordinate is fixed where every key is 0), and chi from an integer table
+kept on f (per row of E its support, per weight p/r the pair (r - p, p)).
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
@@ -32,7 +33,7 @@ lemma, over the pairs of H grouped by the subgroup K they generate, gives
     r_0 = 1 - (sum over K of phi_1(K) chi(M_f^{Fix K})) / |G|     (H = G),
     r_1 = |H| - (sum over K <= H of phi_2(K) chi(M_f^{Fix K})) / |H|,
 with P. Hall's phi_k(K), the k-tuples of K that generate K, solved along
-the up-sets of G_f's lattice.  G_{f~} needs no lattice and no fixed masks:
+the up-sets of G_f's lattice.  G_{f~} needs no lattice and no keys read:
 K -> K^T reverses inclusion and |K^T| = |G| / |K|, so the same up-sets
 carry the dual's sums, and Fix K^T = {j : rho_j in K} for the columns
 rho_j = E^{-1} e_j that generate G_f, since <rho_j, b> = b_j.
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple
 
 from .burnside import BurnsideElement, element_from_marks, hall_phi, one
@@ -123,12 +123,14 @@ class Atom(NamedTuple):
 
 class InvertiblePolynomial:
     """`adjugate` holds the columns of adj(E): E^{-1} = adjugate / det."""
-    __slots__ = ("E", "atoms", "weights", "det", "adjugate", "_symmetry_group")
+    __slots__ = ("E", "atoms", "weights", "det", "adjugate", "_symmetry_group",
+                 "_locus_table")
 
     def __init__(self, E, atoms, weights, det, adjugate):
         self.E, self.atoms, self.weights, self.det = E, atoms, weights, det
         self.adjugate = adjugate
         self._symmetry_group = None
+        self._locus_table = None
 
     @property
     def n(self) -> int:
@@ -220,11 +222,14 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
                           tuple(E[head_row[v]][v] for v in cycle)))
     atoms.sort(key=lambda a: a.variables[0])
 
-    weights = tuple(Fraction(sum(row), d) for row in zip(*adjugate))
-    for q in weights:
-        if not 0 < q <= 1:
+    # q = s/d over the row sums s of adj(E); 0 < q <= 1 iff 0 < s d <= d^2
+    sums = [sum(row) for row in zip(*adjugate)]
+    for s in sums:
+        if not 0 < s * d <= d * d:
             raise InvalidPolynomialError(
-                f"weight {q} outside (0, 1]; not an invertible polynomial germ")
+                f"weight {Fraction(s, d)} outside (0, 1]; "
+                "not an invertible polynomial germ")
+    weights = tuple(Fraction(s, d) for s in sums)
     return InvertiblePolynomial(E=E, atoms=tuple(atoms), weights=weights,
                                 det=d, adjugate=adjugate)
 
@@ -255,13 +260,26 @@ def _assign_heads(options, n):
     return rec(0, set(), set(), [])
 
 
-def _milnor_product(weights) -> int:
-    """prod(1/q - 1) over the weights q = p/r, in integers: prod(r - p) over
-    prod(p), which must be a non-negative integer."""
+def _locus_table(f: InvertiblePolynomial) -> tuple:
+    """(supports, factors), built once per f and kept on it: per row of E
+    the bitmask of the variables of its monomial, and per weight q = p/r
+    the pair (r - p, p) of `_milnor_product`."""
+    if f._locus_table is None:
+        f._locus_table = (
+            tuple(sum(1 << j for j, v in enumerate(row) if v) for row in f.E),
+            tuple((q.denominator - q.numerator, q.numerator)
+                  for q in f.weights))
+    return f._locus_table
+
+
+def _milnor_product(factors) -> int:
+    """prod(1/q - 1) over weights q = p/r given as the pairs (r - p, p), in
+    integers: prod(r - p) over prod(p), which must be a non-negative
+    integer."""
     num = den = 1
-    for q in weights:
-        num *= q.denominator - q.numerator
-        den *= q.numerator
+    for a, p in factors:
+        num *= a
+        den *= p
     mu, rem = divmod(num, den)
     if rem or mu < 0:
         raise InvalidPolynomialError(
@@ -271,7 +289,7 @@ def _milnor_product(weights) -> int:
 
 def milnor_number(f: InvertiblePolynomial) -> int:
     """Milnor number via the weighted-homogeneous product prod(1/q_i - 1)."""
-    return _milnor_product(f.weights)
+    return _milnor_product(_locus_table(f)[1])
 
 
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
@@ -420,10 +438,16 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
 
 # -- fixed loci and Milnor fibre data ------------------------------------------
 
-def _locus_mask(masks, members) -> int:
-    """The bitmask of the coordinates fixed by every listed element; all of
-    them, the mask of the identity (element 0), when none is listed."""
-    return reduce(operator.and_, map(masks.__getitem__, members), masks[0])
+def _locus_mask(group: FiniteGroup, ids) -> int:
+    """The bitmask of the coordinates fixed by every listed element of a
+    diagonal group, those where each of their keys is 0; all of them when
+    none is listed."""
+    moved = 0
+    for i in ids:
+        for j, x in enumerate(group.keys[i]):
+            if x:
+                moved |= 1 << j
+    return ~moved & ((1 << len(group.keys[0])) - 1)
 
 
 def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
@@ -434,17 +458,16 @@ def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
     hard error.
     """
     cols = sorted(coords)
-    sub = tuple(tuple(f.E[i][j] for j in cols) for i in _fixed_rows(f, cols))
-    return validate(sub)
+    mask = sum(1 << j for j in set(cols) if j in range(f.n))
+    return validate(tuple(tuple(f.E[i][j] for j in cols)
+                          for i in _fixed_rows(f, mask, len(cols))))
 
 
-def _fixed_rows(f: InvertiblePolynomial, coords) -> list:
-    """The monomials (rows of E) supported inside the coordinate set; there
-    must be as many as coordinates."""
-    colset = set(coords)
-    rows = [i for i, row in enumerate(f.E)
-            if all(j in colset for j, v in enumerate(row) if v)]
-    if len(rows) != len(coords):
+def _fixed_rows(f: InvertiblePolynomial, mask: int, size: int) -> list:
+    """The monomials (rows of E) supported inside the coordinate bitmask
+    `mask`; there must be `size` of them, one per coordinate."""
+    rows = [i for i, s in enumerate(_locus_table(f)[0]) if not s & ~mask]
+    if len(rows) != size:
         raise InvalidPolynomialError(
             "restriction is not square; the coordinate set is not a fixed locus")
     return rows
@@ -459,14 +482,15 @@ def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
     holds every chain variable together with its tail, so the restricted
     monomials are square (anything else is a hard error) and satisfy the
     same weight equations: mu(f^L) = prod_{i in L} (1/q_i - 1) over f's own
-    weights, and `restrict_to` is never needed.
+    weights, and `restrict_to` is never needed.  Both are read from f's
+    `_locus_table`.
     """
-    locus = [j for j in range(f.n) if mask >> j & 1]
+    factors = _locus_table(f)[1]
+    locus = [factors[j] for j in range(len(factors)) if mask >> j & 1]
     if not locus:
         return 0
-    _fixed_rows(f, locus)
-    mu = _milnor_product(f.weights[j] for j in locus)
-    return 1 + (-1) ** (len(locus) - 1) * mu
+    _fixed_rows(f, mask, len(locus))
+    return 1 + (-1) ** (len(locus) - 1) * _milnor_product(locus)
 
 
 def _chis(f: InvertiblePolynomial, loci) -> list:
@@ -483,10 +507,9 @@ def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement
     records for K (Fix K is the intersection of Fix g over any generating
     set).  A mark vector outside the Burnside ring is an IntegralityError."""
     _check_symmetries(f.E, group)
-    masks = group.fixed_masks
     lat = group.lattice()
     return element_from_marks(group, _chis(f, [
-        _locus_mask(masks, lat.generators[r]) for r in lat.representatives]))
+        _locus_mask(group, lat.generators[r]) for r in lat.representatives]))
 
 
 def index_df(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
@@ -556,8 +579,7 @@ def _fixed_loci(group: FiniteGroup) -> tuple:
     for j, g in enumerate(group.generator_keys):
         for k in lat.up[lat.cyclic_of[group.index[g]]]:
             dual[k] |= 1 << j
-    return [_locus_mask(group.fixed_masks, gens)
-            for gens in lat.generators], dual
+    return [_locus_mask(group, gens) for gens in lat.generators], dual
 
 
 def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,

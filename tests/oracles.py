@@ -11,10 +11,11 @@ directly on cosets; the commuting-tuple oracle enumerates every tuple and
 closes it, and the lattice oracle joins every pair of subgroups, both
 closing by a breadth-first walk of their own; the exact-isotropy oracle
 assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
-through the table of marks; the fixed-locus oracle reads a diagonal group's
-keys, not its `fixed_masks`; the orbifold-index oracle counts the elements
-and pairs of each member set by fixed-coordinate masks read from the keys,
-where the package sums Hall's phi over up-sets; the dense poset oracles
+through the table of marks; the fixed-locus oracle reads the keys of every
+member, where the package reads those of recorded generators; the
+orbifold-index oracle counts the elements and pairs of each member set by
+fixed-coordinate masks read from the keys, where the package sums Hall's
+phi over up-sets; the dense poset oracles
 compare member sets pairwise and run the textbook Moebius recursion over
 the square zeta matrix, where the lattice stores sparse up-sets and Moebius
 rows.

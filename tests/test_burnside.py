@@ -114,6 +114,33 @@ def test_non_integer_coefficients_are_hard_errors(coeffs):
         BurnsideElement(cyclic_group(6), coeffs)
 
 
+@pytest.mark.parametrize("operation", [
+    lambda b: b * 0.5,
+    lambda b: b * Fraction(1, 2),
+    lambda b: b * None,
+    lambda b: b * True,
+    lambda b: True * b,
+    lambda b: b + 1,
+    lambda b: b - 1,
+    lambda b: b + None,
+], ids=["times 0.5", "times Fraction", "times None", "times True",
+        "True times", "plus 1", "minus 1", "plus None"])
+def test_operands_that_are_not_coefficients_are_type_errors(operation):
+    # were "Burnside elements belong to different groups" or accepted
+    b = basis_element(pool()["S3"], 1)
+    with pytest.raises(TypeError):
+        operation(b)
+
+
+def test_scalars_and_elements_of_other_groups():
+    s3, z6 = pool()["S3"], cyclic_group(6)
+    b = basis_element(s3, 1)
+    assert (b * 3).coeffs == (3 * b).coeffs == (0, 3, 0, 0)
+    for operation in (lambda c: b + c, lambda c: b - c, lambda c: b * c):
+        with pytest.raises(ValueError, match="different groups"):
+            operation(basis_element(z6, 1))
+
+
 def test_cardinality():
     s3 = pool()["S3"]
     assert cardinality(one(s3)) == 1

@@ -478,6 +478,66 @@ def test_lattice_records_cyclic_subgroups_and_generators():
                 s.members
 
 
+def _cycle(n):
+    """Z/n as the permutation group of degree n generated by an n-cycle."""
+    return perm_group(n, [[(i + 1) % n for i in range(n)]])
+
+
+# presentation -> the cyclic groups built in it
+CYCLIC_GROUPS = {
+    "diagonal": lambda: [cyclic_group(n) for n in range(1, 61)],
+    "perm": lambda: [_cycle(n) for n in range(1, 11)],
+    "table": lambda: [_relabeled(cyclic_group(6), 6)[0]],
+    # x^2 y + y^2 z + z^3 and x^3 y + y^5: Z/12 and Z/15
+    "chain G_f": lambda: [symmetry_group(validate(E)) for E in (
+        [[2, 1, 0], [0, 2, 1], [0, 0, 3]], [[3, 1], [0, 5]])],
+}
+
+
+@pytest.mark.parametrize("kind", list(CYCLIC_GROUPS))
+def test_cyclic_lattices_are_their_cyclic_subgroups(monkeypatch, kind):
+    # a cyclic group takes no prime-step walk: its subgroups are its cyclic
+    # subgroups, each recording one generator (the trivial one none), and
+    # the lattice is the all-pairs oracle's, normalizers brute force
+    def forbidden(*args):
+        raise AssertionError("a cyclic group was walked")
+
+    monkeypatch.setattr(groups, "_prime_step_joins", forbidden)
+    for group in CYCLIC_GROUPS[kind]():
+        lat = group.lattice()
+        _assert_lattice_matches_oracle(group)
+        assert lat.classes == [[i] for i in range(len(lat.subgroups))]
+        _assert_normalizers_are_brute_force(group)
+        n = group.order
+        assert [s.order for s in lat.subgroups] == \
+            [d for d in range(1, n + 1) if n % d == 0]
+        for s, gens in zip(lat.subgroups, lat.generators):
+            assert len(gens) == (s.order > 1)
+            assert closure_oracle(group.table, group.identity, gens) == \
+                s.members
+
+
+def test_non_cyclic_abelian_group_still_walks(monkeypatch):
+    # Z/2 x Z/6 has no element of order 12, so it is walked by prime steps
+    calls = []
+    walk = groups._prime_step_joins
+    monkeypatch.setattr(groups, "_prime_step_joins",
+                        lambda *args: calls.append(args[0]) or walk(*args))
+    group = diagonal_group([[Fraction(1, 2), 0], [0, Fraction(1, 6)]])
+    _assert_lattice_matches_oracle(group)
+    assert calls == [group] and len(group.lattice().subgroups) == 10
+    for s, gens in zip(group.lattice().subgroups, group.lattice().generators):
+        assert closure_oracle(group.table, group.identity, gens) == s.members
+
+
+def test_down_sets_are_the_transpose_of_the_up_sets():
+    for name in ("S4", "Z2xZ2", "Z6^3"):
+        lat = ORACLE_GROUPS[name][0]().lattice()
+        members = [s.members for s in lat.subgroups]
+        assert lat.down == [[i for i, s in enumerate(members) if s <= t]
+                            for t in members], name
+
+
 def _assert_slice_matches_a_fresh_enumeration(child, fresh_parent):
     """The lattice of the subgroup group `child`, read from its parent's,
     against the lattice of a parentless `table` presentation of it; the

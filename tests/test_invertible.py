@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -423,7 +424,7 @@ def test_fixed_locus_examples():
 
 def test_locus_masks_match_the_key_oracle():
     # G_f and G_{f~}, and the subgroup groups of every third G_f, whose
-    # masks are read off the parent's
+    # keys are the parent's
     family = duality_family(24, 3)
     children = [sub.as_group() for f in family[::3]
                 for sub in symmetry_group(f).lattice().subgroups]
@@ -434,10 +435,10 @@ def test_locus_masks_match_the_key_oracle():
         lat = gf.lattice()
         for sub, gens in zip(lat.subgroups, lat.generators):
             expected = sum(1 << j for j in fixed_locus(gf, sub.members))
-            assert _locus_mask(gf.fixed_masks, sub.members) == expected, \
+            assert _locus_mask(gf, sub.members) == expected, \
                 (gf.keys, sub.members)
             # Fix K is the intersection of Fix g over generators of K
-            assert _locus_mask(gf.fixed_masks, gens) == expected, \
+            assert _locus_mask(gf, gens) == expected, \
                 (gf.keys, sub.members, gens)
             checked += 1
     assert len(children) > 500 and checked > 2000
@@ -474,8 +475,33 @@ def test_fixed_entry_weight_product_matches_restriction():
 
 
 def test_fixed_entry_of_non_fixed_locus_is_hard_error():
-    with pytest.raises(InvalidPolynomialError):
+    with pytest.raises(InvalidPolynomialError, match="^restriction is not"):
         _fixed_chi(CHAIN, 0b01)  # the x-axis
+
+
+def test_fixed_chi_matches_restriction_on_every_coordinate_set():
+    # every non-empty coordinate set of f and f~ over duality_family(24, 3):
+    # where the monomials inside it (found here from E) are square, chi
+    # from the integer table against f restricted, validated again and its
+    # own Milnor number; elsewhere both raise
+    square = 0
+    for f in duality_family(24, 3):
+        for g in (validate(f.E), transpose(f)):
+            for mask in range(1, 1 << g.n):
+                locus = [j for j in range(g.n) if mask >> j & 1]
+                inside = [row for row in g.E
+                          if all(mask >> j & 1 for j, v in enumerate(row) if v)]
+                if len(inside) != len(locus):
+                    for fn, arg in ((_fixed_chi, mask), (restrict_to, locus)):
+                        with pytest.raises(InvalidPolynomialError,
+                                           match="^restriction is not"):
+                            fn(g, arg)
+                    continue
+                expected = milnor_number(restrict_to(g, locus))
+                assert _fixed_chi(g, mask) == \
+                    1 + (-1) ** (len(locus) - 1) * expected, (g.E, locus)
+                square += 1
+    assert square > 1000
 
 
 def _fixed_marks(f, gf):
@@ -711,9 +737,13 @@ def test_duality_orbifold_indices_match_the_mask_pair_oracle():
                 poly, g, sets, _fixed_chi), f.E
 
 
+def _mask(coords) -> int:
+    return sum(1 << j for j in coords)
+
+
 def test_dual_loci_are_read_from_the_columns_of_the_inverse():
     # Fix K^T = {j : rho_j in K} for the columns rho_j of E^{-1}, against
-    # the AND of G_{f~}'s key-column masks over the annihilator of K
+    # the coordinates where every key of the annihilator of K is 0
     checked = 0
     for f in duality_family(60, 3):
         gf, gft = symmetry_group(f), symmetry_group(transpose(f))
@@ -721,9 +751,9 @@ def test_dual_loci_are_read_from_the_columns_of_the_inverse():
         loci, dual_loci = _fixed_loci(gf)
         for sub, locus, dual_locus in zip(gf.lattice().subgroups, loci,
                                           dual_loci):
-            assert locus == _locus_mask(gf.fixed_masks, sub.members)
-            assert dual_locus == _locus_mask(
-                gft.fixed_masks, annihilator(sub.members)), (f.E, sub.members)
+            assert locus == _mask(fixed_locus(gf, sub.members))
+            assert dual_locus == _mask(fixed_locus(
+                gft, annihilator(sub.members))), (f.E, sub.members)
             checked += 1
     assert checked > 10000
 
@@ -753,6 +783,24 @@ def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
     assert duality_check(CHAIN).all_match
 
 
+def _is_cyclic(group) -> bool:
+    """Whether a diagonal group has an element of order |G|: a key whose
+    multiples reach the group's order before they return to 0."""
+    den = group.denominator
+    return any(den // math.gcd(den, *k) == group.order for k in group.keys)
+
+
+def _count_locus_tables(monkeypatch, counts):
+    """Count, under "_locus_table", the integer tables built: the calls of
+    `invertible._locus_table` on a polynomial that has none yet."""
+    real = invertible._locus_table
+
+    def counted(f):
+        counts["_locus_table"] += f._locus_table is None
+        return real(f)
+    monkeypatch.setattr(invertible, "_locus_table", counted)
+
+
 def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
     counts = Counter()
 
@@ -764,23 +812,33 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(groups, "_canonical_table")
-    count(groups, "_moebius_rows")
-    count(groups, "SubgroupLattice")
+    for name in ("_canonical_table", "_moebius_rows", "SubgroupLattice",
+                 "_cyclic_subgroups", "_prime_step_joins", "_up_sets"):
+        count(groups, name)
     count(invertible, "diagonal_group_from_integers")
-    count(groups.FiniteGroup, "_fixed_masks")
     count(invertible, "_fraction_free_solve")
-    f = validate([[2, 1, 0], [0, 2, 1], [0, 0, 3]])  # x^2 y + y^2 z + z^3
-    report = duality_check(f)
-    ind = index_df(f, symmetry_group(f))
-    # one elimination for f and f~; G_f and G_{f~}, G_f's lattice and G_f's
-    # fixed-coordinate masks, each built once (G_{f~}'s loci are read from
-    # G_f); no Cayley table of either group and no Moebius rows
-    assert counts == {"_fraction_free_solve": 1,
-                      "diagonal_group_from_integers": 2,
-                      "SubgroupLattice": 1, "_fixed_masks": 1}
-    assert counts["_canonical_table"] == counts["_moebius_rows"] == 0
-    assert report.all_sign_match and cardinality(ind) == -milnor_number(f)
+    _count_locus_tables(monkeypatch, counts)
+    # x^2 y + y^2 z + z^3 (G_f = Z/12) and x^2 y + y^2 + z^2 (Z/4 x Z/2)
+    for E, walks in (([[2, 1, 0], [0, 2, 1], [0, 0, 3]], 0),
+                     ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], 1)):
+        counts.clear()
+        f = validate(E)
+        report = duality_check(f)
+        ind = index_df(f, symmetry_group(f))
+        # one elimination for f and f~; G_f and G_{f~}, G_f's lattice (its
+        # cyclic subgroups and up-sets, and a prime-step walk only when G_f
+        # is not cyclic) and one integer locus table for each of f and f~,
+        # each built once (G_{f~}'s loci are read from G_f); no Cayley
+        # table of either group and no Moebius rows
+        assert _is_cyclic(symmetry_group(f)) == (walks == 0)
+        assert counts == Counter({"_fraction_free_solve": 1,
+                                  "diagonal_group_from_integers": 2,
+                                  "SubgroupLattice": 1, "_cyclic_subgroups": 1,
+                                  "_prime_step_joins": walks, "_up_sets": 1,
+                                  "_locus_table": 2}), E
+        assert counts["_canonical_table"] == counts["_moebius_rows"] == 0
+        assert report.all_sign_match and \
+            cardinality(ind) == (-1) ** f.n * milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
     assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))
 
@@ -788,21 +846,23 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
 def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
         monkeypatch):
     # criterion 8's loop: restriction to every subgroup reads the marks of
-    # G_f and of each subgroup group.  Each G_f is walked by prime steps
-    # once, and its up-sets and key columns are built once; each subgroup
-    # group's lattice, up-sets and fixed masks are read off G_f's with no
-    # walk, up-set or column pass of its own; no Cayley table and no
-    # Moebius row is built
+    # G_f and of each subgroup group.  Each G_f lists its cyclic subgroups
+    # and builds its up-sets once, and is walked by prime steps once unless
+    # it is cyclic; each subgroup group's lattice and up-sets are read off
+    # G_f's with no walk or up-set pass of its own; the loci of every group
+    # read one integer table per f; no Cayley table and no Moebius row is
+    # built
     calls = []
     for owner, name in ((groups, "_cyclic_subgroups"),
                         (groups, "_prime_step_joins"),
                         (groups, "_up_sets"),
                         (groups, "_canonical_table"),
-                        (groups, "_moebius_rows"),
-                        (groups.FiniteGroup, "_fixed_masks")):
+                        (groups, "_moebius_rows")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, fn=fn:
                             calls.append((name, args[0])) or fn(*args))
+    tables = Counter()
+    _count_locus_tables(monkeypatch, tables)
     walked, checked = [], 0
     for f in duality_family(24, 3)[::6]:
         f = validate(f.E)  # a fresh G_f, with nothing built on it yet
@@ -814,10 +874,14 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
             checked += 1
         walked.append(gf)
     assert checked > 20
-    for name in ("_cyclic_subgroups", "_prime_step_joins", "_fixed_masks"):
-        assert [g for n, g in calls if n == name] == walked, name
+    assert [g for n, g in calls if n == "_cyclic_subgroups"] == walked
+    non_cyclic = [g for g in walked if not _is_cyclic(g)]
+    assert 0 < len(non_cyclic) < len(walked)
+    assert [g for n, g in calls if n == "_prime_step_joins"] == non_cyclic
     assert [n for n, _ in calls].count("_up_sets") == len(walked)
-    assert len(calls) == 4 * len(walked)  # no table, no Moebius rows
+    # no table, no Moebius rows
+    assert len(calls) == 2 * len(walked) + len(non_cyclic)
+    assert tables["_locus_table"] == len(walked)
 
 
 @pytest.mark.parametrize("matrix, error", [

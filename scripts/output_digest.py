@@ -68,6 +68,9 @@ Hashes, in order:
     phases on two and three coordinates, one with a redundant generator),
     permutation (every n-cycle up to n = 10, and (0 1)(2 3 4)) and table
     (Z/1, Z/6 and a relabeled Z/8).
+  * the permutation character (`class_function_to_json`) of every basis
+    element of B(G), for G = Z2, Z6, Z2xZ2, S3, D4, S4, A5 and every group
+    of the S6 corpus, built afresh.
 
 Every error is hashed as its kind and its message.
 
@@ -515,6 +518,14 @@ def cyclic_lines():
         yield _cli(["burnside", "marks", json.dumps({"group": pres})])
 
 
+def character_lines():
+    corpus = (perm_group(6, gens) for _, _, gens, *_ in S6_CORPUS)
+    for g in chain(burnside_groups().values(), corpus):
+        for c in range(g.lattice().num_classes):
+            yield jsonio.dumps(jsonio.class_function_to_json(
+                burnside.permutation_character(burnside.basis_element(g, c))))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -523,7 +534,8 @@ def main():
                       gsv_lines(), strata_lines(), index_cli_lines(),
                       second_round_lines(), quadric_lines(), usage_lines(),
                       poset_lines(), grandchild_lines(),
-                      wide_duality_lines(), corpus_lines(), cyclic_lines()):
+                      wide_duality_lines(), corpus_lines(), cyclic_lines(),
+                      character_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -130,8 +130,9 @@ class TableOfMarks:
 
     def __init__(self, group: FiniteGroup):
         lat = group.lattice()
-        ratio = [lat.normalizer_order(r) // q
-                 for r, q in zip(lat.representatives, lat.class_orders)]
+        # |N_G(K):K| = |G:K| / |[K]|, by orbit-stabilizer
+        self.diagonal = ratio = [group.order // (len(cls) * q) for cls, q
+                                 in zip(lat.classes, lat.class_orders)]
         self.rows = [[] for _ in ratio]
         for h, r in enumerate(lat.representatives):
             count = {}
@@ -140,7 +141,6 @@ class TableOfMarks:
                 count[k] = count.get(k, 0) + 1
             for k, m in count.items():
                 self.rows[k].append((h, ratio[k] * m))
-        self.diagonal = ratio
         self.group = group
 
     @property
@@ -175,7 +175,9 @@ def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
     """
     tom = table_of_marks(group)
     rest = list(marks)
-    out = [0] * len(tom.diagonal)
+    if len(rest) != len(tom.diagonal):
+        raise ValueError("mark vector has wrong length")
+    out = [0] * len(rest)
     for k in range(len(out) - 1, -1, -1):
         a, r = divmod(rest[k], tom.diagonal[k])
         if r:

@@ -8,11 +8,11 @@ A diagonal group's |G|^2 product table waits for its first read, and its
 subgroup lattice never reads it: cyclic subgroups come from key multiples
 and each join from the translation rows of the few elements it adds.
 Each group's subgroups are enumerated once, by prime steps up from the
-trivial subgroup (extending one subgroup per conjugacy class, each class an
-orbit under the generators), as the cyclic subgroups of a cyclic group or,
-for a subgroup group, off its parent's lattice; every subgroup generated by
-elements (`closure`, each join of that walk, Light's associativity test)
-comes from one coset walk, `_join`.
+trivial subgroup (extending one subgroup per conjugacy class, each class the
+member sets of an orbit under the generators), as the cyclic subgroups of a
+cyclic group or, for a subgroup group, off its parent's lattice; every
+subgroup generated by elements (`closure`, each join of that walk, Light's
+associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -344,9 +344,10 @@ class SubgroupLattice:
     subgroups with no walk, or, for a subgroup group H, are the parent's
     row `down[H]`.  They are sorted canonically (by order, then by sorted
     member ids), which the sorted `parent_index` keeps.  A non-abelian
-    group's conjugacy classes are orbits under its generators, from the
-    walk or on the down-set (`_class_orbit`); each class's representative
-    is its minimal subgroup, and normalizers are read from `up`.
+    group's conjugacy classes are orbits of member sets under its
+    generators, from the walk or on the down-set (`_class_orbit`); each
+    class's representative is its minimal subgroup.  `normalizers[i]` is
+    the index of N(H) for the i-th H, searched in `up[i]`.
     `parent_classes[c]` is the parent's class of class c's representative
     (None without a parent), the map of `restrict`/`induce`.
 
@@ -365,9 +366,10 @@ class SubgroupLattice:
     [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
     classes are single subgroups, they are the very lists `up` and `mu`.
     Computations read only the up-sets (`class_up` for the class-poset
-    inversion); `mu` and `class_mu` are for `group lattice` output, and
-    `down` for the lattices of subgroup groups.  So these four wait for
-    their first read.  `class_orders[c]` is the order of class c.
+    inversion) and the class sizes (|N_G(K):K| = |G:K| / |[K]|); `mu`,
+    `class_mu` and `normalizers` are for output, and `down` for the
+    lattices of subgroup groups.  So these five wait for their first read.
+    `class_orders[c]` is the order of class c.
     """
 
     mu = _OnFirstRead(lambda lat: _moebius_rows(lat.up))
@@ -411,23 +413,25 @@ class SubgroupLattice:
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
-        ns = len(self.subgroups)
         if group.parent is None:
             self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
                                 for s in self.subgroups])
         if group.is_abelian:
-            self.classes = [[i] for i in range(ns)]
-            self.class_of = list(range(ns))
-            self.normalizers = [ns - 1] * ns
-        else:
-            if group.parent is not None:  # the orbits under H's recorded
-                # generators, each outside the join of those before it
-                orbits = []
-                for m in canonical:
-                    if all(m not in orbit for orbit in orbits):
-                        orbits.append(
-                            _class_orbit(group, group.generators, m, gens))
-            self._classes_from_orbits(orbits)
+            orbits = [[m] for m in canonical]
+        elif group.parent is not None:  # orbits under H's recorded generators
+            orbits, covered = [], set()
+            for m in canonical:
+                if m not in covered:
+                    orbits.append(_class_orbit(group, group.generators, m,
+                                               gens))
+                    covered.update(orbits[-1])
+        # classes by least member: disjoint sorted lists sort by their heads
+        self.classes = sorted(sorted(map(self.member_index.__getitem__, o))
+                              for o in orbits)
+        self.class_of = [0] * len(canonical)
+        for c, cls in enumerate(self.classes):
+            for i in cls:
+                self.class_of[i] = c
         self.num_classes = len(self.classes)
         self.representatives = [cls[0] for cls in self.classes]
         self.class_orders = [self.subgroups[r].order
@@ -439,27 +443,20 @@ class SubgroupLattice:
         self._class_label_index = {lab: c
                                    for c, lab in enumerate(self.class_labels)}
 
-    def _classes_from_orbits(self, orbits):
-        """Classes, by least member, and normalizers from `_class_orbit`s.
-        N(R) for an orbit's R is the subgroup in up[R] of order |G|/|class|
-        whose generators normalize R; N(R^x) = N(R)^x is the one of that
-        order above R^x that holds the images of N(R)'s generators under x."""
+    def _normalizers(self) -> list:
+        """N(H) for every H: the top subgroup if G is abelian, else the one
+        in up[H] of order |G| / |[H]| whose generators normalize H's."""
         group, subs, gens = self.group, self.subgroups, self.generators
-        orbits = sorted(({self.member_index[m]: x for m, x in o.items()}
-                         for o in orbits), key=min)
-        self.classes = [sorted(orbit) for orbit in orbits]
-        self.class_of, self.normalizers = [0] * len(subs), [0] * len(subs)
-        for c, orbit in enumerate(orbits):
-            r, order = next(iter(orbit)), group.order // len(orbit)  # x = 1
-            n = next(k for k in self.up[r] if subs[k].order == order and all(
-                group.conj(h, s) in subs[r].members
-                for s in gens[k] for h in gens[r]))
-            for i, x in orbit.items():
-                images = [group.conj(h, x) for h in gens[n]]
-                self.class_of[i] = c
-                self.normalizers[i] = next(
-                    k for k in self.up[i] if subs[k].order == order
-                    and subs[k].members.issuperset(images))
+        if group.is_abelian:
+            return [len(subs) - 1] * len(subs)
+        sizes = [len(self.classes[c]) for c in self.class_of]
+        return [next(k for k in self.up[i]
+                     if subs[k].order * sizes[i] == group.order and all(
+                         group.conj(h, s) in subs[i].members
+                         for s in gens[k] for h in gens[i]))
+                for i in range(len(subs))]
+
+    normalizers = _OnFirstRead(_normalizers)
 
     # -- lookups ------------------------------------------------------------
 
@@ -654,7 +651,7 @@ def _prime_step_joins(group: FiniteGroup, cyclic_of, cyclics) -> tuple:
     abelian = group.is_abelian
     trivial = cyclic_of[group.identity]
     gens = {trivial: ()}
-    orbits = [] if abelian else [{trivial: group.identity}]
+    orbits = [] if abelian else [[trivial]]
     conjugators = () if abelian else _irredundant(
         group.table, group.identity, group.generators)
     work = [trivial]
@@ -688,21 +685,20 @@ def _irredundant(table, identity, generators) -> tuple:
     return kept
 
 
-def _class_orbit(group: FiniteGroup, conjugators, members, gens) -> dict:
-    """The class of the subgroup R = `members` as {R^x: x}, its orbit under
-    the `conjugators`, which generate the group.  `gens` maps subgroups to
-    their generators and gains those of each conjugate it lacks.  A known
-    conjugate that holds the images of another's generators is their join,
-    so only a new one's members are conjugated."""
-    conj, orbit, work = group.conj, {members: group.identity}, [members]
-    for m in work:  # work grows while it is read
+def _class_orbit(group: FiniteGroup, conjugators, members, gens) -> list:
+    """The class of the subgroup R = `members` as the member sets of its
+    orbit under the `conjugators`, which generate the group.  `gens` maps
+    subgroups to their generators and gains those of each conjugate it
+    lacks.  A known conjugate that holds the images of another's generators
+    is their join, so only a new one's members are conjugated."""
+    conj, orbit = group.conj, [members]
+    for m in orbit:  # orbit grows while it is read
         for s in conjugators:
             images = tuple(conj(h, s) for h in gens[m])
             if not any(k.issuperset(images) for k in orbit):
                 c = frozenset(conj(y, s) for y in m)
-                orbit[c] = group.mul(orbit[m], s)
                 gens.setdefault(c, images)
-                work.append(c)
+                orbit.append(c)
     return orbit
 
 

@@ -103,6 +103,16 @@ def test_non_integral_marks_vector_is_hard_error():
         element_from_marks(z2, [1, 0])  # 1 point moved freely: impossible
 
 
+@pytest.mark.parametrize("marks", [[1], [6, 0, 0, 0, 5]])
+def test_marks_vector_of_the_wrong_length_is_value_error(marks):
+    # S3 has four classes: a short vector ran out of marks and a long one
+    # lost its last mark
+    s3 = pool()["S3"]
+    assert s3.lattice().num_classes == 4
+    with pytest.raises(ValueError, match="^mark vector has wrong length$"):
+        element_from_marks(s3, marks)
+
+
 @pytest.mark.parametrize("coeffs", [
     [1.5, 0, 0, 2.9],  # was truncated to (1, 0, 0, 2)
     [True, 0, 0, 0],
@@ -390,6 +400,22 @@ def test_k_that_is_not_an_int_is_a_value_error_and_is_not_stored():
     assert {type(c) for c in counts} == {int}
     assert type(r_k(b, 2)) is int and r_k(b, 2) == 1
     assert type(chi_k_direct(point, 2)) is int
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_ring_operations_read_no_normalizer(name):
+    # a mark needs only |N_G(K):K| = |G:K| / |[K]|, so neither the group's
+    # lattice nor those of its subgroup groups search for normalizers
+    g = larger()[name]
+    lat = g.lattice()
+    b = random_elements(g, 1, seed=11)[0]
+    table_of_marks(g)
+    multiply(b, b)
+    for sub in lat.subgroups:
+        child = sub.as_group()
+        induce(restrict(b, sub), g)
+        assert "normalizers" not in vars(child.lattice()), sub
+    assert "normalizers" not in vars(lat)
 
 
 def test_commuting_counts_of_a_diagonal_group_build_no_table(monkeypatch):

@@ -442,11 +442,11 @@ def test_classes_are_orbits_under_generators(monkeypatch):
     monkeypatch.setattr(groups.FiniteGroup, "conj",
                         lambda *args: calls.append(1) or conj(*args))
     lat = group.lattice()
-    assert lat.num_classes == 19 and len(calls) <= 8000
+    assert lat.num_classes == 19 and len(calls) <= 1500
     calls.clear()
     for s in lat.subgroups:
         s.as_group().lattice()
-    assert len(calls) <= 15000
+    assert len(calls) <= 5200
 
 
 def test_q8_is_the_quaternion_group():

@@ -760,18 +760,20 @@ def test_dual_loci_are_read_from_the_columns_of_the_inverse():
 
 def test_non_integral_orbit_count_is_integrality_error(monkeypatch):
     # x^3 over Z/3: r_0 = 1 - (chi(M_f) + 2 chi(empty)) / 3 = 1 - 3/3; a
-    # chi(M_f) one too large makes the orbit count 4/3
+    # chi(M_f) one too large makes the orbit count 4/3.  Only f's chi, then
+    # only f~'s, is moved, so each side's check is met on its own.
     f = validate([[3]])
+    pair = (f, transpose(f))
     g = symmetry_group(f)
-    assert _orbifold_indices(f, transpose(f), g)[0] == 0
+    assert _orbifold_indices(*pair, g)[0] == 0
     real = invertible._fixed_chi
+    for moved in pair:
+        def off_by_one(poly, mask, moved=moved):
+            return real(poly, mask) + (poly is moved and bool(mask))
 
-    def off_by_one(poly, mask):
-        return real(poly, mask) + bool(mask)
-
-    monkeypatch.setattr(invertible, "_fixed_chi", off_by_one)
-    with pytest.raises(IntegralityError, match="^orbit count"):
-        _orbifold_indices(f, transpose(f), g)
+        monkeypatch.setattr(invertible, "_fixed_chi", off_by_one)
+        with pytest.raises(IntegralityError, match="^orbit count"):
+            _orbifold_indices(*pair, g)
 
 
 def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
@@ -896,15 +898,19 @@ def test_symmetry_group_errors_are_raised_on_every_call(matrix, error):
 def test_non_integral_orbifold_index_is_integrality_error(monkeypatch):
     # x^2 + y^2 over (Z/2)^2, whose elements fix {0, 1}, {1}, {0} and no
     # coordinate: moving chi by +1 at {1} and by -1 at {0} keeps the orbit
-    # count, but the pair sum over the Z/2 fixing {1} becomes odd
+    # count, but the pair sum over the Z/2 fixing {1} becomes odd.  Only
+    # f's chi, then only f~'s, is moved, so each side's check is met on its
+    # own.
     f = validate([[2, 0], [0, 2]])
+    pair = (f, transpose(f))
     g = symmetry_group(f)
-    assert _orbifold_indices(f, transpose(f), g)[0] == 0
+    assert _orbifold_indices(*pair, g)[0] == 0
     real = invertible._fixed_chi
+    for moved in pair:
+        def shifted(poly, mask, moved=moved):
+            return real(poly, mask) + (
+                {0b10: 1, 0b01: -1}.get(mask, 0) if poly is moved else 0)
 
-    def moved(poly, mask):
-        return real(poly, mask) + {0b10: 1, 0b01: -1}.get(mask, 0)
-
-    monkeypatch.setattr(invertible, "_fixed_chi", moved)
-    with pytest.raises(IntegralityError, match="^orbifold Euler"):
-        _orbifold_indices(f, transpose(f), g)
+        monkeypatch.setattr(invertible, "_fixed_chi", shifted)
+        with pytest.raises(IntegralityError, match="^orbifold Euler"):
+            _orbifold_indices(*pair, g)

@@ -71,6 +71,9 @@ Hashes, in order:
   * the permutation character (`class_function_to_json`) of every basis
     element of B(G), for G = Z2, Z6, Z2xZ2, S3, D4, S4, A5 and every group
     of the S6 corpus, built afresh.
+  * the stdout and exit code of `poly index` and `poly dual-check` (JSON)
+    on every fixture of duality_family(60, 3): ties among subgroup orders
+    in three variables, and symmetric and non-symmetric E.
 
 Every error is hashed as its kind and its message.
 
@@ -526,6 +529,13 @@ def character_lines():
                 burnside.permutation_character(burnside.basis_element(g, c))))
 
 
+def family_cli_lines():
+    for f in duality_family(60, 3):
+        payload = json.dumps({"E": [list(r) for r in f.E]})
+        for sub in ("index", "dual-check"):
+            yield _cli(["poly", sub, payload])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -535,7 +545,7 @@ def main():
                       second_round_lines(), quadric_lines(), usage_lines(),
                       poset_lines(), grandchild_lines(),
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
-                      character_lines()):
+                      character_lines(), family_cli_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -7,7 +7,9 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     fixed by H exactly when H <= gKg^-1 and each conjugate of K comes from
     |N_G(K):K| cosets (for abelian G, |G:K| [H <= K]);
   * products: multiply the mark vectors componentwise, then invert the
-    triangular table of marks;
+    triangular table of marks (a one-shot inversion, chi^G(M_f), walks the
+    up-sets instead and builds no table);
+  * cardinality: the mark at the trivial subgroup, sum of a_K |G:K|;
   * restriction to H: the marks at each K <= H are those of b at K's class
     in G, inverted over the table of marks of H;
   * induction from H: [H/K] -> [G/K], through the same class map, the
@@ -130,9 +132,7 @@ class TableOfMarks:
 
     def __init__(self, group: FiniteGroup):
         lat = group.lattice()
-        # |N_G(K):K| = |G:K| / |[K]|, by orbit-stabilizer
-        self.diagonal = ratio = [group.order // (len(cls) * q) for cls, q
-                                 in zip(lat.classes, lat.class_orders)]
+        self.diagonal = ratio = _normalizer_indices(group)
         self.rows = [[] for _ in ratio]
         for h, r in enumerate(lat.representatives):
             count = {}
@@ -148,6 +148,14 @@ class TableOfMarks:
         """The dense table marks[k][h], expanded from the rows on each read
         (for output; the ring operations walk the rows)."""
         return expand(self.rows, len(self.rows))
+
+
+def _normalizer_indices(group: FiniteGroup) -> list:
+    """|N_G(K):K| = |G:K| / |[K]| for each class of K, by orbit-stabilizer:
+    the diagonal of the table of marks."""
+    lat = group.lattice()
+    return [group.order // (len(cls) * q)
+            for cls, q in zip(lat.classes, lat.class_orders)]
 
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:
@@ -190,6 +198,30 @@ def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
     return BurnsideElement(group, out)
 
 
+def _element_from_up_sets(group: FiniteGroup, marks) -> BurnsideElement:
+    """`element_from_marks` for one inversion, along the up-sets with no
+    table of marks: with w_c = a_c |N_G(K):K|, the mark at the
+    representative H of class c sums w over every K' >= H, conjugates
+    included, so from the top class down w_c = m_c - sum over j in
+    up[H][1:] of w_{class_of[j]} (later classes, already final; w_c is
+    still 0 where up[H][0] = H is read) and a_c = w_c / |N_G(K):K| must be
+    exact.  Repeated ring operations keep the rows, which visit each class
+    once per column."""
+    lat = group.lattice()
+    if len(marks) != lat.num_classes:
+        raise ValueError("mark vector has wrong length")
+    class_of, ratio = lat.class_of, _normalizer_indices(group)
+    w, out = [0] * len(ratio), [0] * len(ratio)
+    for c in range(len(out) - 1, -1, -1):
+        w[c] = marks[c] - sum(map(w.__getitem__, map(
+            class_of.__getitem__, lat.up[lat.representatives[c]])))
+        out[c], r = divmod(w[c], ratio[c])
+        if r:
+            raise IntegralityError(
+                "mark vector is not in the image of the Burnside ring")
+    return BurnsideElement(group, out)
+
+
 def multiply(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
     b1._check(b2)
     v1 = marks_vector(b1)
@@ -198,8 +230,11 @@ def multiply(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
 
 
 def cardinality(b: BurnsideElement) -> int:
-    """|A|: the underlying number of points; the mark at the trivial subgroup."""
-    return marks_vector(b)[0]
+    """|A|: the underlying number of points, the mark at the trivial
+    subgroup; [G/K] has |G:K| of them, read from the class orders."""
+    order = b.group.order
+    return sum(a * (order // q) for a, q
+               in zip(b.coeffs, b.group.lattice().class_orders) if a)
 
 
 def restrict(b: BurnsideElement, sub: Subgroup) -> BurnsideElement:

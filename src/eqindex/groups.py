@@ -494,7 +494,13 @@ def canonical_order(member_sets) -> tuple:
     i-th: for all the subgroups of a group, the order and the labels of its
     `SubgroupLattice`."""
     canonical = sorted(member_sets, key=lambda m: (len(m), sorted(m)))
-    return canonical, [f"H{len(m)}_{i}" for i, m in enumerate(canonical)]
+    return canonical, [canonical_label(len(m), i)
+                       for i, m in enumerate(canonical)]
+
+
+def canonical_label(order: int, i: int) -> str:
+    """The label of the i-th subgroup in canonical order, of that order."""
+    return f"H{order}_{i}"
 
 
 def expand(rows, n: int) -> list:

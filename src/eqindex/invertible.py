@@ -8,7 +8,8 @@ invertible.
 
 `validate` runs the one fraction-free elimination of a dual pair (det E,
 adj(E), weights adj(E) 1 / det E), `transpose` reuses it through
-adj(E^T) = adj(E)^T, and `symmetry_group` returns G_f, read from adj(E), as
+adj(E^T) = adj(E)^T (the duality check takes f itself as its dual when E
+is symmetric), and `symmetry_group` returns G_f, read from adj(E), as
 a plain diagonal `FiniteGroup` (integer vectors over its denominator; n is
 the length of a key).  A phase vector a is a symmetry of f exactly when E a
 is integral, and the duality pairing of a in G_f with b in G_{f~} is
@@ -16,7 +17,8 @@ is integral, and the duality pairing of a in G_f with b in G_{f~} is
 
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
-the Burnside element whose mark at K is chi(M_f^K), and the index of df is
+the Burnside element whose mark at K is chi(M_f^K), inverted once along
+the up-sets of G_f's lattice with no table of marks, and the index of df is
 [G/G] - chi^G(M_f).  A fixed locus L holds every chain variable together
 with its tail, so the monomials of f inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
@@ -36,21 +38,24 @@ with P. Hall's phi_k(K), the k-tuples of K that generate K, solved along
 the up-sets of G_f's lattice.  G_{f~} needs no lattice and no keys read:
 K -> K^T reverses inclusion and |K^T| = |G| / |K|, so the same up-sets
 carry the dual's sums, and Fix K^T = {j : rho_j in K} for the columns
-rho_j = E^{-1} e_j that generate G_f, since <rho_j, b> = b_j.
+rho_j = E^{-1} e_j that generate G_f, since <rho_j, b> = b_j.  The same
+order reversal ranks the duals for their labels, so an annihilator H^T is
+built only where H shares its order with another subgroup.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .burnside import BurnsideElement, element_from_marks, hall_phi, one
+from .burnside import BurnsideElement, _element_from_up_sets, hall_phi, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError, _int)
-from .groups import (MAX_ORDER, FiniteGroup, canonical_order,
-                     diagonal_group_from_integers)
+from .groups import (MAX_ORDER, FiniteGroup, diagonal_group_from_integers,
+                     canonical_label)
 
 DUALITY_ORDER_BOUND = 500
 
@@ -400,9 +405,9 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
     |H| |H^T| = |G_f|; for H = G_f this is non-degeneracy, checked here.
     The pairing is additive in a, so H^T is the intersection of ann(c) over
     the generators c that G_f's lattice records for H.  ann(c) is computed
-    once per element recorded there, from the key columns of G_{f~}: the
-    numerators of <c, b> for every b at once, one comprehension per
-    coordinate.  A member set that is not a subgroup of G_f is a
+    on the first annihilator that reads c, from the key columns of
+    G_{f~}: the numerators of <c, b> for every b at once, one comprehension
+    per coordinate.  A member set that is not a subgroup of G_f is a
     PairingError.  G_{f~} is checked to consist of symmetries of the
     transpose.
     """
@@ -412,21 +417,24 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
     lat = gf.lattice()
     den, cols = gft.denominator, list(zip(*gft.keys))
     zeros = {}
-    for c in {c for gens in lat.generators for c in gens}:
-        values = [0] * gft.order
-        for x, col in zip(_integral_image(f.E, gf.keys[c], gf.denominator),
-                          cols):
-            if x:
-                values = [v + x * y for v, y in zip(values, col)]
-        zeros[c] = frozenset(j for j, v in enumerate(values) if not v % den)
+
+    def zero_set(c) -> frozenset:  # ann(c), from c's pairing row
+        if c not in zeros:
+            values = [0] * gft.order
+            for x, col in zip(_integral_image(f.E, gf.keys[c], gf.denominator),
+                              cols):
+                if x:
+                    values = [v + x * y for v, y in zip(values, col)]
+            zeros[c] = frozenset(j for j, v in enumerate(values)
+                                 if not v % den)
+        return zeros[c]
     everything = frozenset(range(gft.order))
 
     def annihilator(members) -> frozenset:
         i = lat.member_index.get(frozenset(members))
         if i is None:
             raise PairingError("member set is not a subgroup of G_f")
-        ann = everything.intersection(*map(zeros.__getitem__,
-                                           lat.generators[i]))
+        ann = everything.intersection(*map(zero_set, lat.generators[i]))
         if len(ann) * lat.subgroups[i].order != gf.order:
             raise PairingError(
                 "pairing is degenerate: annihilator order violates |H| |H^T| = |G|")
@@ -505,10 +513,11 @@ def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement
     at K is chi(M_f^K), read at each class representative and computed once
     per distinct fixed locus, the AND over the generators that the lattice
     records for K (Fix K is the intersection of Fix g over any generating
-    set).  A mark vector outside the Burnside ring is an IntegralityError."""
+    set), and inverted along the lattice's up-sets, with no table of marks.
+    A mark vector outside the Burnside ring is an IntegralityError."""
     _check_symmetries(f.E, group)
     lat = group.lattice()
-    return element_from_marks(group, _chis(f, [
+    return _element_from_up_sets(group, _chis(f, [
         _locus_mask(group, lat.generators[r]) for r in lat.representatives]))
 
 
@@ -620,24 +629,39 @@ def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,
 
 def duality_check(f: InvertiblePolynomial) -> DualityReport:
     """Berglund-Huebsch duality consistency: r_0 equality of the df-indices of
-    f and its transpose, and r_1 equality across every dual subgroup pair."""
+    f and its transpose, and r_1 equality across every dual subgroup pair.
+
+    A symmetric E is its own dual: f~ = f and G_{f~} = G_f.  An invalid
+    transpose is an InvalidPolynomialError naming E^T.  H -> H^T is a
+    bijection onto Sub(G_{f~}) with |H^T| = |G:H|, so in G_{f~}'s canonical
+    order (by order, then sorted member ids) the duals of larger H come
+    first, and H^T is built only to rank H among subgroups of its order.
+    """
     if abs(f.det) > DUALITY_ORDER_BOUND:
         raise OrderBoundError(
             f"duality check limited to |det E| <= {DUALITY_ORDER_BOUND}")
-    ft = transpose(f)
+    if f.E == tuple(zip(*f.E)):
+        ft = f
+    else:
+        try:
+            ft = transpose(f)
+        except InvalidPolynomialError as exc:
+            raise InvalidPolynomialError(f"transpose E^T: {exc}") from None
     gf = symmetry_group(f)
-    gft = symmetry_group(ft)
-    annihilator = check_perfect_pairing(f, gf, gft)
+    annihilator = check_perfect_pairing(f, gf, symmetry_group(ft))
     lat = gf.lattice()
-    duals = [annihilator(s.members) for s in lat.subgroups]
-    # under the perfect pairing H -> H^T is a bijection onto Sub(G_{f~}),
-    # so the duals in canonical order are G_{f~}'s lattice and its labels
-    dual_labels = dict(zip(*canonical_order(duals)))
+    subs = lat.subgroups
+    ties = Counter(s.order for s in subs)
+    ranked = sorted(range(len(subs)), key=lambda i: (
+        -subs[i].order, sorted(annihilator(subs[i].members))
+        if ties[subs[i].order] > 1 else []))
+    rank = {i: r for r, i in enumerate(ranked)}
     r0, v, r0_dual, v_dual = _orbifold_indices(f, ft, gf)
     pairs = [DualityPair(
         subgroup_label=lat.labels[i], subgroup_order=s.order,
-        dual_label=dual_labels[d], dual_order=len(d),
+        dual_label=canonical_label(gf.order // s.order, rank[i]),
+        dual_order=gf.order // s.order,
         orbifold_index=v[i], dual_orbifold_index=v_dual[i], dimension=f.n)
-        for i, (s, d) in enumerate(zip(lat.subgroups, duals))]
+        for i, s in enumerate(subs)]
     return DualityReport(E=f.E, dual_E=ft.E, orbit_index=r0,
                          dual_orbit_index=r0_dual, pairs=pairs)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, NotASubgroupError, build_group,
                      cyclic_group, perm_group)
-from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
+from eqindex.burnside import (BurnsideElement, _element_from_up_sets,
+                              basis_element, cardinality,
                               commuting_class_counts, element_from_marks,
                               induce, marks_vector,
                               multiply, one, permutation_character, r_k,
                               restrict, table_of_marks)
 from eqindex.gspace import GSimplicialComplex, build_complex, chi_k_direct
 from eqindex.indices import fixed_indices_from_index, index_from_fixed_indices
-from eqindex.invertible import symmetry_group
+from eqindex.invertible import symmetry_group, validate
 from eqindex.jsonio import lattice_to_json
 
 from complex_suite import suite
@@ -109,8 +111,48 @@ def test_marks_vector_of_the_wrong_length_is_value_error(marks):
     # lost its last mark
     s3 = pool()["S3"]
     assert s3.lattice().num_classes == 4
-    with pytest.raises(ValueError, match="^mark vector has wrong length$"):
-        element_from_marks(s3, marks)
+    for route in (element_from_marks, _element_from_up_sets):
+        with pytest.raises(ValueError, match="^mark vector has wrong length$"):
+            route(s3, marks)
+
+
+def _inversion_groups():
+    """The pool, S4, A5 and S5, and every G_f of duality_family(24, 3),
+    built afresh, with each of its subgroups as a group."""
+    yield from pool().values()
+    yield from larger().values()
+    for f in duality_family(24, 3):
+        gf = symmetry_group(validate(f.E))
+        yield gf
+        for sub in gf.lattice().subgroups:
+            yield sub.as_group()
+
+
+def test_up_set_inversion_and_cardinality_match_the_table_of_marks():
+    # oracles: back substitution over the rows of the table of marks, and
+    # the mark at the trivial subgroup
+    rng = random.Random(83)
+    checked = moved = 0
+    for g in _inversion_groups():
+        nc = g.lattice().num_classes
+        # a mark moved by 1 at a class with |N_G(K):K| > 1 leaves the ring
+        # there, whatever the marks above it
+        off = [c for c, r in enumerate(table_of_marks(g).diagonal) if r > 1]
+        for b in [basis_element(g, c) for c in range(nc)] + \
+                random_elements(g, 50, seed=rng.randrange(10**6)):
+            marks = marks_vector(b)
+            assert _element_from_up_sets(g, marks) == b == \
+                element_from_marks(g, marks), (g, b)
+            assert cardinality(b) == marks[0]
+            checked += 1
+            if off:
+                c = rng.choice(off)
+                bad = [m + (h == c) for h, m in enumerate(marks)]
+                for route in (_element_from_up_sets, element_from_marks):
+                    with pytest.raises(IntegralityError):
+                        route(g, bad)
+                moved += 1
+    assert checked > 100000 and moved > 100000
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -206,6 +206,19 @@ def test_poly_dual_check(capsys):
     assert obj["orbit_index"] == {"f": 1, "dual": 1, "equal": True}
 
 
+def test_dual_check_names_the_transpose_when_only_it_is_invalid(capsys):
+    # x y + y^3 is a valid germ; its transpose x + x y^3 has weight 0
+    payload = {"E": [[1, 1], [0, 3]]}
+    code, out = run(capsys, ["poly", "index"], payload)
+    assert code == 0 and json.loads(out)["mu"] == 1
+    code, out = run(capsys, ["poly", "dual-check"], payload)
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "kind": "InvalidPolynomialError",
+        "message": "transpose E^T: weight 0 outside (0, 1]; "
+                   "not an invertible polynomial germ"}}
+
+
 def test_output_deterministic(capsys):
     _, out1 = run(capsys, ["poly", "dual-check"], {"E": [[2, 1], [0, 3]]})
     _, out2 = run(capsys, ["poly", "dual-check"], {"E": [[2, 1], [0, 3]]})

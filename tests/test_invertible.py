@@ -12,7 +12,7 @@ from eqindex import (IntegralityError, InvalidPolynomialError,
                      pairing, restrict_to, symmetry_group, transpose,
                      validate)
 from eqindex.burnside import cardinality, marks_vector, one, r_k, restrict
-from eqindex import groups, invertible
+from eqindex import burnside, groups, invertible
 from eqindex.groups import build_group, diagonal_group
 from eqindex.invertible import (InvertiblePolynomial, _fixed_chi,
                                 _fixed_loci, _locus_mask, _orbifold_indices,
@@ -780,8 +780,11 @@ def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called from duality_check")
 
-    for name in ("restrict_to", "chi_G_milnor", "element_from_marks", "one"):
-        monkeypatch.setattr(invertible, name, forbidden)
+    for module, name in ((invertible, "restrict_to"),
+                         (invertible, "chi_G_milnor"),
+                         (invertible, "_element_from_up_sets"),
+                         (invertible, "one"), (burnside, "table_of_marks")):
+        monkeypatch.setattr(module, name, forbidden)
     assert duality_check(CHAIN).all_match
 
 
@@ -843,6 +846,72 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
             cardinality(ind) == (-1) ** f.n * milnor_number(f)
     assert symmetry_group(f) is symmetry_group(f)
     assert symmetry_group(validate(f.E)) is not symmetry_group(validate(f.E))
+
+
+def test_duality_pipeline_builds_only_what_it_reads(monkeypatch):
+    # one duality-sweep operation per fixture, each started afresh:
+    # validate -> duality_check -> cardinality(index_df).  No table of
+    # marks; a symmetric E is its own transpose, with one diagonal group;
+    # annihilators only for subgroups whose order another one shares, and
+    # pairing rows only for the recorded generators they and G_f read
+    counts, annihilated, rows = Counter(), [], []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(burnside, "TableOfMarks")
+    count(invertible, "transpose")
+    count(invertible, "diagonal_group_from_integers")
+    real_pairing, real_image = (invertible.check_perfect_pairing,
+                                invertible._integral_image)
+
+    def recording(*args):
+        annihilator = real_pairing(*args)
+        return lambda members: annihilated.append(frozenset(members)) or \
+            annihilator(members)
+
+    def image(matrix, vec, den):
+        rows.append((matrix, tuple(vec)))
+        return real_image(matrix, vec, den)
+    monkeypatch.setattr(invertible, "check_perfect_pairing", recording)
+    monkeypatch.setattr(invertible, "_integral_image", image)
+    quadric = validate([[2 * (i == j) for j in range(3)] for i in range(3)])
+    fixtures = [*duality_family(24, 3)[::6], quadric]
+    kinds = Counter()
+    for E in (f.E for f in fixtures):
+        counts.clear()
+        del annihilated[:], rows[:]
+        f = validate(E)
+        report = duality_check(f)
+        paired = [vec for matrix, vec in rows if matrix is f.E]
+        card = cardinality(index_df(f, symmetry_group(f)))
+        assert report.all_sign_match
+        assert card == (-1) ** f.n * milnor_number(f)
+        symmetric = E == tuple(zip(*E))
+        assert counts == Counter({"transpose": 1 - symmetric,
+                                  "diagonal_group_from_integers":
+                                      2 - symmetric}), E
+        gf = symmetry_group(f)
+        lat = gf.lattice()
+        orders = Counter(s.order for s in lat.subgroups)
+        tied = [s.members for s in lat.subgroups if orders[s.order] > 1]
+        assert sorted(annihilated, key=sorted) == sorted(tied, key=sorted)
+        read = {c for i in [len(lat.subgroups) - 1] + list(map(
+            lat.subgroup_index, tied)) for c in lat.generators[i]}
+        assert sorted(paired) == sorted(gf.keys[c] for c in read), E
+        if _is_cyclic(gf):
+            assert paired == [gf.keys[c] for c in lat.generators[-1]]
+        kinds[symmetric, _is_cyclic(gf), bool(tied)] += 1
+    # (Z/2)^3: the orders 2 and 4 tie, seven subgroups each
+    assert len(annihilated) == 14 and orders == Counter({1: 1, 2: 7, 4: 7,
+                                                         8: 1})
+    assert {(True, True, False), (True, False, True), (False, True, False),
+            (False, False, True)} <= set(kinds)
 
 
 def test_restricting_index_df_builds_no_table_and_no_moebius_rows(

@@ -74,6 +74,10 @@ Hashes, in order:
   * the stdout and exit code of `poly index` and `poly dual-check` (JSON)
     on every fixture of duality_family(60, 3): ties among subgroup orders
     in three variables, and symmetric and non-symmetric E.
+  * for every group of the S6 corpus, as a fresh permutation group:
+    `commuting_class_counts` for k = 0..2, and `index_from_fixed_indices`
+    with per-class data on the fixed-set indices of every basis element,
+    as given and with one per-class entry moved.
 
 Every error is hashed as its kind and its message.
 
@@ -444,24 +448,30 @@ Z2_5 = (10, [[j ^ 1 if j // 2 == i else j for j in range(10)]
              for i in range(5)])
 
 
+def _solve_lines(tag, g, extra, rng):
+    """`commuting_class_counts` of g for k = 0..2, then the class-poset
+    inversion on the fixed-set indices of every basis element and of the
+    elements `extra`, as given and with one per-class entry moved."""
+    for k in range(3):
+        yield f"{tag} {k} " + repr(burnside.commuting_class_counts(g, k))
+    nc = g.lattice().num_classes
+    for b in [burnside.basis_element(g, c) for c in range(nc)] + extra:
+        data = indices.fixed_indices_from_index(b)
+        moved = rng.randrange(nc)
+        for per_class in (data.per_class, {
+                **data.per_class, moved: data.per_class[moved] + 1}):
+            yield f"{tag} " + _outcome(
+                lambda: indices.index_from_fixed_indices(
+                    indices.FixedSetIndexData(g, data.per_subgroup,
+                                              per_class)))
+
+
 def poset_lines():
     rng = random.Random(71)
     for degree, gens in (Z2_5, PERM_PRESENTATIONS[0]):
         g = perm_group(degree, gens)
-        for k in range(3):
-            yield f"{degree} {k} " + repr(
-                burnside.commuting_class_counts(g, k))
-        nc = g.lattice().num_classes
-        for b in [burnside.basis_element(g, c) for c in range(nc)] + \
-                random_elements(g, 5, seed=73):
-            data = indices.fixed_indices_from_index(b)
-            moved = rng.randrange(nc)
-            for per_class in (data.per_class, {
-                    **data.per_class, moved: data.per_class[moved] + 1}):
-                yield f"{degree} " + _outcome(
-                    lambda: indices.index_from_fixed_indices(
-                        indices.FixedSetIndexData(g, data.per_subgroup,
-                                                  per_class)))
+        yield from _solve_lines(degree, g, random_elements(g, 5, seed=73),
+                                rng)
 
 
 def grandchild_lines():
@@ -536,6 +546,12 @@ def family_cli_lines():
             yield _cli(["poly", sub, payload])
 
 
+def corpus_solve_lines():
+    rng = random.Random(79)
+    for label, _, gens, *_ in S6_CORPUS:
+        yield from _solve_lines(label, perm_group(6, gens), [], rng)
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -545,7 +561,8 @@ def main():
                       second_round_lines(), quadric_lines(), usage_lines(),
                       poset_lines(), grandchild_lines(),
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
-                      character_lines(), family_cli_lines()):
+                      character_lines(), family_cli_lines(),
+                      corpus_solve_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -7,8 +7,8 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     fixed by H exactly when H <= gKg^-1 and each conjugate of K comes from
     |N_G(K):K| cosets (for abelian G, |G:K| [H <= K]);
   * products: multiply the mark vectors componentwise, then invert the
-    triangular table of marks (a one-shot inversion, chi^G(M_f), walks the
-    up-sets instead and builds no table);
+    triangular table of marks (a one-shot inversion, chi^G(M_f), is one
+    `groups.solve_rows` along the up-sets instead and builds no table);
   * cardinality: the mark at the trivial subgroup, sum of a_K |G:K|;
   * restriction to H: the marks at each K <= H are those of b at K's class
     in G, inverted over the table of marks of H;
@@ -16,7 +16,8 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     `parent_classes` of H's lattice;
   * commuting-tuple counts: pairwise-commuting tuples lie in an abelian
     subgroup A, and P. Hall's phi_{k+1}(A), the (k+1)-tuples of A that
-    generate A, solves |A|^(k+1) = sum over B <= A of phi_{k+1}(B).
+    generate A, solves |A|^(k+1) = sum over B <= A of phi_{k+1}(B): one
+    `solve_rows` along the down-sets, from the bottom up.
 
 The tests check marks, restriction and the counts against brute-force
 oracles.  Any non-integral coefficient on the way back is a hard error --
@@ -26,7 +27,7 @@ integrality is a theorem, so a violation means a bug or inconsistent input.
 from __future__ import annotations
 
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError, _int
-from .groups import FiniteGroup, Subgroup, commuting, expand
+from .groups import FiniteGroup, Subgroup, commuting, expand, solve_rows
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -87,8 +88,8 @@ class BurnsideElement:
                 and other.group.same_group(self.group)
                 and other.coeffs == self.coeffs)
 
-    def __hash__(self):
-        return hash((self.group.fingerprint, self.coeffs))
+    def __hash__(self):  # equal groups have equal orders; no table is built
+        return hash((self.group.order, self.coeffs))
 
     def __repr__(self):
         lat = self.group.lattice()
@@ -200,25 +201,24 @@ def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
 
 def _element_from_up_sets(group: FiniteGroup, marks) -> BurnsideElement:
     """`element_from_marks` for one inversion, along the up-sets with no
-    table of marks: with w_c = a_c |N_G(K):K|, the mark at the
-    representative H of class c sums w over every K' >= H, conjugates
-    included, so from the top class down w_c = m_c - sum over j in
-    up[H][1:] of w_{class_of[j]} (later classes, already final; w_c is
-    still 0 where up[H][0] = H is read) and a_c = w_c / |N_G(K):K| must be
-    exact.  Repeated ring operations keep the rows, which visit each class
-    once per column."""
+    table of marks: with w_K = a_[K] |N_G(K):K| for every subgroup K, the
+    mark at H sums w over every K >= H, conjugates included, so w is one
+    `solve_rows` along `up` from the top down.  It is constant on classes,
+    and a_c = w / |N_G(K):K| at the representative must be exact.
+    Repeated ring operations keep the rows, which visit each class once
+    per column."""
     lat = group.lattice()
     if len(marks) != lat.num_classes:
         raise ValueError("mark vector has wrong length")
-    class_of, ratio = lat.class_of, _normalizer_indices(group)
-    w, out = [0] * len(ratio), [0] * len(ratio)
-    for c in range(len(out) - 1, -1, -1):
-        w[c] = marks[c] - sum(map(w.__getitem__, map(
-            class_of.__getitem__, lat.up[lat.representatives[c]])))
-        out[c], r = divmod(w[c], ratio[c])
-        if r:
+    w = solve_rows(lat.up, [marks[c] for c in lat.class_of],
+                   reversed(range(len(lat.up))))
+    out = []
+    for r, ratio in zip(lat.representatives, _normalizer_indices(group)):
+        a, rem = divmod(w[r], ratio)
+        if rem:
             raise IntegralityError(
                 "mark vector is not in the image of the Burnside ring")
+        out.append(a)
     return BurnsideElement(group, out)
 
 
@@ -264,23 +264,13 @@ def induce(b: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
     return BurnsideElement(group, out)
 
 
-def hall_phi(lat, k: int) -> list:
-    """P. Hall's phi_k(K), the k-tuples of K that generate K, for each K of
-    a lattice: |K|^k = sum over B <= K of phi_k(B), solved up the up-sets."""
-    phi = [s.order ** k for s in lat.subgroups]
-    for b, up in enumerate(lat.up):  # phi[b] is final once b is reached
-        for a in up[1:]:
-            phi[a] -= phi[b]
-    return phi
-
-
 def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     """Number of pairwise-commuting (k+1)-tuples whose generated subgroup lies
     in each conjugacy class.  Cached per group and k; a k that is not an
     int (a bool, a float, a string) is a ValueError, as a negative k is.
 
     Each abelian A (its recorded generators commute pairwise; every A, when
-    G is abelian) adds Hall's phi_{k+1}(A), from `hall_phi`.
+    G is abelian) adds Hall's phi_{k+1}(A).
     """
     if _int(k, "k", ValueError) in group._tuple_counts:
         return group._tuple_counts[k]
@@ -290,7 +280,8 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
-    phi = hall_phi(lat, k + 1)
+    phi = solve_rows(lat.down, [s.order ** (k + 1) for s in lat.subgroups],
+                     range(len(lat.down)))
     counts = [0] * lat.num_classes
     for a, gens in enumerate(lat.generators):
         if group.is_abelian or commuting(group.table, gens):

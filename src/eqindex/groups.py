@@ -366,9 +366,10 @@ class SubgroupLattice:
     [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
     classes are single subgroups, they are the very lists `up` and `mu`.
     Computations read only the up-sets (`class_up` for the class-poset
-    inversion) and the class sizes (|N_G(K):K| = |G:K| / |[K]|); `mu`,
-    `class_mu` and `normalizers` are for output, and `down` for the
-    lattices of subgroup groups.  So these five wait for their first read.
+    inversion) and the class sizes (|N_G(K):K| = |G:K| / |[K]|), and
+    `down` for Hall's phi and the lattices of subgroup groups; `mu`,
+    `class_mu` and `normalizers` are for output.  So these five wait for
+    their first read.
     `class_orders[c]` is the order of class c.
     """
 
@@ -514,6 +515,18 @@ def expand(rows, n: int) -> list:
             dense[j] = v
         out.append(dense)
     return out
+
+
+def solve_rows(rows, values, visit) -> list:
+    """The x with values[i] = sum of x[j] over j in rows[i]: each x[i], in
+    the order `visit`, is values[i] less the x already final in rows[i]
+    (x[i] itself is still 0 there).  Along the up-sets of a poset from the
+    top down, or along its down-sets from the bottom up, this is Moebius
+    inversion."""
+    x = [0] * len(values)
+    for i in visit:
+        x[i] = values[i] - sum(map(x.__getitem__, rows[i]))
+    return x
 
 
 def _up_sets(cyclics) -> list:
@@ -783,12 +796,18 @@ def _build_perm(presentation):
 
 
 def _build_diagonal(presentation):
-    gens = [tuple(map(_phase, _list(vec, "phase vector")))
-            for vec in _list(presentation.get("phases"), "phases")]
-    denom = math.lcm(*(p.denominator for g in gens for p in g))
-    return diagonal_group_from_integers(
-        [[p.numerator * (denom // p.denominator) for p in g] for g in gens],
-        denom)
+    den, vectors = over_common_denominator(
+        [tuple(map(_phase, _list(vec, "phase vector")))
+         for vec in _list(presentation.get("phases"), "phases")])
+    return diagonal_group_from_integers(vectors, den)
+
+
+def over_common_denominator(phase_vectors) -> tuple:
+    """(den, rows): phase vectors of ints or Fractions as integer numerators
+    over their least common denominator."""
+    den = math.lcm(*(p.denominator for v in phase_vectors for p in v))
+    return den, [[p.numerator * (den // p.denominator) for p in v]
+                 for v in phase_vectors]
 
 
 def diagonal_group_from_integers(vectors, denominator: int) -> FiniteGroup:

@@ -5,7 +5,7 @@ orbits; the operations here are the Burnside-ring bookkeeping that turns
 such data into an equivariant index and back (quotient-strata indices just
 sum, by `gspace.chi_G_stratified`).
 Fixed-set data are the marks of the index, so they invert through the table
-of marks; class-poset data, when given, are inverted by back substitution
+of marks; class-poset data, when given, are inverted by `groups.solve_rows`
 along the up-sets of ConjSub(G) as a cross-check and must agree.  Any
 non-integral coefficient is a hard error.
 """
@@ -18,7 +18,7 @@ from .burnside import (BurnsideElement, element_from_marks, induce,
                        marks_vector, zero)
 from .errors import (InconsistentDataError, IntegralityError,
                      NotASubgroupError, _int)
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, solve_rows
 
 if TYPE_CHECKING:
     from .gspace import StratifiedGData
@@ -117,8 +117,8 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
     representatives are inverted through the table of marks.  When per-class
     data is present it is inverted independently over ConjSub(G): with
     w_[K] = a_[K] |G|/|K|, ind(V^{[H]}) = w_[H] + sum over [K] > [H] of
-    w_[K], solved from the top class down along the class up-sets, and
-    a_[H] = (|H|/|G|) w_[H].  The two results must coincide; either
+    w_[K], one `solve_rows` along the class up-sets from the top class
+    down, and a_[H] = (|H|/|G|) w_[H].  The two results must coincide; either
     inversion must be integral.
     """
     group = data.group
@@ -130,11 +130,8 @@ def index_from_fixed_indices(data: FixedSetIndexData) -> BurnsideElement:
         raise IntegralityError(
             "subgroup-poset inversion produced a non-integer coefficient") from None
     if data.per_class is not None:
-        up = lat.class_up
-        w = [data.per_class[c] for c in range(lat.num_classes)]
-        for c in range(len(w) - 1, -1, -1):  # w[d] is final for d > c
-            for d in up[c][1:]:
-                w[c] -= w[d]
+        w = solve_rows(lat.class_up, data.per_class,
+                       reversed(range(lat.num_classes)))
         coeffs_conj = []
         for q, total in zip(lat.class_orders, w):
             a, r = divmod(q * total, group.order)

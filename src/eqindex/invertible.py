@@ -17,7 +17,7 @@ is integral, and the duality pairing of a in G_f with b in G_{f~} is
 
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
-the Burnside element whose mark at K is chi(M_f^K), inverted once along
+the Burnside element whose mark at K is chi(M_f^K), one `solve_rows` along
 the up-sets of G_f's lattice with no table of marks, and the index of df is
 [G/G] - chi^G(M_f).  A fixed locus L holds every chain variable together
 with its tail, so the monomials of f inside L keep f's weight equations and
@@ -34,10 +34,10 @@ chi^H(M_f) at K is chi(M_f^K), and Fix <g, h> = Fix g & Fix h; so Burnside's
 lemma, over the pairs of H grouped by the subgroup K they generate, gives
     r_0 = 1 - (sum over K of phi_1(K) chi(M_f^{Fix K})) / |G|     (H = G),
     r_1 = |H| - (sum over K <= H of phi_2(K) chi(M_f^{Fix K})) / |H|,
-with P. Hall's phi_k(K), the k-tuples of K that generate K, solved along
-the up-sets of G_f's lattice.  G_{f~} needs no lattice and no keys read:
-K -> K^T reverses inclusion and |K^T| = |G| / |K|, so the same up-sets
-carry the dual's sums, and Fix K^T = {j : rho_j in K} for the columns
+with P. Hall's phi_k(K), the k-tuples of K that generate K; both sides run
+one routine.  G_{f~} needs no lattice and no keys read: K -> K^T reverses
+inclusion and |K^T| = |G| / |K|, so the dual side reads G_f's lattice
+reversed, and Fix K^T = {j : rho_j in K} for the columns
 rho_j = E^{-1} e_j that generate G_f, since <rho_j, b> = b_j.  The same
 order reversal ranks the duals for their labels, so an annihilator H^T is
 built only where H shares its order with another subgroup.
@@ -45,17 +45,16 @@ built only where H shares its order with another subgroup.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .burnside import BurnsideElement, _element_from_up_sets, hall_phi, one
+from .burnside import BurnsideElement, _element_from_up_sets, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError, _int)
 from .groups import (MAX_ORDER, FiniteGroup, diagonal_group_from_integers,
-                     canonical_label)
+                     canonical_label, over_common_denominator, solve_rows)
 
 DUALITY_ORDER_BOUND = 500
 
@@ -327,14 +326,6 @@ def symmetry_group(f: InvertiblePolynomial) -> FiniteGroup:
     return group
 
 
-def _as_integers(phase_vectors):
-    """Fraction phase vectors as integer numerators over their least common
-    denominator."""
-    den = math.lcm(*(p.denominator for v in phase_vectors for p in v))
-    return den, [[p.numerator * (den // p.denominator) for p in v]
-                 for v in phase_vectors]
-
-
 def _integral_image(matrix, vec, den) -> list:
     """matrix . (vec / den) as an integer vector.
 
@@ -382,8 +373,8 @@ def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     for x in (*a, *b):
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise PairingError(f"phase must be an int or a Fraction, got {x!r}")
-    den_a, a_rows = _as_integers([a])
-    den_b, b_rows = _as_integers([b])
+    den_a, a_rows = over_common_denominator([a])
+    den_b, b_rows = over_common_denominator([b])
     _integral_image(tuple(zip(*f.E)), b_rows[0], den_b)
     return Fraction(_pairings(f, a_rows, den_a, b_rows, den_b)[0][0], den_b)
 
@@ -594,37 +585,36 @@ def _fixed_loci(group: FiniteGroup) -> tuple:
 def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,
                       group: FiniteGroup) -> tuple:
     """(r_0, v, r_0~, v~): r_0 of ind(df) over G = G_f and v[i], its r_1 over
-    the i-th subgroup H, and the same of ind(df~) over G_{f~} and H^T, by the
-    phi sums of the module docstring; phi_1(K) counts the g with <g> = K."""
+    the i-th subgroup H, and the same of ind(df~) over G_{f~} and H^T.  The
+    subgroups of K^T are the L^T for L in up[K], so G_{f~}'s side reads the
+    up-sets from the top down where G_f's reads the down-sets bottom up."""
     lat = group.lattice()
-    up, orders = lat.up, [s.order for s in lat.subgroups]
+    orders = [s.order for s in lat.subgroups]
     loci, dual_loci = _fixed_loci(group)
     w, dual_w = _chis(f, loci), _chis(ft, dual_loci)
-    sums = [0] * len(up)
-    for b, p in enumerate(hall_phi(lat, 2)):
-        for a in up[b] if w[b] else ():
-            sums[a] += p * w[b]
-    dual_orders = [group.order // h for h in orders]
-    phi1, phi2, terms, dual_sums = ([0] * len(up) for _ in range(4))
-    # phi~_k(K^T) is pulled from the K' in up[K], already final (up[K]
-    # starts at K, still 0); the subgroups of H^T are the K^T, K in up[H]
-    for b in range(len(up) - 1, -1, -1):
-        q, row = dual_orders[b], up[b]
-        phi1[b] = q - sum(map(phi1.__getitem__, row))
-        phi2[b] = q * q - sum(map(phi2.__getitem__, row))
-        terms[b] = phi2[b] * dual_w[b]
-        dual_sums[b] = sum(map(terms.__getitem__, row))
-    total = sum(map(w.__getitem__, lat.cyclic_of))
-    dual_total = sum(map(operator.mul, phi1, dual_w))
-    if total % group.order or dual_total % group.order:
+    visit = range(len(orders))
+    return (*_orbifold_side(lat.down, orders, w, visit, group.order),
+            *_orbifold_side(lat.up, [group.order // h for h in orders],
+                            dual_w, visit[::-1], group.order))
+
+
+def _orbifold_side(rows, orders, w, visit, order: int) -> tuple:
+    """(r_0, [r_1 over each K]) by the phi sums of the module docstring, over
+    a group of order `order` whose K has order orders[K], subgroups rows[K]
+    (visited bottom up in `visit`) and mark w[K] = chi(M_f^{Fix K}):
+    phi_k solves |K|^k = sum over L in rows[K] of phi_k(L)."""
+    phi1 = solve_rows(rows, orders, visit)
+    phi2 = solve_rows(rows, [q * q for q in orders], visit)
+    total = sum(map(operator.mul, phi1, w))
+    if total % order:
         raise IntegralityError(
             "orbit count of the Milnor fibre is not an integer")
-    if any(t % h for t, h in zip(sums + dual_sums, orders + dual_orders)):
+    terms = list(map(operator.mul, phi2, w))
+    sums = [sum(map(terms.__getitem__, row)) for row in rows]
+    if any(t % h for t, h in zip(sums, orders)):
         raise IntegralityError(
             "orbifold Euler characteristic of the Milnor fibre is not an integer")
-    return (1 - total // group.order, [h - t // h for t, h in zip(sums, orders)],
-            1 - dual_total // group.order,
-            [h - t // h for t, h in zip(dual_sums, dual_orders)])
+    return 1 - total // order, [h - t // h for t, h in zip(sums, orders)]
 
 
 def duality_check(f: InvertiblePolynomial) -> DualityReport:

@@ -14,7 +14,7 @@ from eqindex.burnside import (BurnsideElement, _element_from_up_sets,
                               restrict, table_of_marks)
 from eqindex.gspace import GSimplicialComplex, build_complex, chi_k_direct
 from eqindex.indices import fixed_indices_from_index, index_from_fixed_indices
-from eqindex.invertible import symmetry_group, validate
+from eqindex.invertible import index_df, symmetry_group, validate
 from eqindex.jsonio import lattice_to_json
 
 from complex_suite import suite
@@ -191,6 +191,39 @@ def test_scalars_and_elements_of_other_groups():
     for operation in (lambda c: b + c, lambda c: b - c, lambda c: b * c):
         with pytest.raises(ValueError, match="different groups"):
             operation(basis_element(z6, 1))
+
+
+def test_hashing_an_element_builds_no_table():
+    # a hash of the group's fingerprint would build its |G|^2 table: 10^6
+    # entries for G_f = Z/1000
+    f = validate([[1000]])
+    g = symmetry_group(f)
+    b = index_df(f, g)
+    assert hash(b) == hash(index_df(f, g))
+    assert "table" not in g.__dict__
+
+
+def test_equal_elements_over_equal_groups_hash_alike():
+    for build in (lambda: perm_group(3, [[1, 0, 2], [1, 2, 0]]),
+                  lambda: cyclic_group(6)):
+        g, h = build(), build()
+        assert g is not h
+        nc = g.lattice().num_classes
+        elements = [basis_element(k, c) for k in (g, h) for c in range(nc)]
+        for c in range(nc):
+            assert elements[c] == elements[nc + c]
+            assert hash(elements[c]) == hash(elements[nc + c])
+        assert len(set(elements)) == nc
+
+
+def test_elements_over_different_groups_of_one_order_stay_unequal():
+    # the hash reads the order and the coefficients, so these collide
+    pairs = [(cyclic_group(6), pool()["S3"]),
+             (cyclic_group(4), perm_group(4, [[1, 2, 3, 0]]))]
+    for g, h in pairs:
+        for c in range(g.lattice().num_classes):
+            a, b = basis_element(g, c), basis_element(h, c)
+            assert a.coeffs == b.coeffs and a != b and len({a, b}) == 2
 
 
 def test_cardinality():
@@ -483,10 +516,10 @@ def test_commuting_counts_of_a_diagonal_group_build_no_table(monkeypatch):
 ], ids=["Z2^4-and-Klein-complex", "S4-and-D4-complex"])
 def test_counts_and_inversions_build_no_moebius_rows(monkeypatch, degree,
                                                      gens, name):
-    # commuting counts and the class-poset inversion walk the up-sets: on
-    # fresh groups only `lattice_to_json` builds Moebius rows; chi_k_direct
-    # runs on the complex's own group (Klein four, abelian; D4, not), the
-    # other calls on the group of the id
+    # commuting counts and the class-poset inversion solve along the
+    # lattice rows: on fresh groups only `lattice_to_json` builds Moebius
+    # rows; chi_k_direct runs on the complex's own group (Klein four,
+    # abelian; D4, not), the other calls on the group of the id
     from eqindex import groups
     calls = []
     real = groups._moebius_rows

@@ -538,6 +538,37 @@ def test_down_sets_are_the_transpose_of_the_up_sets():
                             for t in members], name
 
 
+def _solver_groups():
+    """The pool, S4, A5 and S5, the S6 corpus and every G_f of
+    duality_family(24, 3), the last two built afresh."""
+    yield from pool().items()
+    yield from larger().items()
+    for label, _, gens, *_ in S6_CORPUS:
+        yield label, perm_group(6, gens)
+    for f in duality_family(24, 3):
+        yield f.E, symmetry_group(validate(f.E))
+
+
+def test_solve_rows_inverts_the_zeta_sums_along_every_poset():
+    # oracle: the zeta sums y[i] = sum of x[j] over j in rows[i], written
+    # out; solving along the up-sets from the top down, the down-sets from
+    # the bottom up and the class up-sets from the top down gives back y
+    rng = random.Random(89)
+    solved = 0
+    for name, g in _solver_groups():
+        lat = g.lattice()
+        for rows, top_down in ((lat.up, True), (lat.down, False),
+                               (lat.class_up, True)):
+            n = len(rows)
+            visit = range(n - 1, -1, -1) if top_down else range(n)
+            for _ in range(3):
+                y = [rng.randint(-10**6, 10**6) for _ in range(n)]
+                x = groups.solve_rows(rows, y, visit)
+                assert [sum(x[j] for j in row) for row in rows] == y, name
+                solved += 1
+    assert solved > 1000
+
+
 def _assert_slice_matches_a_fresh_enumeration(child, fresh_parent):
     """The lattice of the subgroup group `child`, read from its parent's,
     against the lattice of a parentless `table` presentation of it; the

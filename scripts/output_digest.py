@@ -78,6 +78,10 @@ Hashes, in order:
     `commuting_class_counts` for k = 0..2, and `index_from_fixed_indices`
     with per-class data on the fixed-set indices of every basis element,
     as given and with one per-class entry moved.
+  * `pairing_matrix(f, G_f, G_{f~})` on every fixture of
+    duality_family(24, 3), and the errors of `pairing` on each for a phase
+    vector b that is not a symmetry of the transpose and for an a of the
+    wrong length.
 
 Every error is hashed as its kind and its message.
 
@@ -94,6 +98,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -104,7 +109,8 @@ from eqindex import (build_group, burnside, cli, gspace,  # noqa: E402
                      indices, jsonio, perm_group)
 from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
-                                symmetry_group, transpose)
+                                pairing, pairing_matrix, symmetry_group,
+                                transpose)
 from complex_suite import suite  # noqa: E402
 from groups_pool import larger, pool, random_elements  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
@@ -552,6 +558,16 @@ def corpus_solve_lines():
         yield from _solve_lines(label, perm_group(6, gens), [], rng)
 
 
+def pairing_lines():
+    for f in duality_family(24, 3):
+        gf, gft = symmetry_group(f), symmetry_group(transpose(f))
+        yield repr(pairing_matrix(f, gf, gft))
+        # 1/(2 |det E|) on the first coordinate is no symmetry of E^T
+        no_symmetry = [Fraction(1, 2 * gft.order)] + [0] * (f.n - 1)
+        yield _outcome(pairing, f, gf.phases(0), no_symmetry)
+        yield _outcome(pairing, f, gf.phases(0) + (0,), gft.phases(0))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -562,7 +578,7 @@ def main():
                       poset_lines(), grandchild_lines(),
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
                       character_lines(), family_cli_lines(),
-                      corpus_solve_lines()):
+                      corpus_solve_lines(), pairing_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -205,8 +205,11 @@ def _element_from_up_sets(group: FiniteGroup, marks) -> BurnsideElement:
     mark at H sums w over every K >= H, conjugates included, so w is one
     `solve_rows` along `up` from the top down.  It is constant on classes,
     and a_c = w / |N_G(K):K| at the representative must be exact.
-    Repeated ring operations keep the rows, which visit each class once
-    per column."""
+    Its one caller, `chi_G_milnor`, runs on abelian groups, where each
+    class is one subgroup; on a non-abelian group the walk reads every
+    conjugate's up-set, so one-shot inversions there, like repeated ring
+    operations, should use the rows, which visit each class once per
+    column."""
     lat = group.lattice()
     if len(marks) != lat.num_classes:
         raise ValueError("mark vector has wrong length")
@@ -276,7 +279,7 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
         return group._tuple_counts[k]
     if k < 0:
         raise ValueError("k must be >= 0")
-    # kept so that outputs do not change; re-deriving it is ROADMAP item 1
+    # kept so that outputs do not change; re-deriving it is ROADMAP item 7
     if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()

@@ -152,7 +152,7 @@ def cmd_burnside_char(args, payload):
 def cmd_euler_strat(args, payload):
     from . import gspace
     group = _group(payload)
-    data = jsonio.strata_from_json(group, payload.get("strata", []))
+    data = jsonio.strata_from_json(group, payload.get("strata", []), "chi")
     chi = gspace.chi_G_stratified(data, reduced=args.reduced)
     return jsonio.element_to_json(chi)
 
@@ -178,7 +178,7 @@ def cmd_euler_orbifold(args, payload):
 def cmd_index_from_strata(args, payload):
     from . import indices
     group = _group(payload)
-    data = jsonio.stratum_index_from_json(group, payload.get("entries", []))
+    data = jsonio.strata_from_json(group, payload.get("entries", []), "ind")
     return jsonio.element_to_json(indices.index_from_strata(data))
 
 

@@ -13,6 +13,7 @@ irregular action.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import and_, mul
 from typing import Optional
 
@@ -63,11 +64,9 @@ class GSimplicialComplex:
     def __init__(self, group: FiniteGroup, vertices, simplices, action):
         self.group = group
         self.vertices = tuple(sorted(set(vertices)))
-        closed = set()
+        closed = {frozenset([v]) for v in self.vertices}
         for s in simplices:
             fs = frozenset(s)
-            if not fs:
-                continue
             if not fs <= set(self.vertices):
                 try:
                     shown = sorted(s)
@@ -75,18 +74,8 @@ class GSimplicialComplex:
                     shown = sorted(s, key=repr)
                 raise InconsistentDataError(
                     f"simplex {shown} uses unknown vertices")
-            closed.add(fs)
-        # downward closure
-        work = list(closed)
-        while work:
-            s = work.pop()
-            for v in s:
-                face = s - {v}
-                if face and face not in closed:
-                    closed.add(face)
-                    work.append(face)
-        for v in self.vertices:
-            closed.add(frozenset([v]))
+            closed.update(frozenset(face) for k in range(1, len(fs) + 1)
+                          for face in combinations(fs, k))
         self.simplices = frozenset(closed)
         self.action = action
         self._regular = None
@@ -173,17 +162,14 @@ def build_complex(group: FiniteGroup, vertices, simplices,
             for pos in range(len(gens))]
     # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e)
     action = {group.identity: identity_map}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            pe = action[e]
-            for g, pg in zip(gens, maps):
-                f = group.mul(g, e)
-                if f not in action:
-                    action[f] = {v: pg[pe[v]] for v in vertices}
-                    new.append(f)
-        frontier = new
+    walk = [group.identity]
+    for e in walk:  # grows while it is read
+        pe = action[e]
+        for g, pg in zip(gens, maps):
+            f = group.mul(g, e)
+            if f not in action:
+                action[f] = {v: pg[pe[v]] for v in vertices}
+                walk.append(f)
     if len(action) != group.order:
         raise InconsistentDataError("generators do not generate the group")
     # the extension is well-defined only if the images respect all relations

@@ -140,9 +140,6 @@ class InvertiblePolynomial:
     def n(self) -> int:
         return len(self.E)
 
-    def monomials(self):
-        return [tuple(row) for row in self.E]
-
 
 def validate(matrix) -> InvertiblePolynomial:
     """Check an exponent matrix and decompose it into Fermat/chain/loop atoms.
@@ -198,32 +195,21 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
     tails = {tail for _, tail in assignment if tail is not None}
     atoms = []
     visited = set()
-    # chains start at variables that are nobody's tail
-    for start in range(n):
-        if start in visited or start in tails:
-            continue
-        path = [start]
-        visited.add(start)
-        while out_edge[path[-1]] is not None:
-            nxt = out_edge[path[-1]]
-            path.append(nxt)
-            visited.add(nxt)
-        kind = "fermat" if len(path) == 1 else "chain"
-        atoms.append(Atom(kind, tuple(path),
-                          tuple(E[head_row[v]][v] for v in path)))
-    # what remains are loops; start each at its smallest variable
-    for start in range(n):
+    # chains and Fermat atoms start at the variables that are nobody's tail
+    # and run to a head without one; what remains are loops, each entered at
+    # its smallest variable and closed on returning to it
+    for start in sorted(range(n), key=tails.__contains__):
         if start in visited:
             continue
-        cycle = [start]
-        visited.add(start)
+        path = [start]
         nxt = out_edge[start]
-        while nxt != start:
-            cycle.append(nxt)
-            visited.add(nxt)
+        while nxt is not None and nxt != start:
+            path.append(nxt)
             nxt = out_edge[nxt]
-        atoms.append(Atom("loop", tuple(cycle),
-                          tuple(E[head_row[v]][v] for v in cycle)))
+        visited.update(path)
+        kind = "loop" if nxt == start else "chain" if path[1:] else "fermat"
+        atoms.append(Atom(kind, tuple(path),
+                          tuple(E[head_row[v]][v] for v in path)))
     atoms.sort(key=lambda a: a.variables[0])
 
     # q = s/d over the row sums s of adj(E); 0 < q <= 1 iff 0 < s d <= d^2
@@ -240,28 +226,21 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
 
 def _assign_heads(options, n):
     """Pick one (head, tail) reading per row so heads are a bijection onto the
-    variables and no variable is the tail of two rows."""
+    variables and no variable is the tail of two rows.  The heads and tails
+    taken so far pass down as tuples (no larger than n), which nothing
+    undoes."""
 
-    def rec(i, heads_used, tails_used, acc):
+    def rec(i, heads, tails):
         if i == n:
-            return list(acc)
+            return []
         for head, tail in options[i]:
-            if head in heads_used:
-                continue
-            if tail is not None and tail in tails_used:
-                continue
-            heads_used.add(head)
-            if tail is not None:
-                tails_used.add(tail)
-            found = rec(i + 1, heads_used, tails_used, acc + [(head, tail)])
-            heads_used.discard(head)
-            if tail is not None:
-                tails_used.discard(tail)
-            if found is not None:
-                return found
+            if head not in heads and (tail is None or tail not in tails):
+                rest = rec(i + 1, (*heads, head), (*tails, tail))
+                if rest is not None:
+                    return [(head, tail), *rest]
         return None
 
-    return rec(0, set(), set(), [])
+    return rec(0, (), ())
 
 
 def _locus_table(f: InvertiblePolynomial) -> tuple:
@@ -353,13 +332,16 @@ def _check_symmetries(matrix, group: FiniteGroup) -> None:
         _integral_image(matrix, g, group.denominator)
 
 
-def _pairings(f: InvertiblePolynomial, a_rows, den_a, b_rows, den_b) -> list:
-    """<a, b> * den_b for integer rows a over `den_a` (symmetries of f) and
-    integer rows b over `den_b`: <a, b> = (E a) . b mod 1, and E a is an
-    integer vector exactly when a is a symmetry of f."""
-    images = [_integral_image(f.E, a, den_a) for a in a_rows]
-    return [[sum(map(operator.mul, u, b)) % den_b for b in b_rows]
-            for u in images]
+def _pairing_sums(f: InvertiblePolynomial, a, den_a, b_cols, count) -> list:
+    """(E a) . b, unreduced, for an integer row a over `den_a` (a symmetry
+    of f) and `count` integer rows b, given by their columns `b_cols`:
+    <a, b> = (E a) . b mod 1 is this sum mod the denominator of b, and E a
+    is an integer vector exactly when a is a symmetry of f."""
+    sums = [0] * count
+    for x, col in zip(_integral_image(f.E, a, den_a), b_cols):
+        if x:
+            sums = [v + x * y for v, y in zip(sums, col)]
+    return sums
 
 
 def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
@@ -376,15 +358,17 @@ def pairing(f: InvertiblePolynomial, a, b) -> Fraction:
     den_a, a_rows = over_common_denominator([a])
     den_b, b_rows = over_common_denominator([b])
     _integral_image(tuple(zip(*f.E)), b_rows[0], den_b)
-    return Fraction(_pairings(f, a_rows, den_a, b_rows, den_b)[0][0], den_b)
+    (s,) = _pairing_sums(f, a_rows[0], den_a, zip(*b_rows), 1)
+    return Fraction(s % den_b, den_b)
 
 
 def pairing_matrix(f: InvertiblePolynomial, gf: FiniteGroup, gft: FiniteGroup):
     """All pairings at once as `(den, num)`: <a_i, b_j> = num[i][j] / den,
     with 0 <= num[i][j] < den, the denominator of G_{f~}."""
     _check_symmetries(tuple(zip(*f.E)), gft)
-    den = gft.denominator
-    return den, _pairings(f, gf.keys, gf.denominator, gft.keys, den)
+    den, cols = gft.denominator, list(zip(*gft.keys))
+    return den, [[v % den for v in _pairing_sums(
+        f, a, gf.denominator, cols, gft.order)] for a in gf.keys]
 
 
 def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
@@ -396,11 +380,10 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
     |H| |H^T| = |G_f|; for H = G_f this is non-degeneracy, checked here.
     The pairing is additive in a, so H^T is the intersection of ann(c) over
     the generators c that G_f's lattice records for H.  ann(c) is computed
-    on the first annihilator that reads c, from the key columns of
-    G_{f~}: the numerators of <c, b> for every b at once, one comprehension
-    per coordinate.  A member set that is not a subgroup of G_f is a
-    PairingError.  G_{f~} is checked to consist of symmetries of the
-    transpose.
+    on the first annihilator that reads c, as the zeros mod den of
+    `_pairing_sums` over the key columns of G_{f~}.  A member set that is
+    not a subgroup of G_f is a PairingError.  G_{f~} is checked to consist
+    of symmetries of the transpose.
     """
     if gf.order != gft.order:
         raise PairingError("dual symmetry groups have different orders")
@@ -411,13 +394,8 @@ def check_perfect_pairing(f: InvertiblePolynomial, gf: FiniteGroup,
 
     def zero_set(c) -> frozenset:  # ann(c), from c's pairing row
         if c not in zeros:
-            values = [0] * gft.order
-            for x, col in zip(_integral_image(f.E, gf.keys[c], gf.denominator),
-                              cols):
-                if x:
-                    values = [v + x * y for v, y in zip(values, col)]
-            zeros[c] = frozenset(j for j, v in enumerate(values)
-                                 if not v % den)
+            zeros[c] = frozenset(j for j, v in enumerate(_pairing_sums(
+                f, gf.keys[c], gf.denominator, cols, gft.order)) if not v % den)
         return zeros[c]
     everything = frozenset(range(gft.order))
 

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import InputError, _int
+from .errors import InputError, NotASubgroupError, _int
 from .groups import FiniteGroup, Subgroup, build_group, expand
 
 if TYPE_CHECKING:
@@ -99,9 +99,10 @@ def element_from_json(group: FiniteGroup, obj) -> BurnsideElement:
 def subgroup_from_json(group: FiniteGroup, label) -> Subgroup:
     if not isinstance(label, str):
         raise InputError("subgroup must be referenced by its canonical label")
+    lat = group.lattice()  # its own errors pass through
     try:
-        return group.lattice().subgroup_by_label(label)
-    except Exception:
+        return lat.subgroup_by_label(label)
+    except NotASubgroupError:
         raise InputError(f"unknown subgroup label {label!r}") from None
 
 
@@ -156,14 +157,11 @@ def _class_entries(group: FiniteGroup, obj, key) -> list:
     return entries
 
 
-def strata_from_json(group: FiniteGroup, obj) -> StratifiedGData:
+def strata_from_json(group: FiniteGroup, obj, key) -> StratifiedGData:
+    """Strata from [{"class": label, key: integer}, ...]: key "chi" for
+    quotient Euler characteristics, "ind" for stratum indices."""
     from .gspace import StratifiedGData
-    return StratifiedGData(group, _class_entries(group, obj, "chi"))
-
-
-def stratum_index_from_json(group: FiniteGroup, obj) -> StratifiedGData:
-    from .gspace import StratifiedGData
-    return StratifiedGData(group, _class_entries(group, obj, "ind"))
+    return StratifiedGData(group, _class_entries(group, obj, key))
 
 
 def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:

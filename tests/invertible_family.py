@@ -32,22 +32,32 @@ def _loop_canonical(exps):
     return min(variants)
 
 
+def _exponent_tuples(size, max_det):
+    """Every tuple of `size` exponents in 1..max_det whose product is at most
+    max_det + 1, in lexicographic order: a chain needs |det| = prod <= max_det
+    and a loop |det| = prod +- 1 <= max_det, so no other tuple is an atom."""
+    def rec(prefix, prod):
+        if len(prefix) == size:
+            yield prefix
+            return
+        for e in range(1, min(max_det, (max_det + 1) // prod) + 1):
+            yield from rec(prefix + (e,), prod * e)
+    return rec((), 1)
+
+
 def _atoms_upto(max_det, max_size):
-    atoms = []
-    for a in range(1, max_det + 1):
-        atoms.append(("fermat", (a,)))
-    if max_size >= 2:
-        for size in range(2, max_size + 1):
-            for exps in product(range(1, max_det + 1), repeat=size):
-                d = 1
-                for e in exps:
-                    d *= e
-                if d <= max_det:
-                    atoms.append(("chain", exps))
-                if atom_det("loop", exps) != 0 and \
-                   abs(atom_det("loop", exps)) <= max_det and \
-                   exps == _loop_canonical(exps):
-                    atoms.append(("loop", exps))
+    atoms = [("fermat", (a,)) for a in range(1, max_det + 1)]
+    for size in range(2, max_size + 1):
+        for exps in _exponent_tuples(size, max_det):
+            d = 1
+            for e in exps:
+                d *= e
+            if d <= max_det:
+                atoms.append(("chain", exps))
+            if atom_det("loop", exps) != 0 and \
+               abs(atom_det("loop", exps)) <= max_det and \
+               exps == _loop_canonical(exps):
+                atoms.append(("loop", exps))
     return atoms
 
 

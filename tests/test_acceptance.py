@@ -15,7 +15,7 @@ from eqindex.burnside import (basis_element, cardinality, marks_vector, one,
                               r_k, restrict)
 from eqindex.gspace import chi_G_simplicial, chi_k_direct, fixed_subcomplex
 from eqindex.indices import FixedSetIndexData
-from eqindex.invertible import milnor_number
+from eqindex.invertible import milnor_number, transpose
 
 from complex_suite import suite
 from groups_pool import abelian_names, pool, random_elements
@@ -226,3 +226,31 @@ def test_criterion_10_gsv_relation():
         # for the radial field the GSV index is the full chi^G of the fibre
         assert gsv_from_radial(one(diag), chibar) == chi, f.E
     _line(10, "gsv-radial-relation", f"{len(family)} fixtures")
+
+
+def test_criterion_11_equivariant_saito_duality():
+    # Ebeling and Gusein-Zade, "Saito duality between Burnside rings for
+    # invertible polynomials": [G_f/H] -> [G_{f~}/H^T] carries index_df(f)
+    # to (-1)^n index_df(f~).  G_{f~}'s side is read from its own lattice.
+    t0 = time.time()
+    family = duality_family(60, 3)
+    pairs = unsigned_failures = 0
+    for f in family:
+        ft = f if f.E == tuple(zip(*f.E)) else transpose(f)
+        gf, gft = symmetry_group(f), symmetry_group(ft)
+        ind, dual_ind = index_df(f, gf), index_df(ft, gft)
+        lat, dual_lat = gf.lattice(), gft.lattice()
+        unsigned = False
+        for p in duality_check(f).pairs:
+            a = ind.coeffs[lat.class_index_by_label(p.subgroup_label)]
+            a_dual = dual_ind.coeffs[dual_lat.class_index_by_label(p.dual_label)]
+            assert a_dual == (-1) ** f.n * a, (f.E, p.subgroup_label)
+            unsigned |= a_dual != a
+            pairs += 1
+        unsigned_failures += unsigned
+    dt = time.time() - t0
+    # without the sign the check must fail somewhere, or it shows nothing
+    assert unsigned_failures > 0
+    _line(11, "equivariant-saito-duality",
+          f"{len(family)} fixtures, {pairs} subgroup pairs, "
+          f"{unsigned_failures} fixtures fail without the sign, {dt:.1f}s")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, NotASubgroupError, build_group,
                      cyclic_group, perm_group)
-from eqindex.burnside import (BurnsideElement, _element_from_up_sets,
+from eqindex.burnside import (BurnsideElement, ClassFunction,
+                              _element_from_up_sets,
                               basis_element, cardinality,
                               commuting_class_counts, element_from_marks,
                               induce, marks_vector,
@@ -587,3 +588,13 @@ def test_character_injective_on_cyclic_groups():
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
             rank += 1
         assert rank == lat.num_classes
+
+
+def test_vectors_of_the_wrong_length_and_foreign_subgroups_are_rejected():
+    s3, z6 = pool()["S3"], pool()["Z6"]
+    with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+        BurnsideElement(s3, [1, 0])
+    with pytest.raises(ValueError, match="^value vector has wrong length$"):
+        ClassFunction(s3, [1])
+    with pytest.raises(NotASubgroupError, match="^subgroup belongs to a different"):
+        restrict(one(s3), z6.lattice().subgroups[1])

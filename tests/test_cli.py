@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqindex import cli, jsonio
 from eqindex.burnside import basis_element, one
+from eqindex.errors import InputError
 from eqindex.groups import build_group
 
 S3_PRES = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
@@ -443,6 +444,13 @@ def test_rational_json_conventions():
     from fractions import Fraction
     assert jsonio.rational_to_json(Fraction(-4, 6)) == {"num": -2, "den": 3}
     assert jsonio.rational_from_json({"num": 5, "den": 10}) == Fraction(1, 2)
+    assert jsonio.rational_from_json(3) == Fraction(3)
+    assert jsonio.rational_from_json([6, -4]) == Fraction(-3, 2)
+    for bad, message in (("1/2", "not a rational"), (True, "not a rational"),
+                         ({"num": 1}, "not a rational"),
+                         ([1, 0], "zero denominator")):
+        with pytest.raises(InputError, match=message):
+            jsonio.rational_from_json(bad)
 
 
 def test_group_json_roundtrip():
@@ -538,3 +546,149 @@ def test_fuzzed_payloads_exit_cleanly(capsys, command, data):
     if code in (0, 1):
         obj = json.loads(out)
         assert (code == 1) == ("error" in obj), out
+
+
+# -- input checks ---------------------------------------------------------------
+
+def _complex(**fields):
+    """A Z2 circle payload with some of its complex fields replaced."""
+    return {"group": Z2_PRES, "complex": {**CIRCLE, **fields}}
+
+
+_Z6_LABELS = {"H1_0": 1, "H2_1": 1, "H3_2": 1, "H6_3": 1}
+
+# in-process: (argv, payload, error kind, a fragment of its message), one
+# case per input check of jsonio, groups, gspace, indices and invertible
+INPUT_CHECKS = {
+    "rational-malformed": (["group", "info"], {
+        "kind": "diagonal", "phases": [[[1, 2, 3]]]}, "InputError",
+        "not a rational"),
+    "rational-zero-denominator": (["group", "info"], {
+        "kind": "diagonal", "phases": [[{"num": 1, "den": 0}]]}, "InputError",
+        "zero denominator"),
+    "phase-denominator-over-bound": (["group", "info"], {
+        "kind": "diagonal", "phases": [[[1, 1000003]]]}, "GroupBuildError",
+        "phase denominator exceeds"),
+    "phase-vectors-ragged": (["group", "info"], {
+        "kind": "diagonal", "phases": [[[1, 2]], [[1, 2], [1, 3]]]},
+        "GroupBuildError", "inconsistent dimension"),
+    "perm-degree-0": (["group", "info"], {
+        "kind": "perm", "degree": 0, "generators": []}, "GroupBuildError",
+        "between 1 and"),
+    "perm-degree-17": (["group", "info"], {
+        "kind": "perm", "degree": 17, "generators": [list(range(17))]},
+        "GroupBuildError", "between 1 and"),
+    "perm-over-max-order": (["group", "info"], {"kind": "perm", "degree": 7,
+                                 "generators": [[1, 0, 2, 3, 4, 5, 6],
+                                                [1, 2, 3, 4, 5, 6, 0]]},
+                            "OrderBoundError", "generated order exceeds"),
+    "table-not-square": (["group", "info"], {
+        "kind": "table", "table": [[0, 1]]}, "GroupBuildError",
+        "square and non-empty"),
+    "table-row-not-a-permutation": (["group", "info"], {
+        "kind": "table", "table": [[0, 0], [1, 1]]}, "GroupBuildError",
+        "rows must be permutations"),
+    # x * y = -x - y mod 3: a Latin square with no identity
+    "table-without-identity": (["group", "info"], {
+        "kind": "table", "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]},
+        "GroupBuildError", "no identity"),
+    "unknown-subgroup-label": (["burnside", "restrict"], {
+        "group": Z6_PRES, "subgroup": "H5_9", "element": H2_1},
+        "InputError", "unknown subgroup label 'H5_9'"),
+    "simplex-not-a-list": (["euler", "simplicial"], _complex(simplices=[1]),
+                           "InputError", "bad complex payload"),
+    "action-not-an-object": (["euler", "simplicial"], _complex(action=[0]),
+                             "InputError", "must map generator labels"),
+    "generator-label-malformed": (["euler", "simplicial"], _complex(
+        action={"h0": [0, 1, 2, 3]}), "InputError", "unknown generator label"),
+    "generator-label-out-of-range": (["euler", "simplicial"], _complex(
+        action={"g1": [0, 1, 2, 3]}), "InputError", "out of range"),
+    "generator-label-repeated": (["euler", "simplicial"], _complex(
+        action={"g0": [0, 3, 2, 1], "g00": [0, 3, 2, 1]}), "InputError",
+        "repeats g0"),
+    "image-outside-vertices": (["euler", "simplicial"], _complex(
+        action={"g0": [0, 3, 2, 7]}), "InputError", "leaves the vertex set"),
+    "simplex-unknown-vertex": (["euler", "simplicial"], _complex(
+        simplices=[[0, 9]]), "InconsistentDataError",
+        "simplex [0, 9] uses unknown vertices"),
+    "simplex-unknown-vertex-mixed-types": (["euler", "simplicial"], _complex(
+        simplices=[[0, "a"]]), "InconsistentDataError", "unknown vertices"),
+    "action-not-preserving-simplices": (["euler", "simplicial"], _complex(
+        simplices=[[0, 1]], action={"g0": [0, 2, 1, 3]}),
+        "InconsistentDataError", "does not preserve simplices"),
+    "invert-without-per-subgroup": (["index", "invert"], {
+        "group": Z6_PRES}, "InputError", "must contain 'per_subgroup'"),
+    "invert-per-class-not-an-object": (["index", "invert"], {
+        "group": Z6_PRES, "per_subgroup": _Z6_LABELS, "per_class": [1]},
+        "InputError", "'per_class' must map"),
+    "invert-per-class-unknown-label": (["index", "invert"], {
+        "group": Z6_PRES, "per_subgroup": _Z6_LABELS,
+        "per_class": {"H5_9": 1}}, "InputError", "unknown class label"),
+    "invert-per-subgroup-not-covering": (["index", "invert"], {
+        "group": Z6_PRES, "per_subgroup": {"H1_0": 1}},
+        "InconsistentDataError", "per_subgroup must cover"),
+    "invert-per-class-not-covering": (["index", "invert"], {
+        "group": Z6_PRES, "per_subgroup": _Z6_LABELS,
+        "per_class": {"H1_0": 1}}, "InconsistentDataError",
+        "per_class must cover"),
+    "orbits-not-a-list": (["index", "ph-check"], {
+        "group": Z2_PRES, "chi": H2_1, "orbits": 5}, "InputError",
+        "orbits must be a list"),
+    "exponents-not-square": (["poly", "analyze"], {"E": [[2, 0], [3]]},
+                             "InvalidPolynomialError", "must be square"),
+    "exponent-negative": (["poly", "analyze"], {"E": [[2, 0], [0, -3]]},
+                          "InvalidPolynomialError", "non-negative"),
+    # both monomials read z_0 as their head
+    "no-head-assignment": (["poly", "analyze"], {"E": [[2, 1], [3, 1]]},
+                           "InvalidPolynomialError",
+                           "not a disjoint union of Fermat/chain/loop atoms"),
+}
+
+
+@pytest.mark.parametrize("argv, payload, kind, message",
+                         list(INPUT_CHECKS.values()), ids=list(INPUT_CHECKS))
+def test_input_checks_exit_1_with_their_error_kind(capsys, argv, payload,
+                                                   kind, message):
+    code, out = run(capsys, argv, payload)
+    error = json.loads(out)["error"]
+    assert (code, error["kind"]) == (1, kind), error
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv, payload", [
+    # a bare int is a rational; 1 is the identity phase
+    (["group", "info"], {"kind": "diagonal",
+                         "phases": [[{"num": 1, "den": 2}, 1]]}),
+    (["group", "info"], {"kind": "table", "table": [[0, 1], [1, 0]]}),
+    (["index", "invert"], {"group": Z6_PRES, "per_subgroup": _Z6_LABELS,
+                           "per_class": _Z6_LABELS}),
+])
+def test_bare_int_phases_tables_and_per_class_data_are_accepted(
+        capsys, argv, payload):
+    code, out = run(capsys, argv, payload)
+    assert code == 0 and "error" not in json.loads(out), out
+
+
+def test_a_lattice_failure_keeps_its_kind_behind_a_subgroup_label(
+        capsys, monkeypatch):
+    # the lattice fails from the label lookup on, which once reported any
+    # failure as an unknown label
+    from eqindex.errors import OrderBoundError
+    from eqindex.groups import FiniteGroup
+    built, lookup, looked_up = FiniteGroup.lattice, jsonio.subgroup_from_json, []
+
+    def subgroup_from_json(group, label):
+        looked_up.append(label)
+        return lookup(group, label)
+
+    def lattice(self):
+        if looked_up:
+            raise OrderBoundError("lattice over the bound")
+        return built(self)
+    monkeypatch.setattr(jsonio, "subgroup_from_json", subgroup_from_json)
+    monkeypatch.setattr(FiniteGroup, "lattice", lattice)
+    code, out = run(capsys, ["burnside", "restrict"],
+                    VALID_PAYLOADS[("burnside", "restrict")])
+    assert looked_up == ["H2_1"]
+    assert (code, json.loads(out)["error"]) == (1, {
+        "kind": "OrderBoundError", "message": "lattice over the bound"})

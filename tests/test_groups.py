@@ -897,3 +897,14 @@ def test_trivial_group():
     t = trivial_group()
     assert t.order == 1
     assert t.lattice().num_classes == 1
+
+
+def test_lookups_outside_the_lattice_are_not_subgroups():
+    s3, z6 = pool()["S3"], pool()["Z6"]
+    lat = s3.lattice()
+    with pytest.raises(NotASubgroupError, match="^member set is not a subgroup$"):
+        lat.subgroup_index(frozenset(range(4)))
+    with pytest.raises(NotASubgroupError, match="^unknown subgroup label 'H4_0'$"):
+        lat.subgroup_by_label("H4_0")
+    with pytest.raises(NotASubgroupError, match="^subgroup belongs to a different"):
+        normalizer(s3, z6.lattice().subgroups[1])

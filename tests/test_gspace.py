@@ -314,3 +314,30 @@ def test_reduction_order_bound():
     x = by_name("triangle-rot3")
     with pytest.raises(OrderBoundError):
         chi_k_direct(x, 4)
+
+
+@pytest.mark.parametrize("c", [-1, 4])
+def test_stratum_class_index_out_of_range_is_rejected(c):
+    # Z6 has four classes
+    with pytest.raises(InconsistentDataError, match=f"^unknown class index {c}$"):
+        StratifiedGData(cyclic_group(6), [(c, 1)])
+
+
+@pytest.mark.parametrize("simplex, shown", [
+    ([0, 9], "[0, 9]"),
+    ([1, "a"], "['a', 1]"),  # mixed types are shown in repr order
+])
+def test_simplex_with_unknown_vertices_is_rejected(simplex, shown):
+    with pytest.raises(InconsistentDataError) as exc:
+        build_complex(cyclic_group(2), [0, 1], [[0], simplex])
+    assert str(exc.value) == f"simplex {shown} uses unknown vertices"
+
+
+@pytest.mark.parametrize("moved", [{0: 0, 1: 0}, {0: 1, 2: 0}])
+def test_action_maps_that_are_not_vertex_permutations_are_rejected(moved):
+    z2 = cyclic_group(2)
+    e = z2.identity
+    action = {e: {0: 0, 1: 1}, 1 - e: moved}
+    with pytest.raises(InconsistentDataError,
+                       match="^action maps are not vertex permutations$"):
+        GSimplicialComplex(z2, [0, 1], [[0], [1]], action)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqindex import (FixedSetIndexData, InconsistentDataError,
-                     IntegralityError, SingularOrbitDatum, StratifiedGData,
-                     fixed_indices_from_index, gsv_assemble_from_dims,
-                     gsv_from_radial, index_from_strata,
-                     index_from_fixed_indices, induce_orbit_index,
-                     poincare_hopf_check, trivial_group)
+                     IntegralityError, NotASubgroupError, SingularOrbitDatum,
+                     StratifiedGData, fixed_indices_from_index,
+                     gsv_assemble_from_dims, gsv_from_radial,
+                     index_from_strata, index_from_fixed_indices,
+                     induce_orbit_index, poincare_hopf_check, trivial_group)
 from eqindex.burnside import (BurnsideElement, basis_element, cardinality,
                               marks_vector, one, r_k, zero)
 from eqindex.gspace import chi_G_simplicial, chi_G_stratified
@@ -453,3 +453,20 @@ def test_round_trip_property(name, data):
     vec = st.lists(st.integers(-6, 6), min_size=nc, max_size=nc)
     b = BurnsideElement(g, data.draw(vec))
     assert index_from_fixed_indices(fixed_indices_from_index(b)) == b
+
+
+def test_an_orbit_datum_over_the_wrong_groups_is_rejected():
+    s3, z6 = pool()["S3"], pool()["Z6"]
+    foreign = z6.lattice().subgroups[1]
+    with pytest.raises(NotASubgroupError, match="^orbit isotropy is not"):
+        induce_orbit_index(
+            SingularOrbitDatum(foreign, one(foreign.as_group())), s3)
+    sub = s3.lattice().subgroups[1]
+    with pytest.raises(InconsistentDataError, match="^local index is not"):
+        induce_orbit_index(SingularOrbitDatum(sub, one(z6)), s3)
+
+
+def test_gsv_assemble_rejects_missing_fixed_dims():
+    with pytest.raises(InconsistentDataError,
+                       match="^fixed-space dimension missing"):
+        gsv_assemble_from_dims(pool()["Z2"], {0: 4, 1: 2}, {0: 2}, 1)

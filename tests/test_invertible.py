@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqindex import (IntegralityError, InvalidPolynomialError,
-                     OrderBoundError, PairingError,
+                     NotASubgroupError, OrderBoundError, PairingError,
                      chi_G_milnor, duality_check, index_df, milnor_number,
                      pairing, restrict_to, symmetry_group, transpose,
                      validate)
@@ -16,9 +17,11 @@ from eqindex import burnside, groups, invertible
 from eqindex.groups import build_group, diagonal_group
 from eqindex.invertible import (InvertiblePolynomial, _fixed_chi,
                                 _fixed_loci, _locus_mask, _orbifold_indices,
-                                check_perfect_pairing, det_int, solve_exact)
+                                check_perfect_pairing, det_int, pairing_matrix,
+                                solve_exact)
 
-from invertible_family import duality_family, mu_oracle_family
+from invertible_family import (_atoms_upto, _loop_canonical, atom_det,
+                               duality_family, mu_oracle_family)
 from oracles import (chi_G_exact_isotropy_oracle, fixed_locus,
                      milnor_number_jacobian, orbifold_indices_oracle)
 
@@ -316,6 +319,26 @@ def test_pairing_is_perfect_on_family_sample():
         gf = symmetry_group(f)
         gft = symmetry_group(transpose(f))
         check_perfect_pairing(f, gf, gft)
+
+
+def test_pairing_matrix_entries_are_the_pairings():
+    # both run one pairing routine; this pins their reductions against
+    # each other, since only the matrix reduces a whole row at once
+    checked = 0
+    for f in duality_family(24, 3)[::6]:
+        gf = symmetry_group(f)
+        gft = symmetry_group(transpose(f))
+        den, num = pairing_matrix(f, gf, gft)
+        assert den == gft.denominator
+        assert len(num) == gf.order
+        for i, row in enumerate(num):
+            assert len(row) == gft.order
+            for j, v in enumerate(row):
+                assert 0 <= v < den
+                assert Fraction(v, den) == pairing(f, gf.phases(i),
+                                                   gft.phases(j)), (f.E, i, j)
+                checked += 1
+    assert checked > 1000
 
 
 def test_dual_subgroup_examples():
@@ -636,6 +659,20 @@ def test_restriction_compatibility_named_fixtures():
 def test_duality_family_sizes():
     assert [len(duality_family(*args))
             for args in ((60, 3), (24, 3), (20, 2))] == [1452, 378, 98]
+
+
+@pytest.mark.parametrize("max_det, max_size", [(24, 3), (30, 4), (12, 5)])
+def test_pruned_atoms_are_the_product_scan(max_det, max_size):
+    # the scan of every exponent tuple up to max_det, written out
+    scanned = [("fermat", (a,)) for a in range(1, max_det + 1)]
+    for size in range(2, max_size + 1):
+        for exps in itertools.product(range(1, max_det + 1), repeat=size):
+            if math.prod(exps) <= max_det:
+                scanned.append(("chain", exps))
+            det = atom_det("loop", exps)
+            if det and abs(det) <= max_det and exps == _loop_canonical(exps):
+                scanned.append(("loop", exps))
+    assert sorted(_atoms_upto(max_det, max_size)) == sorted(scanned)
 
 
 def test_duality_check_chain_fixture():
@@ -983,3 +1020,31 @@ def test_non_integral_orbifold_index_is_integrality_error(monkeypatch):
         monkeypatch.setattr(invertible, "_fixed_chi", shifted)
         with pytest.raises(IntegralityError, match="^orbifold Euler"):
             _orbifold_indices(*pair, g)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[2, 0], [3]], "^exponent matrix must be square$"),
+    ([[2, 0], [0, -3]], "^exponents must be non-negative$"),
+    # det -1, but both monomials read z_0 as their head
+    ([[2, 1], [3, 1]], "^matrix is not a disjoint union"),
+])
+def test_validate_rejects_malformed_matrices(matrix, message):
+    with pytest.raises(InvalidPolynomialError, match=message):
+        validate(matrix)
+
+
+def test_pairing_rejects_a_phase_vector_of_the_wrong_length():
+    f = validate([[2, 1], [0, 2]])
+    with pytest.raises(PairingError, match="^phase vector has wrong dimension$"):
+        pairing(f, (Fraction(1, 2),), (0, 0))
+
+
+def test_milnor_data_and_pairings_need_matching_diagonal_groups():
+    f = validate([[2, 0], [0, 3]])
+    s3 = build_group({"kind": "perm", "degree": 3,
+                      "generators": [[1, 0, 2], [1, 2, 0]]})
+    with pytest.raises(NotASubgroupError, match="^not a diagonal group"):
+        chi_G_milnor(f, s3)
+    with pytest.raises(PairingError, match="^dual symmetry groups have"):
+        check_perfect_pairing(f, symmetry_group(f),
+                              symmetry_group(validate([[2]])))

@@ -6,10 +6,12 @@
 
 The parent side is the committed tree of --parent, exported with
 `git archive` (into --tree, or a temporary directory); the change side is
-the working tree this script sits in.  Each seed of a --pairs spec is one
+the working tree this script sits in, which must hold no `__pycache__`
+under src/, tests/ or perfbench/.  Each seed of a --pairs spec is one
 pair: `perfbench/run.py` runs once per side, back to back, each from the
 root of its own tree, and the side that goes first alternates from pair to
-pair.  Each seed of a --trace spec adds one `--trace 1` pair.
+pair.  Each seed of a --trace spec adds one `--trace 1` pair.  No run
+writes bytecode (PYTHONDONTWRITEBYTECODE=1), so neither side gains a cache.
 
 The output is {"description", "parent", "runs"}, one run per
 {side, workload, seed, trace, exit, result}, where result is the run's
@@ -61,12 +63,23 @@ def export(rev, dest) -> str:
     return git("rev-parse", "--short", rev).decode().strip()
 
 
+def bytecode_caches(tree) -> list:
+    """The `__pycache__` directories under the tree's src/, tests/ and
+    perfbench/: a cache on one side only would bias its runs."""
+    return [os.path.join(top, "__pycache__")
+            for sub in ("src", "tests", "perfbench")
+            for top, dirs, _ in os.walk(os.path.join(tree, sub))
+            if "__pycache__" in dirs]
+
+
 def run(tree, workload, seed, seconds, trace):
-    """(exit code, parsed last stdout line or None) of one benchmark run."""
+    """(exit code, parsed last stdout line or None) of one benchmark run,
+    with no bytecode written."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, stdout=subprocess.PIPE, text=True)
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     try:
         return proc.returncode, json.loads(lines[-1]) if lines else None
@@ -114,6 +127,10 @@ def main():
     args = parser.parse_args()
     if args.tree and os.path.isdir(args.tree) and os.listdir(args.tree):
         parser.error("--tree must be an empty directory")
+    caches = bytecode_caches(ROOT)
+    if caches:
+        parser.error(f"remove the bytecode cache {caches[0]} (and every "
+                     f"other __pycache__ under src/, tests/ and perfbench/)")
     plan = [(w, s, 0) for w, ss in args.pairs for s in ss] + \
         [(w, s, 1) for w, ss in args.trace for s in ss]
     with tempfile.TemporaryDirectory() as tmp:

@@ -82,6 +82,9 @@ Hashes, in order:
     duality_family(24, 3), and the errors of `pairing` on each for a phase
     vector b that is not a symmetry of the transpose and for an a of the
     wrong length.
+  * `lattice_to_json` of every subgroup of every sixth symmetry group of
+    duality_family(24, 3), as a standalone group: the diagonal subgroup
+    groups whose lattices criterion 8 reads off their parent's.
 
 Every error is hashed as its kind and its message.
 
@@ -568,6 +571,12 @@ def pairing_lines():
         yield _outcome(pairing, f, gf.phases(0) + (0,), gft.phases(0))
 
 
+def diagonal_child_lines():
+    for f in duality_family(24, 3)[::6]:
+        for sub in symmetry_group(f).lattice().subgroups:
+            yield jsonio.dumps(jsonio.lattice_to_json(sub.as_group()))
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -578,7 +587,8 @@ def main():
                       poset_lines(), grandchild_lines(),
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
                       character_lines(), family_cli_lines(),
-                      corpus_solve_lines(), pairing_lines()):
+                      corpus_solve_lines(), pairing_lines(),
+                      diagonal_child_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -10,9 +10,10 @@ and each join from the translation rows of the few elements it adds.
 Each group's subgroups are enumerated once, by prime steps up from the
 trivial subgroup (extending one subgroup per conjugacy class, each class the
 member sets of an orbit under the generators), as the cyclic subgroups of a
-cyclic group or, for a subgroup group, off its parent's lattice; every
-subgroup generated by elements (`closure`, each join of that walk, Light's
-associativity test) comes from one coset walk, `_join`.
+cyclic group or, for a subgroup group, as its parent's down-set in the
+parent's order; every lattice reads its up-sets off its cyclic subgroups,
+and every subgroup generated by elements (`closure`, each join of that
+walk, Light's associativity test) comes from one coset walk, `_join`.
 
 No floating point anywhere.  A diagonal group's elements are integer vectors
 over one common denominator (the phases x / denominator mod 1); phases as
@@ -341,13 +342,14 @@ class SubgroupLattice:
 
     Subgroups come from one walk by prime steps up from the trivial
     subgroup (`_prime_step_joins`), or, for a cyclic group, are its cyclic
-    subgroups with no walk, or, for a subgroup group H, are the parent's
-    row `down[H]`.  They are sorted canonically (by order, then by sorted
-    member ids), which the sorted `parent_index` keeps.  A non-abelian
-    group's conjugacy classes are orbits of member sets under its
-    generators, from the walk or on the down-set (`_class_orbit`); each
-    class's representative is its minimal subgroup.  `normalizers[i]` is
-    the index of N(H) for the i-th H, searched in `up[i]`.
+    subgroups with no walk; these are sorted canonically (by order, then
+    by sorted member ids).  For a subgroup group H they are the parent's
+    row `down[H]` in its order, which the sorted `parent_index` keeps
+    canonical.  A non-abelian group's conjugacy classes are orbits of
+    member sets under its generators, from the walk or on the down-set
+    (`_class_orbit`); each class's representative is its minimal
+    subgroup.  `normalizers[i]` is the index of N(H) for the i-th H,
+    searched in `up[i]`.
     `parent_classes[c]` is the parent's class of class c's representative
     (None without a parent), the map of `restrict`/`induce`.
 
@@ -360,11 +362,12 @@ class SubgroupLattice:
     Both posets are stored as sparse rows, never as square matrices, since
     few pairs are comparable and fewer have a non-zero Moebius value:
     `up[i]` lists, ascending, the subgroups that contain subgroup i (i
-    first), its transpose `down[i]` those that subgroup i contains (i
-    last), and `mu[i]` the pairs (j, mu(i, j)) with mu(i, j) != 0.
-    `class_up` and `class_mu` are the same rows over ConjSub G, where
-    [H] <= [K] when H lies in a conjugate of K; for an abelian group, whose
-    classes are single subgroups, they are the very lists `up` and `mu`.
+    first; one `_up_sets` pass over `cyclic_of`), its transpose `down[i]`
+    those that subgroup i contains (i last), and `mu[i]` the pairs
+    (j, mu(i, j)) with mu(i, j) != 0.  `class_up` and `class_mu` are the
+    same rows over ConjSub G, where [H] <= [K] when H lies in a conjugate
+    of K; for an abelian group, whose classes are single subgroups, they
+    are the very lists `up` and `mu`.
     Computations read only the up-sets (`class_up` for the class-poset
     inversion) and the class sizes (|N_G(K):K| = |G:K| / |[K]|), and
     `down` for Hall's phi and the lattices of subgroup groups; `mu`,
@@ -396,9 +399,9 @@ class SubgroupLattice:
                 gens[cyclic_of[group.identity]] = ()
             else:
                 gens, orbits = _prime_step_joins(group, cyclic_of, cyclics)
-        else:  # H's down-set in the parent's lattice, renumbered, with the
-            # parent's up-sets cut to it; the renumbering is increasing, so
-            # it keeps the canonical order
+            canonical = sorted(gens, key=lambda m: (len(m), sorted(m)))
+        else:  # H's down-set in the parent's lattice, renumbered; the
+            # renumbering is increasing, so the parent's order is canonical
             plat = group.parent.lattice()
             child_of = {p: c for c, p in enumerate(group.parent_index)}
             down = plat.down[plat.subgroup_index(group.parent_index)]
@@ -407,16 +410,14 @@ class SubgroupLattice:
             gens = {sets[i]: tuple(map(child_of.get, plat.generators[i]))
                     for i in down}
             cyclic_of = [sets[plat.cyclic_of[p]] for p in group.parent_index]
-            new = {p: c for c, p in enumerate(down)}
-            self.up = [[new[j] for j in plat.up[p] if j in new] for p in down]
-        canonical, self.labels = canonical_order(gens)
+            canonical = list(gens)
+        self.labels = [canonical_label(len(m), i)
+                       for i, m in enumerate(canonical)]
         self.generators = [gens[m] for m in canonical]
         self.subgroups = [Subgroup._known(group, m) for m in canonical]
         self.member_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.cyclic_of = [self.member_index[c] for c in cyclic_of]
-        if group.parent is None:
-            self.up = _up_sets([{self.cyclic_of[m] for m in s.members}
-                                for s in self.subgroups])
+        self.up = _up_sets(canonical, self.cyclic_of, self.generators)
         if group.is_abelian:
             orbits = [[m] for m in canonical]
         elif group.parent is not None:  # orbits under H's recorded generators
@@ -489,16 +490,6 @@ class SubgroupLattice:
         return self.subgroups[self.normalizers[i]].order
 
 
-def canonical_order(member_sets) -> tuple:
-    """The member sets (of one group's subgroups) in canonical order, by
-    order and then by sorted member ids, and the label H<order>_<i> of the
-    i-th: for all the subgroups of a group, the order and the labels of its
-    `SubgroupLattice`."""
-    canonical = sorted(member_sets, key=lambda m: (len(m), sorted(m)))
-    return canonical, [canonical_label(len(m), i)
-                       for i, m in enumerate(canonical)]
-
-
 def canonical_label(order: int, i: int) -> str:
     """The label of the i-th subgroup in canonical order, of that order."""
     return f"H{order}_{i}"
@@ -529,27 +520,29 @@ def solve_rows(rows, values, visit) -> list:
     return x
 
 
-def _up_sets(cyclics) -> list:
-    """Per element of a poset of subgroups, in an order that extends
-    inclusion, the ascending list of the elements above it, given for each
-    element the set of ids of the cyclic subgroups it contains
-    (`cyclics[i]`).
+def _up_sets(member_sets, cyclic_of, generators) -> list:
+    """Per subgroup, in an order that extends inclusion, the ascending list
+    of the subgroups that contain it, given their member sets, `cyclic_of`
+    (per element the index of the cyclic subgroup it generates) and a
+    generating set of each.
 
-    A subgroup is the union of its cyclic subgroups, so S <= T exactly when
-    every cyclic subgroup of S lies in T: with U_c the bitmask of the
-    subgroups that contain c, the up-set of S is the AND of U_c over the c
-    in S, read out lowest bit first.
+    S <= T exactly when T holds every generator g of S, that is when T
+    contains <g>: with U_c the bitmask of the subgroups that contain the
+    cyclic subgroup c, the up-set of S is the AND of U_<g> over the
+    generators g of S (every subgroup for the trivial one), read out
+    lowest bit first.
     """
-    masks = {}  # c -> U_c
-    for i, cs in enumerate(cyclics):
+    masks = [0] * len(member_sets)  # c -> U_c
+    for i, members in enumerate(member_sets):
         bit = 1 << i
-        for c in cs:
-            masks[c] = masks.get(c, 0) | bit
+        for m in members:
+            masks[cyclic_of[m]] |= bit
+    every = (1 << len(member_sets)) - 1
     up = []
-    for cs in cyclics:
-        mask = -1
-        for c in cs:
-            mask &= masks[c]
+    for gens in generators:
+        mask = every
+        for g in gens:
+            mask &= masks[cyclic_of[g]]
         bits = bin(mask)[:1:-1]  # bit i at position i
         row = []
         i = bits.find("1")

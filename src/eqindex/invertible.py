@@ -226,21 +226,27 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
 
 def _assign_heads(options, n):
     """Pick one (head, tail) reading per row so heads are a bijection onto the
-    variables and no variable is the tail of two rows.  The heads and tails
-    taken so far pass down as tuples (no larger than n), which nothing
-    undoes."""
-
-    def rec(i, heads, tails):
-        if i == n:
-            return []
-        for head, tail in options[i]:
+    variables and no variable is the tail of two rows: the first such pick,
+    depth first over the rows in order and each row's options in order.
+    The search keeps an explicit stack, one iterator over the options not
+    yet tried per row reached, so a chain of any length needs no
+    recursion."""
+    heads, tails, stack = [], [], []
+    while len(heads) < n:
+        if len(stack) == len(heads):  # row len(heads) reached afresh
+            stack.append(iter(options[len(heads)]))
+        for head, tail in stack[-1]:
             if head not in heads and (tail is None or tail not in tails):
-                rest = rec(i + 1, (*heads, head), (*tails, tail))
-                if rest is not None:
-                    return [(head, tail), *rest]
-        return None
-
-    return rec(0, (), ())
+                heads.append(head)
+                tails.append(tail)
+                break
+        else:  # row len(heads) is stuck: undo the row before it
+            stack.pop()
+            if not heads:
+                return None
+            heads.pop()
+            tails.pop()
+    return list(zip(heads, tails))
 
 
 def _locus_table(f: InvertiblePolynomial) -> tuple:

@@ -578,6 +578,12 @@ def _assert_slice_matches_a_fresh_enumeration(child, fresh_parent):
     lat, ref = child.lattice(), fresh.lattice()
     assert [s.members for s in lat.subgroups] == \
         [s.members for s in ref.subgroups]
+    # renumbered, the child's member sets are the parent's down[H], in order
+    plat = child.parent.lattice()
+    assert [frozenset(map(child.parent_index.__getitem__, s.members))
+            for s in lat.subgroups] == [
+        plat.subgroups[i].members
+        for i in plat.down[plat.subgroup_index(child.parent_index)]]
     for name in ("labels", "up", "class_of", "normalizers", "class_up",
                  "mu", "class_mu"):
         assert getattr(lat, name) == getattr(ref, name), name

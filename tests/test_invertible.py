@@ -93,6 +93,42 @@ def test_validate_rejects_zero_weight():
         validate([[1, 0, 1], [0, 1, 1], [0, 1, 0]])
 
 
+def _first_pick_oracle(options):
+    """The first pick, in `itertools.product` order, of one reading per row
+    with distinct heads and distinct tails (None aside)."""
+    for pick in itertools.product(*options):
+        heads = [h for h, _ in pick]
+        tails = [t for _, t in pick if t is not None]
+        if len(set(heads)) == len(heads) and len(set(tails)) == len(tails):
+            return list(pick)
+    return None
+
+
+def test_head_search_takes_the_first_pick_in_row_order():
+    rng = random.Random(33)
+    outcomes = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        options = [[(rng.randrange(n), rng.choice([None, *range(n)]))
+                    for _ in range(rng.randint(1, 2))] for _ in range(n)]
+        pick = invertible._assign_heads(options, n)
+        assert pick == _first_pick_oracle(options), options
+        outcomes[pick is None] += 1
+    assert outcomes[True] and outcomes[False]
+    assert invertible._assign_heads([], 0) == []
+
+
+@pytest.mark.parametrize("n, closing", [
+    (1100, [(1099, None)]),        # x1 x2 + ... + x_{n-1} x_n + x_n^2
+    (1101, [(0, 1100), (1100, 0)]),  # x1 x2 + ... + x_n x1, n odd
+])
+def test_head_search_needs_no_recursion_on_long_atoms(n, closing):
+    # one reading per row, far past the interpreter's recursion limit
+    options = [[(i, i + 1), (i + 1, i)] for i in range(n - 1)] + [closing]
+    assert invertible._assign_heads(options, n) == \
+        [(i, i + 1) for i in range(n - 1)] + [closing[-1]]
+
+
 # -- determinants -----------------------------------------------------------------
 
 def _det_cofactor(m):
@@ -955,13 +991,14 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
         monkeypatch):
     # criterion 8's loop: restriction to every subgroup reads the marks of
     # G_f and of each subgroup group.  Each G_f lists its cyclic subgroups
-    # and builds its up-sets once, and is walked by prime steps once unless
-    # it is cyclic; each subgroup group's lattice and up-sets are read off
-    # G_f's with no walk or up-set pass of its own; the loci of every group
-    # read one integer table per f; no Cayley table and no Moebius row is
-    # built
+    # once, and is walked by prime steps once unless it is cyclic; each
+    # subgroup group's subgroups are read off G_f's lattice with no walk of
+    # its own; every lattice, G_f's or a subgroup group's, builds its
+    # up-sets in one pass; the loci of every group read one integer table
+    # per f; no Cayley table and no Moebius row is built
     calls = []
-    for owner, name in ((groups, "_cyclic_subgroups"),
+    for owner, name in ((groups, "SubgroupLattice"),
+                        (groups, "_cyclic_subgroups"),
                         (groups, "_prime_step_joins"),
                         (groups, "_up_sets"),
                         (groups, "_canonical_table"),
@@ -986,9 +1023,11 @@ def test_restricting_index_df_builds_no_table_and_no_moebius_rows(
     non_cyclic = [g for g in walked if not _is_cyclic(g)]
     assert 0 < len(non_cyclic) < len(walked)
     assert [g for n, g in calls if n == "_prime_step_joins"] == non_cyclic
-    assert [n for n, _ in calls].count("_up_sets") == len(walked)
+    lattices = [n for n, _ in calls].count("SubgroupLattice")
+    assert lattices == len(walked) + checked
+    assert [n for n, _ in calls].count("_up_sets") == lattices
     # no table, no Moebius rows
-    assert len(calls) == 2 * len(walked) + len(non_cyclic)
+    assert len(calls) == 2 * lattices + len(walked) + len(non_cyclic)
     assert tables["_locus_table"] == len(walked)
 
 

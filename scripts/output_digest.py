@@ -85,6 +85,10 @@ Hashes, in order:
   * `lattice_to_json` of every subgroup of every sixth symmetry group of
     duality_family(24, 3), as a standalone group: the diagonal subgroup
     groups whose lattices criterion 8 reads off their parent's.
+  * `index_df` over every subgroup of every sixth symmetry group of
+    duality_family(24, 3), as a standalone group: once for a polynomial
+    whose `duality_check` has already stored chi at its loci, once for a
+    fresh one.
 
 Every error is hashed as its kind and its message.
 
@@ -113,7 +117,7 @@ from eqindex import (build_group, burnside, cli, gspace,  # noqa: E402
 from eqindex.errors import EqIndexError  # noqa: E402
 from eqindex.invertible import (duality_check, index_df,  # noqa: E402
                                 pairing, pairing_matrix, symmetry_group,
-                                transpose)
+                                transpose, validate)
 from complex_suite import suite  # noqa: E402
 from groups_pool import larger, pool, random_elements  # noqa: E402
 from invertible_family import duality_family  # noqa: E402
@@ -577,6 +581,15 @@ def diagonal_child_lines():
             yield jsonio.dumps(jsonio.lattice_to_json(sub.as_group()))
 
 
+def stored_chi_lines():
+    for f in duality_family(24, 3)[::6]:
+        checked = validate(f.E)
+        duality_check(checked)
+        for poly in (checked, validate(f.E)):
+            for sub in symmetry_group(poly).lattice().subgroups:
+                yield repr(index_df(poly, sub.as_group()).coeffs)
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -588,7 +601,7 @@ def main():
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
                       character_lines(), family_cli_lines(),
                       corpus_solve_lines(), pairing_lines(),
-                      diagonal_child_lines()):
+                      diagonal_child_lines(), stored_chi_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -7,8 +7,8 @@ canonical lattice order.  Every map is read from the subgroup lattice:
     fixed by H exactly when H <= gKg^-1 and each conjugate of K comes from
     |N_G(K):K| cosets (for abelian G, |G:K| [H <= K]);
   * products: multiply the mark vectors componentwise, then invert the
-    triangular table of marks (a one-shot inversion, chi^G(M_f), is one
-    `groups.solve_rows` along the up-sets instead and builds no table);
+    triangular table of marks, the one inversion of the package (every
+    ring operation, the fixed-set indices and chi^G(M_f) go through it);
   * cardinality: the mark at the trivial subgroup, sum of a_K |G:K|;
   * restriction to H: the marks at each K <= H are those of b at K's class
     in G, inverted over the table of marks of H;
@@ -27,7 +27,7 @@ integrality is a theorem, so a violation means a bug or inconsistent input.
 from __future__ import annotations
 
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError, _int
-from .groups import FiniteGroup, Subgroup, commuting, expand, solve_rows
+from .groups import FiniteGroup, Subgroup, commuting, solve_rows
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -125,38 +125,39 @@ def basis_element(group: FiniteGroup, class_index: int) -> BurnsideElement:
 
 class TableOfMarks:
     """marks[k][h] = |(G/K)^H| = |N_G(K):K| * #{K' in [K] : H <= K'}, over
-    conjugacy classes in canonical order, kept as its non-zero entries only:
-    `rows[k]` holds the pairs (h, mark), ascending in h and ending at the
-    diagonal (k, |N_G(K):K|), and `diagonal[k]` is that mark.  Column h is
-    read from the up-set of the representative of [H] in the lattice.
+    conjugacy classes in canonical order.  `diagonal[k]` is |N_G(K):K| =
+    |G:K| / |[K]| (orbit-stabilizer), and `rows[k]` lists the classes h
+    below [K], each repeated #{K' in [K] : H <= K'} times, ascending and
+    ending at k: the mark is the diagonal times the multiplicity.  One pass
+    over the up-sets of the class representatives appends the rows; for
+    an abelian group, whose classes are single subgroups, they are the
+    very lists `down` of its lattice.
     """
 
     def __init__(self, group: FiniteGroup):
         lat = group.lattice()
-        self.diagonal = ratio = _normalizer_indices(group)
-        self.rows = [[] for _ in ratio]
-        for h, r in enumerate(lat.representatives):
-            count = {}
-            for j in lat.up[r]:
-                k = lat.class_of[j]
-                count[k] = count.get(k, 0) + 1
-            for k, m in count.items():
-                self.rows[k].append((h, ratio[k] * m))
+        self.diagonal = [group.order // (len(cls) * q)
+                         for cls, q in zip(lat.classes, lat.class_orders)]
+        if group.is_abelian:
+            self.rows = lat.down
+        else:
+            self.rows = [[] for _ in lat.classes]
+            for h, r in enumerate(lat.representatives):
+                for j in lat.up[r]:
+                    self.rows[lat.class_of[j]].append(h)
         self.group = group
 
     @property
     def matrix(self) -> list:
-        """The dense table marks[k][h], expanded from the rows on each read
-        (for output; the ring operations walk the rows)."""
-        return expand(self.rows, len(self.rows))
-
-
-def _normalizer_indices(group: FiniteGroup) -> list:
-    """|N_G(K):K| = |G:K| / |[K]| for each class of K, by orbit-stabilizer:
-    the diagonal of the table of marks."""
-    lat = group.lattice()
-    return [group.order // (len(cls) * q)
-            for cls, q in zip(lat.classes, lat.class_orders)]
+        """The dense table marks[k][h], written out from the rows on each
+        read (for output; the ring operations walk the rows)."""
+        out = []
+        for row, d in zip(self.rows, self.diagonal):
+            dense = [0] * len(self.rows)
+            for h in row:
+                dense[h] += d
+            out.append(dense)
+        return out
 
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:
@@ -167,12 +168,13 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 
 def marks_vector(b: BurnsideElement) -> tuple:
     """mark(b, [H]) for every class [H], i.e. the fixed-point counts."""
-    rows = table_of_marks(b.group).rows
-    out = [0] * len(rows)
-    for a, row in zip(b.coeffs, rows):
+    tom = table_of_marks(b.group)
+    out = [0] * len(tom.rows)
+    for a, row, d in zip(b.coeffs, tom.rows, tom.diagonal):
         if a:
-            for h, mark in row:
-                out[h] += a * mark
+            a *= d
+            for h in row:
+                out[h] += a
     return tuple(out)
 
 
@@ -188,40 +190,16 @@ def element_from_marks(group: FiniteGroup, marks) -> BurnsideElement:
         raise ValueError("mark vector has wrong length")
     out = [0] * len(rest)
     for k in range(len(out) - 1, -1, -1):
-        a, r = divmod(rest[k], tom.diagonal[k])
+        d = tom.diagonal[k]
+        a, r = divmod(rest[k], d)
         if r:
             raise IntegralityError(
                 "mark vector is not in the image of the Burnside ring")
         if a:
             out[k] = a
-            for h, mark in tom.rows[k]:  # ends at h = k, not read again
-                rest[h] -= a * mark
-    return BurnsideElement(group, out)
-
-
-def _element_from_up_sets(group: FiniteGroup, marks) -> BurnsideElement:
-    """`element_from_marks` for one inversion, along the up-sets with no
-    table of marks: with w_K = a_[K] |N_G(K):K| for every subgroup K, the
-    mark at H sums w over every K >= H, conjugates included, so w is one
-    `solve_rows` along `up` from the top down.  It is constant on classes,
-    and a_c = w / |N_G(K):K| at the representative must be exact.
-    Its one caller, `chi_G_milnor`, runs on abelian groups, where each
-    class is one subgroup; on a non-abelian group the walk reads every
-    conjugate's up-set, so one-shot inversions there, like repeated ring
-    operations, should use the rows, which visit each class once per
-    column."""
-    lat = group.lattice()
-    if len(marks) != lat.num_classes:
-        raise ValueError("mark vector has wrong length")
-    w = solve_rows(lat.up, [marks[c] for c in lat.class_of],
-                   reversed(range(len(lat.up))))
-    out = []
-    for r, ratio in zip(lat.representatives, _normalizer_indices(group)):
-        a, rem = divmod(w[r], ratio)
-        if rem:
-            raise IntegralityError(
-                "mark vector is not in the image of the Burnside ring")
-        out.append(a)
+            a *= d
+            for h in tom.rows[k]:  # ends at h = k, not read again
+                rest[h] -= a
     return BurnsideElement(group, out)
 
 

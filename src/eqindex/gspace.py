@@ -160,26 +160,24 @@ def build_complex(group: FiniteGroup, vertices, simplices,
     maps = [identity_map if images.get(pos) is None
             else {v: images[pos][v] for v in vertices}
             for pos in range(len(gens))]
-    # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e)
+    # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e).  The
+    # extension is well-defined only if the images respect all relations,
+    # so an edge that reaches an element already mapped must agree with it
     action = {group.identity: identity_map}
     walk = [group.identity]
     for e in walk:  # grows while it is read
         pe = action[e]
         for g, pg in zip(gens, maps):
             f = group.mul(g, e)
-            if f not in action:
+            pf = action.get(f)
+            if pf is None:
                 action[f] = {v: pg[pe[v]] for v in vertices}
                 walk.append(f)
-    if len(action) != group.order:
-        raise InconsistentDataError("generators do not generate the group")
-    # the extension is well-defined only if the images respect all relations
-    for e in group.elements():
-        pe = action[e]
-        for g, pg in zip(gens, maps):
-            pf = action[group.mul(g, e)]
-            if any(pf[v] != pg[pe[v]] for v in vertices):
+            elif any(pf[v] != pg[pe[v]] for v in vertices):
                 raise InconsistentDataError(
                     "generator images do not define a group action")
+    if len(action) != group.order:
+        raise InconsistentDataError("generators do not generate the group")
     return GSimplicialComplex(group, vertices, simplices, action)
 
 

@@ -17,16 +17,17 @@ is integral, and the duality pairing of a in G_f with b in G_{f~} is
 
 Milnor numbers come from the weighted-homogeneous product formula
 prod(1/q_i - 1); the equivariant Euler characteristic of the Milnor fibre is
-the Burnside element whose mark at K is chi(M_f^K), one `solve_rows` along
-the up-sets of G_f's lattice with no table of marks, and the index of df is
-[G/G] - chi^G(M_f).  A fixed locus L holds every chain variable together
-with its tail, so the monomials of f inside L keep f's weight equations and
+the Burnside element whose mark at K is chi(M_f^K), inverted through the
+table of marks, and the index of df is [G/G] - chi^G(M_f).  A fixed locus
+L holds every chain variable together with its tail, so the monomials of f
+inside L keep f's weight equations and
     chi(M_f^L) = 1 + (-1)^(|L|-1) prod_{i in L} (1/q_i - 1)
 over f's own weights q_i (0 for empty L), without restricting f.  Loci
-are coordinate bitmasks, each distinct one evaluated once per call: a
+are coordinate bitmasks, each distinct one evaluated once per polynomial: a
 subgroup's locus is read from the keys of its recorded generators (a
 coordinate is fixed where every key is 0), and chi from an integer table
-kept on f (per row of E its support, per weight p/r the pair (r - p, p)).
+kept on f (per row of E its support, per weight p/r the pair (r - p, p),
+and chi per locus already read).
 
 The duality check needs the orbifold indices of df over G_f, over its dual
 and over every subgroup H.  Restriction from G to H keeps marks, the mark of
@@ -50,7 +51,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .burnside import BurnsideElement, _element_from_up_sets, one
+from .burnside import BurnsideElement, element_from_marks, one
 from .errors import (IntegralityError, InvalidPolynomialError,
                      NotASubgroupError, OrderBoundError, PairingError, _int)
 from .groups import (MAX_ORDER, FiniteGroup, diagonal_group_from_integers,
@@ -250,14 +251,15 @@ def _assign_heads(options, n):
 
 
 def _locus_table(f: InvertiblePolynomial) -> tuple:
-    """(supports, factors), built once per f and kept on it: per row of E
-    the bitmask of the variables of its monomial, and per weight q = p/r
-    the pair (r - p, p) of `_milnor_product`."""
+    """(supports, factors, chis), built once per f and kept on it: per row
+    of E the bitmask of the variables of its monomial, per weight q = p/r
+    the pair (r - p, p) of `_milnor_product`, and chi(M_f^L) per locus
+    bitmask L, stored by `_fixed_chi` on its first read of L."""
     if f._locus_table is None:
         f._locus_table = (
             tuple(sum(1 << j for j, v in enumerate(row) if v) for row in f.E),
             tuple((q.denominator - q.numerator, q.numerator)
-                  for q in f.weights))
+                  for q in f.weights), {})
     return f._locus_table
 
 
@@ -433,6 +435,19 @@ def _locus_mask(group: FiniteGroup, ids) -> int:
     return ~moved & ((1 << len(group.keys[0])) - 1)
 
 
+def _fixed_loci(group: FiniteGroup) -> tuple:
+    """The bitmasks of Fix K and of Fix K^T for each subgroup K of G_f: the
+    AND over K's recorded generators, and {j : rho_j in K} for the j-th
+    generator key rho_j of G_f, the K in the up-set of <rho_j>.
+    `chi_G_milnor`, which also runs on subgroup groups, reads the first."""
+    lat = group.lattice()
+    dual = [0] * len(lat.up)
+    for j, g in enumerate(group.generator_keys):
+        for k in lat.up[lat.cyclic_of[group.index[g]]]:
+            dual[k] |= 1 << j
+    return [_locus_mask(group, gens) for gens in lat.generators], dual
+
+
 def restrict_to(f: InvertiblePolynomial, coords) -> InvertiblePolynomial:
     """Restrict to the coordinate subspace `coords` (a fixed locus).
 
@@ -466,34 +481,31 @@ def _fixed_chi(f: InvertiblePolynomial, mask: int) -> int:
     monomials are square (anything else is a hard error) and satisfy the
     same weight equations: mu(f^L) = prod_{i in L} (1/q_i - 1) over f's own
     weights, and `restrict_to` is never needed.  Both are read from f's
-    `_locus_table`.
+    `_locus_table`, which keeps the value, so each locus is evaluated once
+    per f; a mask that is no locus raises on every call and is not kept.
     """
-    factors = _locus_table(f)[1]
-    locus = [factors[j] for j in range(len(factors)) if mask >> j & 1]
-    if not locus:
-        return 0
-    _fixed_rows(f, mask, len(locus))
-    return 1 + (-1) ** (len(locus) - 1) * _milnor_product(locus)
-
-
-def _chis(f: InvertiblePolynomial, loci) -> list:
-    """chi(M_f^L) for each locus L of `loci`, each distinct one computed
-    once."""
-    chi = {L: _fixed_chi(f, L) for L in set(loci)}
-    return [chi[L] for L in loci]
+    _, factors, chis = _locus_table(f)
+    chi = chis.get(mask)
+    if chi is None:
+        locus = [factors[j] for j in range(len(factors)) if mask >> j & 1]
+        chi = 0
+        if locus:
+            _fixed_rows(f, mask, len(locus))
+            chi = 1 + (-1) ** (len(locus) - 1) * _milnor_product(locus)
+        chis[mask] = chi
+    return chi
 
 
 def chi_G_milnor(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
     """chi^G(M_f) over a diagonal symmetry group, from its marks: the mark
-    at K is chi(M_f^K), read at each class representative and computed once
-    per distinct fixed locus, the AND over the generators that the lattice
-    records for K (Fix K is the intersection of Fix g over any generating
-    set), and inverted along the lattice's up-sets, with no table of marks.
-    A mark vector outside the Burnside ring is an IntegralityError."""
+    at K is chi(M_f^K), read at each class representative from the loci of
+    `_fixed_loci` (Fix K is the intersection of Fix g over any generating
+    set), and inverted through the table of marks.  A mark vector outside
+    the Burnside ring is an IntegralityError."""
     _check_symmetries(f.E, group)
-    lat = group.lattice()
-    return _element_from_up_sets(group, _chis(f, [
-        _locus_mask(group, lat.generators[r]) for r in lat.representatives]))
+    loci = _fixed_loci(group)[0]
+    return element_from_marks(group, [
+        _fixed_chi(f, loci[r]) for r in group.lattice().representatives])
 
 
 def index_df(f: InvertiblePolynomial, group: FiniteGroup) -> BurnsideElement:
@@ -554,18 +566,6 @@ class DualityReport(NamedTuple):
         return [p for p in self.pairs if not p.matches]
 
 
-def _fixed_loci(group: FiniteGroup) -> tuple:
-    """The bitmasks of Fix K and of Fix K^T for each subgroup K of G_f: the
-    AND over K's recorded generators, and {j : rho_j in K} for the j-th
-    generator key rho_j of G_f, the K in the up-set of <rho_j>."""
-    lat = group.lattice()
-    dual = [0] * len(lat.up)
-    for j, g in enumerate(group.generator_keys):
-        for k in lat.up[lat.cyclic_of[group.index[g]]]:
-            dual[k] |= 1 << j
-    return [_locus_mask(group, gens) for gens in lat.generators], dual
-
-
 def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,
                       group: FiniteGroup) -> tuple:
     """(r_0, v, r_0~, v~): r_0 of ind(df) over G = G_f and v[i], its r_1 over
@@ -575,7 +575,8 @@ def _orbifold_indices(f: InvertiblePolynomial, ft: InvertiblePolynomial,
     lat = group.lattice()
     orders = [s.order for s in lat.subgroups]
     loci, dual_loci = _fixed_loci(group)
-    w, dual_w = _chis(f, loci), _chis(ft, dual_loci)
+    w = [_fixed_chi(f, L) for L in loci]
+    dual_w = [_fixed_chi(ft, L) for L in dual_loci]
     visit = range(len(orders))
     return (*_orbifold_side(lat.down, orders, w, visit, group.order),
             *_orbifold_side(lat.up, [group.order // h for h in orders],

@@ -176,6 +176,11 @@ def complex_from_json(group: FiniteGroup, obj) -> GSimplicialComplex:
         sorted(set(vertices))  # build_complex needs them hashable and ordered
     except Exception as exc:
         raise InputError(f"bad complex payload: {exc}") from None
+    seen = set()
+    for v in vertices:  # equal values are one vertex: true, 1 and 1.0 too
+        if v in seen:
+            raise InputError(f"vertex {v!r} repeats an earlier vertex")
+        seen.add(v)
     action = obj.get("action")
     action = {} if action is None else action  # absent or null: the identity
     if not isinstance(action, dict):

@@ -1,9 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 Nothing here shares code with the package paths it checks: the Milnor-number
-oracle runs Buchberger on the Jacobian ideal and counts standard monomials;
+oracle runs Buchberger on the Jacobian ideal and counts standard monomials,
+and the same basis gives traces on Omega_f, reduced exactly modulo a
+cyclotomic polynomial;
 the Burnside product oracle enumerates orbits on an explicit product G-set;
-the marks and restriction oracles count fixed cosets and H-orbits on G/K;
+the marks and restriction oracles count fixed cosets and H-orbits on G/K,
+and the inversion oracle back-substitutes over that dense table;
 the induction oracle conjugates each K by every element of G; the
 parent-class oracle looks each member set up in a parent lattice;
 the reduction oracle averages fixed-coset counts over commuting tuples
@@ -22,6 +25,7 @@ rows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -104,10 +108,17 @@ def _buchberger(gens):
 
 def milnor_number_jacobian(E) -> int:
     """dim of C[[z]]/(Jacobian ideal of sum of monomials given by E)."""
+    return len(jacobian_basis(E))
+
+
+def jacobian_basis(E) -> list:
+    """The standard monomials (exponent tuples) of the Jacobian ideal of
+    the sum of monomials given by E: a basis of its Jacobian algebra, so
+    the x^e dx span Omega_f."""
     E = [tuple(row) for row in E]
     n = len(E)
     if n == 0:
-        return 1
+        return [()]
     partials = []
     for var in range(n):
         p = {}
@@ -126,11 +137,51 @@ def milnor_number_jacobian(E) -> int:
         if not pure:
             raise ValueError("Jacobian ideal is not zero-dimensional")
         bounds.append(min(pure))
-    count = 0
-    for mono in product(*(range(b) for b in bounds)):
-        if not any(_divides(mono, lm) for lm in leads):
-            count += 1
-    return count
+    return [mono for mono in product(*(range(b) for b in bounds))
+            if not any(_divides(mono, lm) for lm in leads)]
+
+
+# -- exact traces over cyclotomic fields -------------------------------------
+
+@lru_cache(maxsize=None)
+def _cyclotomic(order) -> tuple:
+    """The coefficients of Phi_order(x), lowest first: x^order - 1 divided
+    by Phi_d for every proper divisor d of order."""
+    poly = [-1] + [0] * (order - 1) + [1]
+    for d in range(1, order):
+        if order % d == 0:
+            poly = _divide_exactly(poly, _cyclotomic(d))
+    return tuple(poly)
+
+
+def _divide_exactly(poly, monic) -> list:
+    """poly / monic for coefficient lists, lowest first, when monic (with
+    leading coefficient 1) divides poly."""
+    quotient = [0] * (len(poly) - len(monic) + 1)
+    rest = list(poly)
+    for i in reversed(range(len(quotient))):
+        c = quotient[i] = rest[i + len(monic) - 1]
+        for j, m in enumerate(monic):
+            rest[i + j] -= c * m
+    assert not any(rest), "inexact cyclotomic division"
+    return quotient
+
+
+def cyclotomic_trace(counts) -> int:
+    """sum over a of counts[a] zeta^a for a primitive len(counts)-th root of
+    unity zeta, exactly: the remainder of sum counts[a] x^a mod
+    Phi_len(counts)(x), which must be a constant, since Phi is the minimal
+    polynomial of zeta.  A remainder that is not constant is a ValueError:
+    the sum is not rational."""
+    phi = _cyclotomic(len(counts))
+    rest = list(counts)
+    for i in reversed(range(len(phi) - 1, len(rest))):
+        c = rest[i]
+        for j, m in enumerate(phi):
+            rest[i - len(phi) + 1 + j] -= c * m
+    if any(rest[1:len(phi) - 1]):
+        raise ValueError(f"trace {counts} is not rational")
+    return rest[0]
 
 
 # -- Burnside ring product via orbit enumeration on G-set products ------------
@@ -187,6 +238,22 @@ def marks_coset_oracle(group) -> list:
                                   for h in hmembers))
                        for hmembers in reps])
     return matrix
+
+
+def marks_inversion_oracle(matrix, marks):
+    """The coefficients a with sum over k of a_k matrix[k][h] = marks[h],
+    by back substitution over a dense lower-triangular table of marks from
+    the top class down, or None when one of them is not an integer."""
+    rest = list(marks)
+    out = [0] * len(rest)
+    for k in reversed(range(len(rest))):
+        a, r = divmod(rest[k], matrix[k][k])
+        if r:
+            return None
+        out[k] = a
+        for h, m in enumerate(matrix[k]):
+            rest[h] -= a * m
+    return out
 
 
 def restrict_coset_oracle(b, sub) -> BurnsideElement:

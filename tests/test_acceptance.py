@@ -5,6 +5,7 @@ checks are exact (integer equality); the stated time budgets are asserted
 with the measured values included in the printed line.
 """
 
+import math
 import time
 
 from eqindex import (SingularOrbitDatum, chi_G_milnor, duality_check,
@@ -20,7 +21,8 @@ from eqindex.invertible import milnor_number, transpose
 from complex_suite import suite
 from groups_pool import abelian_names, pool, random_elements
 from invertible_family import duality_family, mu_oracle_family
-from oracles import milnor_number_jacobian, r_k_coset_oracle
+from oracles import (cyclotomic_trace, jacobian_basis, milnor_number_jacobian,
+                     r_k_coset_oracle)
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
 
@@ -254,3 +256,38 @@ def test_criterion_11_equivariant_saito_duality():
     _line(11, "equivariant-saito-duality",
           f"{len(family)} fixtures, {pairs} subgroup pairs, "
           f"{unsigned_failures} fixtures fail without the sign, {dt:.1f}s")
+
+
+def test_criterion_12_wall_character():
+    # Wall, "A note on symmetry of singularities": chi(V_f^g) = 1 +
+    # (-1)^(n-1) tr(g | Omega_f).  Omega_f has the basis x^e dx over the
+    # standard monomials e of the Jacobian ideal (Buchberger, in the
+    # oracles), and g with phases k/den acts on x^e dx by zeta_den^(sum
+    # k_j (e_j + 1)); the trace is taken exactly.  The left side is the
+    # mark of chi^G(M_f) at <g>, the value the table of marks inverts.
+    t0 = time.time()
+    family = duality_family(24, 3)
+    pairs = 0
+    for f in family:
+        gf = symmetry_group(f)
+        lat = gf.lattice()
+        marks = marks_vector(chi_G_milnor(f, gf))
+        basis = jacobian_basis(f.E)
+        for g, key in enumerate(gf.keys):
+            # g has order o = den / gcd(den, key): its phases are multiples
+            # of 1/o, so zeta_den^s is zeta_o^(s / (den / o))
+            step = math.gcd(gf.denominator, *key)
+            order = gf.denominator // step
+            counts = [0] * order
+            for e in basis:
+                s = sum(k * (x + 1) for k, x in zip(key, e))
+                counts[s // step % order] += 1
+            chi = marks[lat.class_of[lat.cyclic_of[g]]]
+            assert chi == 1 + (-1) ** (f.n - 1) * cyclotomic_trace(counts), \
+                (f.E, key)
+            pairs += 1
+    dt = time.time() - t0
+    assert pairs == 5840 and dt < 3.0
+    _line(12, "wall-character",
+          f"{len(family)} fixtures, {pairs} (fixture, element) pairs, "
+          f"{dt:.1f}s")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from eqindex import (IntegralityError, NotASubgroupError, build_group,
                      cyclic_group, perm_group)
 from eqindex.burnside import (BurnsideElement, ClassFunction,
-                              _element_from_up_sets,
                               basis_element, cardinality,
                               commuting_class_counts, element_from_marks,
                               induce, marks_vector,
@@ -23,7 +22,8 @@ from groups_pool import abelian_names, larger, pool, random_elements
 from invertible_family import duality_family
 from oracles import (burnside_product_oracle, commuting_counts_oracle,
                      expanded_lattice, induce_conjugacy_oracle,
-                     marks_coset_oracle, r_k_coset_oracle,
+                     marks_coset_oracle, marks_inversion_oracle,
+                     r_k_coset_oracle,
                      restrict_coset_oracle)
 
 POOL_NAMES = ["Z2", "Z6", "Z2xZ2", "S3", "D4"]
@@ -112,9 +112,8 @@ def test_marks_vector_of_the_wrong_length_is_value_error(marks):
     # lost its last mark
     s3 = pool()["S3"]
     assert s3.lattice().num_classes == 4
-    for route in (element_from_marks, _element_from_up_sets):
-        with pytest.raises(ValueError, match="^mark vector has wrong length$"):
-            route(s3, marks)
+    with pytest.raises(ValueError, match="^mark vector has wrong length$"):
+        element_from_marks(s3, marks)
 
 
 def _inversion_groups():
@@ -129,29 +128,31 @@ def _inversion_groups():
             yield sub.as_group()
 
 
-def test_up_set_inversion_and_cardinality_match_the_table_of_marks():
-    # oracles: back substitution over the rows of the table of marks, and
-    # the mark at the trivial subgroup
+def test_inversion_and_cardinality_match_the_dense_oracle_table():
+    # oracles: back substitution over the dense table of counted fixed
+    # cosets, which reads no row of the stored table, and the mark at the
+    # trivial subgroup
     rng = random.Random(83)
     checked = moved = 0
     for g in _inversion_groups():
         nc = g.lattice().num_classes
+        dense = marks_coset_oracle(g)
         # a mark moved by 1 at a class with |N_G(K):K| > 1 leaves the ring
         # there, whatever the marks above it
-        off = [c for c, r in enumerate(table_of_marks(g).diagonal) if r > 1]
+        off = [c for c in range(nc) if dense[c][c] > 1]
         for b in [basis_element(g, c) for c in range(nc)] + \
                 random_elements(g, 50, seed=rng.randrange(10**6)):
             marks = marks_vector(b)
-            assert _element_from_up_sets(g, marks) == b == \
-                element_from_marks(g, marks), (g, b)
+            assert marks_inversion_oracle(dense, marks) == list(b.coeffs) \
+                and element_from_marks(g, marks) == b, (g, b)
             assert cardinality(b) == marks[0]
             checked += 1
             if off:
                 c = rng.choice(off)
                 bad = [m + (h == c) for h, m in enumerate(marks)]
-                for route in (_element_from_up_sets, element_from_marks):
-                    with pytest.raises(IntegralityError):
-                        route(g, bad)
+                assert marks_inversion_oracle(dense, bad) is None
+                with pytest.raises(IntegralityError):
+                    element_from_marks(g, bad)
                 moved += 1
     assert checked > 100000 and moved > 100000
 

@@ -608,6 +608,23 @@ INPUT_CHECKS = {
         "repeats g0"),
     "image-outside-vertices": (["euler", "simplicial"], _complex(
         action={"g0": [0, 3, 2, 7]}), "InputError", "leaves the vertex set"),
+    # equal under Python equality: merged into one vertex, then the action
+    # read by position against the list that still held both
+    "vertex-true-and-1": (["euler", "simplicial"], _complex(
+        vertices=[True, 1], simplices=[[1]], action=None), "InputError",
+        "vertex 1 repeats an earlier vertex"),
+    "vertex-repeated-fixed-by-g0": (["euler", "simplicial"], _complex(
+        vertices=[0, 0, 1], simplices=[[0], [1]], action={"g0": [1, 1, 0]}),
+        "InputError", "vertex 0 repeats an earlier vertex"),
+    "vertex-repeated-moved-by-g0": (["euler", "simplicial"], _complex(
+        vertices=[0, 0, 1], simplices=[[0], [1]], action={"g0": [1, 0, 0]}),
+        "InputError", "vertex 0 repeats an earlier vertex"),
+    # an element of order 3 cannot swap two vertices
+    "action-not-a-group-action": (["euler", "simplicial"], {
+        "group": {"kind": "diagonal", "phases": [[[1, 3]]]},
+        "complex": {"vertices": [0, 1, 2], "simplices": [[0], [1], [2]],
+                    "action": {"g0": [1, 0, 2]}}},
+        "InconsistentDataError", "generator images do not define a group"),
     "simplex-unknown-vertex": (["euler", "simplicial"], _complex(
         simplices=[[0, 9]]), "InconsistentDataError",
         "simplex [0, 9] uses unknown vertices"),

@@ -717,9 +717,15 @@ def test_stored_rows_match_dense_oracles():
                                         value=True), name
         marks = marks_coset_oracle(group)
         tom = table_of_marks(group)
-        assert tom.rows == _nonzero(marks, value=True), name
+        # each class below [K] listed once per conjugate of K above it:
+        # multiplicity times the diagonal is the counted mark
+        assert [sorted(row) for row in tom.rows] == tom.rows, name
+        assert [row[-1] for row in tom.rows] == list(range(len(marks))), name
+        assert [[tom.diagonal[k] * row.count(h) for h in range(len(marks))]
+                for k, row in enumerate(tom.rows)] == marks, name
         assert tom.diagonal == [row[k] for k, row in enumerate(marks)], name
         assert tom.matrix == marks, name
+        assert (tom.rows is lat.down) == group.is_abelian, name
 
 
 def _relabeled(group, seed):

@@ -233,13 +233,14 @@ def test_suite_regularity_and_bonus_subdivision_regular(name):
 def test_inconsistent_generator_images_rejected():
     from eqindex import InconsistentDataError
     z2 = perm_group(2, [[1, 0]])
-    with pytest.raises(InconsistentDataError):
+    message = "^generator images do not define a group action$"
+    with pytest.raises(InconsistentDataError, match=message):
         # an order-2 generator cannot act by a 3-cycle
         build_complex(z2, [0, 1, 2], [[0, 1], [1, 2], [0, 2]],
                       {0: {0: 1, 1: 2, 2: 0}})
     # two generator positions name one element, with different images
     twice = perm_group(2, [[1, 0], [1, 0]])
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError, match=message):
         build_complex(twice, [0, 1], [[0], [1]], {0: {0: 1, 1: 0}})
 
 

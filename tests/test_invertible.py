@@ -855,7 +855,7 @@ def test_duality_check_reads_fixed_loci_without_restricting(monkeypatch):
 
     for module, name in ((invertible, "restrict_to"),
                          (invertible, "chi_G_milnor"),
-                         (invertible, "_element_from_up_sets"),
+                         (invertible, "element_from_marks"),
                          (invertible, "one"), (burnside, "table_of_marks")):
         monkeypatch.setattr(module, name, forbidden)
     assert duality_check(CHAIN).all_match
@@ -923,8 +923,9 @@ def test_duality_pipeline_builds_two_groups_one_lattice_no_table(monkeypatch):
 
 def test_duality_pipeline_builds_only_what_it_reads(monkeypatch):
     # one duality-sweep operation per fixture, each started afresh:
-    # validate -> duality_check -> cardinality(index_df).  No table of
-    # marks; a symmetric E is its own transpose, with one diagonal group;
+    # validate -> duality_check -> cardinality(index_df).  One table of
+    # marks, G_f's, whose rows are the down-sets of its lattice; a
+    # symmetric E is its own transpose, with one diagonal group;
     # annihilators only for subgroups whose order another one shares, and
     # pairing rows only for the recorded generators they and G_f read
     counts, annihilated, rows = Counter(), [], []
@@ -966,11 +967,13 @@ def test_duality_pipeline_builds_only_what_it_reads(monkeypatch):
         assert report.all_sign_match
         assert card == (-1) ** f.n * milnor_number(f)
         symmetric = E == tuple(zip(*E))
-        assert counts == Counter({"transpose": 1 - symmetric,
+        assert counts == Counter({"TableOfMarks": 1,
+                                  "transpose": 1 - symmetric,
                                   "diagonal_group_from_integers":
                                       2 - symmetric}), E
         gf = symmetry_group(f)
         lat = gf.lattice()
+        assert burnside.table_of_marks(gf).rows is lat.down
         orders = Counter(s.order for s in lat.subgroups)
         tied = [s.members for s in lat.subgroups if orders[s.order] > 1]
         assert sorted(annihilated, key=sorted) == sorted(tied, key=sorted)
@@ -985,6 +988,30 @@ def test_duality_pipeline_builds_only_what_it_reads(monkeypatch):
                                                          8: 1})
     assert {(True, True, False), (True, False, True), (False, True, False),
             (False, False, True)} <= set(kinds)
+
+
+def test_duality_sweep_evaluates_each_locus_once(monkeypatch):
+    # one duality-sweep operation per fixture, started afresh: validate ->
+    # duality_check -> index_df.  chi(M_f^L) is kept in f's locus table,
+    # so each distinct non-empty locus of f and of f~ costs one Milnor
+    # product (the empty locus none), though G_f's side of the check and
+    # chi^G(M_f) both read f's loci; a symmetric E is its own dual, and its
+    # dual loci are loci of f
+    products = []
+    real = invertible._milnor_product
+    monkeypatch.setattr(invertible, "_milnor_product", lambda factors: (
+        products.append(factors) or real(factors)))
+    quadric = validate([[2 * (i == j) for j in range(3)] for i in range(3)])
+    for E in [f.E for f in duality_family(24, 3)] + [quadric.E]:
+        del products[:]
+        f = validate(E)
+        duality_check(f)
+        index_df(f, symmetry_group(f))
+        loci, dual_loci = ({L for L in side if L}
+                           for side in _fixed_loci(symmetry_group(f)))
+        want = len(loci | dual_loci) if E == tuple(zip(*E)) else \
+            len(loci) + len(dual_loci)
+        assert len(products) == want, E
 
 
 def test_restricting_index_df_builds_no_table_and_no_moebius_rows(

@@ -89,6 +89,15 @@ Hashes, in order:
     duality_family(24, 3), as a standalone group: once for a polynomial
     whose `duality_check` has already stored chi at its loci, once for a
     fresh one.
+  * every complex of the simplicial suite rebuilt by `build_complex` from
+    its generator images, and its barycentric subdivision:
+    `chi_G_simplicial`, `fixed_euler_characteristics` and `chi_k_direct`
+    for k = 0..2.
+  * `euler simplicial` on the Z2 square: the exit code and error kind (not
+    the message) for a generator image that repeats a vertex, and the
+    stdout and exit code for a simplex on an unknown vertex together with
+    a bijective image that is no group action, which fixes the order of
+    the two checks.
 
 Every error is hashed as its kind and its message.
 
@@ -590,6 +599,39 @@ def stored_chi_lines():
                 yield repr(index_df(poly, sub.as_group()).coeffs)
 
 
+def rebuilt_complex_lines():
+    for name, x in suite():
+        images = {pos: x.action[g] for pos, g in enumerate(x.group.generators)}
+        y = gspace.build_complex(x.group, x.vertices, x.simplices, images)
+        for z in (y, gspace.barycentric_subdivide(y)):
+            yield f"{name} " + repr(gspace.chi_G_simplicial(z).coeffs)
+            yield f"{name} " + repr(z.fixed_euler_characteristics())
+            for k in range(3):
+                yield f"{name} {k} " + repr(gspace.chi_k_direct(z, k))
+
+
+SQUARE = {"group": {"kind": "perm", "degree": 2, "generators": [[1, 0]]},
+          "complex": {"vertices": [0, 1, 2, 3],
+                      "simplices": [[0, 1], [1, 2], [2, 3], [3, 0]]}}
+
+
+def _square(simplices, image):
+    return json.dumps({**SQUARE, "complex": {
+        **SQUARE["complex"], "simplices": simplices,
+        "action": {"g0": image}}})
+
+
+def complex_check_lines():
+    argv = ["euler", "simplicial", _square(SQUARE["complex"]["simplices"],
+                                           [0, 0, 2, 3])]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    yield f"{code} {json.loads(out.getvalue())['error']['kind']}"
+    # a 3-cycle on three vertices is no action of an element of order 2
+    yield _cli(["euler", "simplicial", _square([[0, 9]], [1, 2, 0, 3])])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -601,7 +643,8 @@ def main():
                       wide_duality_lines(), corpus_lines(), cyclic_lines(),
                       character_lines(), family_cli_lines(),
                       corpus_solve_lines(), pairing_lines(),
-                      diagonal_child_lines(), stored_chi_lines()):
+                      diagonal_child_lines(), stored_chi_lines(),
+                      rebuilt_complex_lines(), complex_check_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -537,6 +537,7 @@ def _up_sets(member_sets, cyclic_of, generators) -> list:
         bit = 1 << i
         for m in members:
             masks[cyclic_of[m]] |= bit
+    ids = list(range(len(member_sets)))  # one int object per index
     every = (1 << len(member_sets)) - 1
     up = []
     for gens in generators:
@@ -547,7 +548,7 @@ def _up_sets(member_sets, cyclic_of, generators) -> list:
         row = []
         i = bits.find("1")
         while i >= 0:
-            row.append(i)
+            row.append(ids[i])
             i = bits.find("1", i + 1)
         up.append(row)
     return up

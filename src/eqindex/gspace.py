@@ -57,17 +57,53 @@ def chi_G_stratified(data: StratifiedGData, reduced: bool = False) -> BurnsideEl
 class GSimplicialComplex:
     """A finite simplicial complex with a simplicial action of a finite group.
 
-    `action[g]` maps each vertex to its image under the group element with
-    index g; the assignment is a homomorphism by construction.
+    `generator_images` maps a generator position (int) to a vertex->vertex
+    dict; omitted generators and the trivial group act identically.  The
+    images extend along the Cayley graph, and `action[g]` maps each vertex
+    to its image under the element with index g.  Checks, in order: known
+    positions, vertex permutations, relations, known simplex vertices,
+    simplex preservation.
     """
 
-    def __init__(self, group: FiniteGroup, vertices, simplices, action):
+    def __init__(self, group: FiniteGroup, vertices, simplices,
+                 generator_images: Optional[dict] = None):
         self.group = group
         self.vertices = tuple(sorted(set(vertices)))
+        vset = set(self.vertices)
+        images = generator_images or {}
+        gens = group.generators
+        for pos in images:
+            if pos not in range(len(gens)):
+                raise InconsistentDataError(f"no generator at position {pos!r}")
+        identity_map = {v: v for v in self.vertices}
+        # one map per generator position: two positions may name one element
+        maps = [identity_map if images.get(pos) is None else images[pos]
+                for pos in range(len(gens))]
+        if any(m.keys() != vset or set(m.values()) != vset for m in maps):
+            raise InconsistentDataError("action maps are not vertex permutations")
+        # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e).  The
+        # extension is well-defined only if the images respect all relations,
+        # so an edge that reaches an element already mapped must agree with it
+        action = {group.identity: identity_map}
+        walk = [group.identity]
+        for e in walk:  # grows while it is read
+            pe = action[e]
+            for g, pg in zip(gens, maps):
+                f = group.mul(g, e)
+                pf = action.get(f)
+                if pf is None:
+                    action[f] = {v: pg[pe[v]] for v in self.vertices}
+                    walk.append(f)
+                elif any(pf[v] != pg[pe[v]] for v in self.vertices):
+                    raise InconsistentDataError(
+                        "generator images do not define a group action")
+        if len(action) != group.order:
+            raise InconsistentDataError("generators do not generate the group")
+        self.action = action
         closed = {frozenset([v]) for v in self.vertices}
         for s in simplices:
             fs = frozenset(s)
-            if not fs <= set(self.vertices):
+            if not fs <= vset:
                 try:
                     shown = sorted(s)
                 except TypeError:  # vertices of mixed types do not compare
@@ -77,20 +113,10 @@ class GSimplicialComplex:
             closed.update(frozenset(face) for k in range(1, len(fs) + 1)
                           for face in combinations(fs, k))
         self.simplices = frozenset(closed)
-        self.action = action
-        self._regular = None
-        self._fixed_chis = None
-        self._orbit_coeffs = None
-        for g in group.elements():
-            m = action[g]
-            if sorted(m.values()) != list(self.vertices) or \
-               set(m.keys()) != set(self.vertices):
-                raise InconsistentDataError("action maps are not vertex permutations")
-        for g in group.generators:
-            m = action[g]
-            for s in self.simplices:
-                if frozenset(m[v] for v in s) not in self.simplices:
-                    raise InconsistentDataError("action does not preserve simplices")
+        self._regular = self._fixed_chis = self._orbit_coeffs = None
+        if any(frozenset(m[v] for v in s) not in self.simplices
+               for m in maps for s in self.simplices):
+            raise InconsistentDataError("action does not preserve simplices")
 
     # -- basic operations ---------------------------------------------------
 
@@ -152,33 +178,7 @@ def build_complex(group: FiniteGroup, vertices, simplices,
     `generator_images` maps a generator position (int) to a vertex->vertex
     dict; omitted generators and the trivial group act identically.
     """
-    vertices = tuple(sorted(set(vertices)))
-    identity_map = {v: v for v in vertices}
-    images = generator_images or {}
-    gens = group.generators
-    # one map per generator position: two positions may name one element
-    maps = [identity_map if images.get(pos) is None
-            else {v: images[pos][v] for v in vertices}
-            for pos in range(len(gens))]
-    # extend along the Cayley graph: rho(g*e) = rho(g) o rho(e).  The
-    # extension is well-defined only if the images respect all relations,
-    # so an edge that reaches an element already mapped must agree with it
-    action = {group.identity: identity_map}
-    walk = [group.identity]
-    for e in walk:  # grows while it is read
-        pe = action[e]
-        for g, pg in zip(gens, maps):
-            f = group.mul(g, e)
-            pf = action.get(f)
-            if pf is None:
-                action[f] = {v: pg[pe[v]] for v in vertices}
-                walk.append(f)
-            elif any(pf[v] != pg[pe[v]] for v in vertices):
-                raise InconsistentDataError(
-                    "generator images do not define a group action")
-    if len(action) != group.order:
-        raise InconsistentDataError("generators do not generate the group")
-    return GSimplicialComplex(group, vertices, simplices, action)
+    return GSimplicialComplex(group, vertices, simplices, generator_images)
 
 
 def chi_G_simplicial(x: GSimplicialComplex) -> BurnsideElement:
@@ -214,9 +214,7 @@ def fixed_subcomplex(x: GSimplicialComplex, subgroup) -> GSimplicialComplex:
     members = subgroup.members if isinstance(subgroup, Subgroup) else frozenset(subgroup)
     vs = {v for v in x.vertices if all(x.action[h][v] == v for h in members)}
     simplices = [s for s in x.simplices if s <= vs]
-    tg = trivial_group()
-    action = {tg.identity: {v: v for v in vs}}
-    return GSimplicialComplex(tg, vs, simplices, action)
+    return GSimplicialComplex(trivial_group(), vs, simplices)
 
 
 def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
@@ -238,11 +236,10 @@ def barycentric_subdivide(x: GSimplicialComplex) -> GSimplicialComplex:
 
     for s in old:
         extend([s], s)
-    action = {}
-    for g in x.group.elements():
-        m = x.action[g]
-        action[g] = {as_tuple[s]: tuple(sorted(m[v] for v in s)) for s in old}
-    return GSimplicialComplex(x.group, vertices, simplices, action)
+    images = {pos: {as_tuple[s]: tuple(sorted(x.action[g][v] for v in s))
+                    for s in old}
+              for pos, g in enumerate(x.group.generators)}
+    return GSimplicialComplex(x.group, vertices, simplices, images)
 
 
 def chi_k_direct(x: GSimplicialComplex, k: int) -> int:

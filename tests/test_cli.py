@@ -608,6 +608,9 @@ INPUT_CHECKS = {
         "repeats g0"),
     "image-outside-vertices": (["euler", "simplicial"], _complex(
         action={"g0": [0, 3, 2, 7]}), "InputError", "leaves the vertex set"),
+    "image-repeats-a-vertex": (["euler", "simplicial"], _complex(
+        action={"g0": [0, 0, 2, 3]}), "InconsistentDataError",
+        "action maps are not vertex permutations"),
     # equal under Python equality: merged into one vertex, then the action
     # read by position against the list that still held both
     "vertex-true-and-1": (["euler", "simplicial"], _complex(

@@ -408,6 +408,14 @@ def test_lattice_matches_all_pairs_oracle(name):
     assert len(group.lattice().subgroups) == count
 
 
+def test_up_set_rows_share_one_int_per_subgroup():
+    # ints above 256 are not cached by Python: an index made afresh for each
+    # row entry costs 28 bytes per comparable pair
+    lat = _diagonal_power(2, 5).lattice()
+    assert len(lat.up) == 374
+    assert len({id(i) for row in lat.up for i in row}) == len(lat.up)
+
+
 def _s4_s3():
     """S4 x S3 of degree 7: S4 on the points 0..3, S3 on 4..6."""
     return perm_group(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 0, 4, 5, 6],

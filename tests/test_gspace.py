@@ -245,7 +245,9 @@ def test_inconsistent_generator_images_rejected():
 
 
 def _copy(x):
-    return GSimplicialComplex(x.group, x.vertices, x.simplices, x.action)
+    return GSimplicialComplex(
+        x.group, x.vertices, x.simplices,
+        {pos: x.action[g] for pos, g in enumerate(x.group.generators)})
 
 
 class _CountedSimplices(frozenset):
@@ -336,9 +338,58 @@ def test_simplex_with_unknown_vertices_is_rejected(simplex, shown):
 
 @pytest.mark.parametrize("moved", [{0: 0, 1: 0}, {0: 1, 2: 0}])
 def test_action_maps_that_are_not_vertex_permutations_are_rejected(moved):
-    z2 = cyclic_group(2)
-    e = z2.identity
-    action = {e: {0: 0, 1: 1}, 1 - e: moved}
     with pytest.raises(InconsistentDataError,
                        match="^action maps are not vertex permutations$"):
-        GSimplicialComplex(z2, [0, 1], [[0], [1]], action)
+        GSimplicialComplex(cyclic_group(2), [0, 1], [[0], [1]], {0: moved})
+
+
+def test_images_keyed_by_element_are_rejected():
+    # keys 1 and 2 name the elements g and g^2 of Z/3, not generator
+    # positions: read as one map per element, both acting as (0 1 2), they
+    # would be no homomorphism, and chi^G would count six points for three
+    z3 = cyclic_group(3)
+    rot = {0: 1, 1: 2, 2: 0}
+    action = {z3.identity: {0: 0, 1: 1, 2: 2}, 1: rot, 2: rot}
+    with pytest.raises(InconsistentDataError,
+                       match="^no generator at position [12]$"):
+        GSimplicialComplex(z3, range(3), [[0], [1], [2]], action)
+
+
+def test_images_at_a_position_past_the_generators_are_rejected():
+    # Z/2 has one generator, so position 3 names none
+    with pytest.raises(InconsistentDataError,
+                       match="^no generator at position 3$"):
+        build_complex(perm_group(2, [[1, 0]]), [0, 1], [[0], [1]],
+                      {3: {0: 1, 1: 0}})
+
+
+def test_generator_image_missing_a_vertex_is_rejected():
+    # an image must map every vertex, or its extension has no value there
+    with pytest.raises(InconsistentDataError,
+                       match="^action maps are not vertex permutations$"):
+        build_complex(perm_group(2, [[1, 0]]), [0, 1], [[0], [1]],
+                      {0: {0: 1}})
+
+
+def _composed(p, q):
+    """The vertex map p o q: first q, then p."""
+    return {v: p[q[v]] for v in q}
+
+
+def _induced(x, g):
+    """The map that g induces on the simplices of x, as sorted tuples."""
+    return {tuple(sorted(s)): tuple(sorted(x.action[g][v] for v in s))
+            for s in x.simplices}
+
+
+def test_action_is_a_homomorphism_and_subdivision_induces_it():
+    for name, x in suite():
+        sub = barycentric_subdivide(x)
+        for y in (x, sub):
+            group = y.group
+            for g in group.elements():
+                for h in group.elements():
+                    assert y.action[group.mul(g, h)] == \
+                        _composed(y.action[g], y.action[h]), (name, g, h)
+        for g in x.group.elements():
+            assert sub.action[g] == _induced(x, g), (name, g)

@@ -98,6 +98,11 @@ Hashes, in order:
     stdout and exit code for a simplex on an unknown vertex together with
     a bijective image that is no group action, which fixes the order of
     the two checks.
+  * the stdout and exit code of `burnside mul` on Z/2 (degree 2) with a
+    and b one 3000-digit coefficient at H1_0, whose product is past the
+    interpreter's 4300-digit limit, in json and tsv; and of `poly analyze`
+    on a seeded dense 60 x 60 matrix of exponents 0..3, rejected by its
+    shape.
 
 Every error is hashed as its kind and its message.
 
@@ -632,6 +637,17 @@ def complex_check_lines():
     yield _cli(["euler", "simplicial", _square([[0, 9]], [1, 2, 0, 3])])
 
 
+def limit_lines():
+    big = {"coeffs": [{"class": "H1_0", "a": int("7" * 3000)}]}
+    z2 = {"kind": "perm", "degree": 2, "generators": [[1, 0]]}
+    payload = json.dumps({"group": z2, "a": big, "b": big})
+    for fmt in ("json", "tsv"):
+        yield _cli(["burnside", "mul", payload, "--format", fmt])
+    rng = random.Random(60)
+    dense = [[rng.randrange(4) for _ in range(60)] for _ in range(60)]
+    yield _cli(["poly", "analyze", json.dumps({"E": dense})])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -644,7 +660,8 @@ def main():
                       character_lines(), family_cli_lines(),
                       corpus_solve_lines(), pairing_lines(),
                       diagonal_child_lines(), stored_chi_lines(),
-                      rebuilt_complex_lines(), complex_check_lines()):
+                      rebuilt_complex_lines(), complex_check_lines(),
+                      limit_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

@@ -27,7 +27,7 @@ integrality is a theorem, so a violation means a bug or inconsistent input.
 from __future__ import annotations
 
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError, _int
-from .groups import FiniteGroup, Subgroup, commuting, solve_rows
+from .groups import FiniteGroup, Subgroup, commuting, expand, solve_rows
 
 TUPLE_ENUM_BOUND = 10**8
 
@@ -151,13 +151,9 @@ class TableOfMarks:
     def matrix(self) -> list:
         """The dense table marks[k][h], written out from the rows on each
         read (for output; the ring operations walk the rows)."""
-        out = []
-        for row, d in zip(self.rows, self.diagonal):
-            dense = [0] * len(self.rows)
-            for h in row:
-                dense[h] += d
-            out.append(dense)
-        return out
+        return expand([[(h, d) for h in row]
+                       for row, d in zip(self.rows, self.diagonal)],
+                      len(self.rows))
 
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import jsonio
-from .errors import EqIndexError, InputError
+from .errors import EqIndexError, InputError, OrderBoundError
 
 
 def _read_payload(args):
@@ -52,15 +52,19 @@ def _flatten(obj, path, lines):
             _flatten(item, f"{path}[{i}]", lines)
     else:
         lines.append(f"{path}\t{json.dumps(obj)}")
+    return lines
 
 
 def _emit(args, obj) -> int:
-    if args.format == "tsv":
-        lines = []
-        _flatten(obj, "", lines)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = jsonio.dumps(obj) + "\n"
+    try:
+        text = ("\n".join(_flatten(obj, "", [])) if args.format == "tsv"
+                else jsonio.dumps(obj)) + "\n"
+    except ValueError as exc:  # re-raised unless past the digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise OrderBoundError(
+            f"result holds an integer past the limit of {limit} digits") from None
     if args.outfile is not None:
         try:
             with open(args.outfile, "w", encoding="utf-8") as fh:

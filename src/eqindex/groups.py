@@ -264,35 +264,35 @@ class FiniteGroup:
             self._lattice = SubgroupLattice(self)
         return self._lattice
 
-    def is_subgroup(self, members: Iterable[int]) -> bool:
-        ms = frozenset(self._element_ids(members))
-        if self.identity not in ms:
-            return False
-        return all(self.table[a][b] in ms for a in ms for b in ms)
-
     def __repr__(self):
         kind = self.presentation.get("kind", "?")
         return f"<FiniteGroup order={self.order} kind={kind}>"
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as a frozenset of element indices."""
+    """A subgroup of a parent group, stored as a frozenset of element
+    indices: one object per subgroup, the parent lattice's entry, which
+    `Subgroup(parent, members)` looks up.  Equality is identity."""
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        self.parent = parent
-        self.members = frozenset(members)
-        if not parent.is_subgroup(self.members):
-            raise NotASubgroupError("member set is not a subgroup")
-        self._group = None
+    def __new__(cls, parent: FiniteGroup, members: Iterable[int]):
+        lat = parent.lattice()
+        return lat.subgroups[lat.subgroup_index(parent._element_ids(members))]
 
     @classmethod
     def _known(cls, parent: FiniteGroup, members: frozenset) -> "Subgroup":
         """A member set that is a subgroup by construction; not re-checked."""
-        sub = cls.__new__(cls)
+        sub = object.__new__(cls)
         sub.parent = parent
         sub.members = members
         sub._group = None
         return sub
+
+    def __copy__(self):
+        return self
+
+    def __reduce__(self):
+        # the parent as state, so a copied parent's lattice holds this copy
+        return Subgroup._known, (None, self.members), {"parent": self.parent}
 
     @property
     def order(self) -> int:
@@ -324,13 +324,6 @@ class Subgroup:
                 [parent.keys[g] for g in gens], parent=parent,
                 parent_index=idxs, denominator=parent.denominator)
         return self._group
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.parent!r}>"
@@ -496,14 +489,14 @@ def canonical_label(order: int, i: int) -> str:
 
 
 def expand(rows, n: int) -> list:
-    """The dense n x n matrix whose row i holds the (column, value) pairs of
-    `rows[i]` and 0 elsewhere: the sparse rows of a lattice or a table of
-    marks written out for output only."""
+    """The dense n x n matrix whose entry (i, j) sums the v of the pairs
+    (j, v) in `rows[i]`: the sparse rows of a lattice or a table of marks
+    (which may repeat a column) written out for output only."""
     out = []
     for row in rows:
         dense = [0] * n
         for j, v in row:
-            dense[j] = v
+            dense[j] += v
         out.append(dense)
     return out
 

@@ -146,9 +146,9 @@ def validate(matrix) -> InvertiblePolynomial:
     """Check an exponent matrix and decompose it into Fermat/chain/loop atoms.
 
     Rejects anything that is not a disjoint union of the three standard
-    shapes, and any matrix whose weight system leaves (0, 1].  The one
-    fraction-free elimination of the dual pair runs here, on [E | I]: it
-    gives det E, the columns of adj(E) and the weights adj(E) 1 / det E.
+    shapes, read first from E's support, and any matrix whose weight system
+    leaves (0, 1].  The one fraction-free elimination of the dual pair runs
+    in between, on [E | I]: det E, adj(E) and the weights adj(E) 1 / det E.
     """
     E = tuple(tuple(_int(x, "exponent", InvalidPolynomialError) for x in row)
               for row in matrix)
@@ -157,15 +157,17 @@ def validate(matrix) -> InvertiblePolynomial:
         raise InvalidPolynomialError("exponent matrix must be square")
     if any(x < 0 for row in E for x in row):
         raise InvalidPolynomialError("exponents must be non-negative")
+    atoms = _atoms(E)
     d, adj = _fraction_free_solve(
         E, [[int(r == c) for r in range(n)] for c in range(n)])
     if d == 0:
         raise InvalidPolynomialError("exponent matrix has determinant zero")
-    return _decompose(E, d, tuple(map(tuple, adj)))
+    return _weighted(E, atoms, d, tuple(map(tuple, adj)))
 
 
-def _decompose(E, d, adjugate) -> InvertiblePolynomial:
-    """Atoms and checked weights of E, given d = det E != 0 and adj(E)."""
+def _atoms(E) -> tuple:
+    """The Fermat/chain/loop atoms of E, read from its support, sorted by
+    first variable; InvalidPolynomialError if E has another shape."""
     n = len(E)
     # each monomial is z_h^a (head only) or z_h^a z_t (head and a tail of
     # exponent one); collect the possible (head, tail) readings per row
@@ -211,8 +213,11 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
         kind = "loop" if nxt == start else "chain" if path[1:] else "fermat"
         atoms.append(Atom(kind, tuple(path),
                           tuple(E[head_row[v]][v] for v in path)))
-    atoms.sort(key=lambda a: a.variables[0])
+    return tuple(sorted(atoms, key=lambda a: a.variables[0]))
 
+
+def _weighted(E, atoms, d, adjugate) -> InvertiblePolynomial:
+    """f from E, its atoms, d = det E != 0 and adj(E), weights checked."""
     # q = s/d over the row sums s of adj(E); 0 < q <= 1 iff 0 < s d <= d^2
     sums = [sum(row) for row in zip(*adjugate)]
     for s in sums:
@@ -221,7 +226,7 @@ def _decompose(E, d, adjugate) -> InvertiblePolynomial:
                 f"weight {Fraction(s, d)} outside (0, 1]; "
                 "not an invertible polynomial germ")
     weights = tuple(Fraction(s, d) for s in sums)
-    return InvertiblePolynomial(E=E, atoms=tuple(atoms), weights=weights,
+    return InvertiblePolynomial(E=E, atoms=atoms, weights=weights,
                                 det=d, adjugate=adjugate)
 
 
@@ -286,7 +291,8 @@ def milnor_number(f: InvertiblePolynomial) -> int:
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
     """The dual polynomial, from E^T, det E and adj(E^T) = adj(E)^T: no
     elimination, but the same shape decomposition and weight checks."""
-    return _decompose(tuple(zip(*f.E)), f.det, tuple(zip(*f.adjugate)))
+    E = tuple(zip(*f.E))
+    return _weighted(E, _atoms(E), f.det, tuple(zip(*f.adjugate)))
 
 
 # -- the diagonal symmetry group ----------------------------------------------

@@ -46,6 +46,27 @@ def test_group_lattice(capsys):
     assert obj["mu_sub"][0][3] == 1  # mu'(e, G) on the divisor lattice of 6
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_result_past_the_digit_limit_is_an_error_object(capsys, fmt):
+    # a 3000-digit coefficient parses, but its square cannot be printed
+    big = {"coeffs": [{"class": "H1_0", "a": int("7" * 3000)}]}
+    code, out = run(capsys, ["burnside", "mul", "--format", fmt],
+                    {"group": Z2_PRES, "a": big, "b": big})
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "OrderBoundError",
+        "message": "result holds an integer past the limit of "
+                   f"{sys.get_int_max_str_digits()} digits"}
+
+
+def test_other_value_errors_still_propagate(monkeypatch):
+    def failing(obj):
+        raise ValueError("not a digit-limit error")
+    monkeypatch.setattr(jsonio, "dumps", failing)
+    with pytest.raises(ValueError, match="^not a digit-limit error$"):
+        cli.main(["group", "info", json.dumps(Z2_PRES)])
+
+
 def test_burnside_marks_and_mul(capsys):
     payload = {"group": S3_PRES,
                "a": {"coeffs": [{"class": "H2_1", "a": 1}]},

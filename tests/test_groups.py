@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -670,8 +672,6 @@ def test_element_indices_are_checked_at_the_entry_points():
             Subgroup(z6, [0, bad])
         with pytest.raises(NotASubgroupError):
             z6.closure([bad])
-        with pytest.raises(NotASubgroupError):
-            z6.is_subgroup([0, bad])
     # -1 would read the last element, 0 again in the trivial group
     with pytest.raises(NotASubgroupError):
         Subgroup(trivial_group(), [0, -1])
@@ -873,6 +873,43 @@ def test_subgroup_validation():
     s3 = pool()["S3"]
     with pytest.raises(NotASubgroupError):
         Subgroup(s3, [1, 2])  # misses the identity / not closed
+
+
+def test_subgroup_is_the_lattice_entry():
+    # one object per subgroup: the constructor looks the member set up
+    for name in ("Z2", "Z6", "Z2xZ2", "S3", "D4", "S4", "A5"):
+        g = ORACLE_GROUPS[name][0]()
+        lat = g.lattice()
+        for i, h in enumerate(lat.subgroups):
+            sub = Subgroup(g, sorted(h.members, reverse=True))
+            assert sub is h, (name, i)
+            assert sub.as_group() is h.as_group(), (name, i)
+
+
+def test_subgroup_lookup_builds_no_table():
+    # Z/2000's lattice reads key multiples; a closure scan read 4M products
+    g = cyclic_group(2000)
+    assert Subgroup(g, range(2000)) is g.lattice().subgroups[-1]
+    assert "table" not in vars(g)
+
+
+def test_copies_and_pickles_of_subgroups():
+    g = ORACLE_GROUPS["S3"][0]()
+    h = g.lattice().subgroups[1]
+    assert copy.copy(h) is h and copy.copy(h) == h
+    # a deep copy or a pickle copies the parent, and is its lattice's entry
+    for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert twin != h and twin.members == h.members
+        assert twin.parent is not g and twin.parent.same_group(g)
+        assert twin.parent.lattice().subgroups[1] is twin
+        assert Subgroup(twin.parent, h.members) is twin
+    h.as_group()
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        lat = twin.lattice()
+        assert all(s.parent is twin for s in lat.subgroups)
+        assert [s.members for s in lat.subgroups] == \
+            [s.members for s in g.lattice().subgroups]
+        assert Subgroup(twin, h.members) is lat.subgroups[1] != h
 
 
 def test_subgroup_as_group_inherits_keys():

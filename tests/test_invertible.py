@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -85,6 +86,26 @@ def test_validate_rejects_non_atom_shapes():
 def test_validate_rejects_non_integer_exponents(matrix):
     with pytest.raises(InvalidPolynomialError, match="exponent"):
         validate(matrix)
+
+
+def test_validate_reads_the_shape_before_it_eliminates(monkeypatch):
+    # a singular matrix of atom shape still reaches the elimination
+    with pytest.raises(InvalidPolynomialError, match="determinant zero$"):
+        validate([[1, 1], [1, 1]])
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated a matrix of the wrong shape")
+    monkeypatch.setattr(invertible, "_fraction_free_solve", no_elimination)
+    # a dense 250 x 250 matrix of 0..3 once took 20 s of elimination before
+    # its first row was read; a singular one reports its shape too
+    rng = random.Random(250)
+    dense = [[rng.randrange(4) for _ in range(250)] for _ in range(250)]
+    for E in (dense, [[0]]):
+        start = time.perf_counter()
+        with pytest.raises(InvalidPolynomialError,
+                           match="^monomial 0 does not have"):
+            validate(E)
+        assert time.perf_counter() - start < 1
 
 
 def test_validate_rejects_zero_weight():

@@ -103,6 +103,12 @@ Hashes, in order:
     interpreter's 4300-digit limit, in json and tsv; and of `poly analyze`
     on a seeded dense 60 x 60 matrix of exponents 0..3, rejected by its
     shape.
+  * the stdout and exit code of `poly dual-check` on polynomials with
+    500 < |det E| <= 2000 (Fermat, chain and loop atoms in one to three
+    variables), on |det E| = 2001 and on x y + y^2001, whose transpose is
+    no valid germ; of `burnside rk` with `--k 3` on S5 and `--k 2` on S6,
+    each on the element with coefficient c + 1 at its c-th class; and of
+    `group info` on the phase 1/1000003.
 
 Every error is hashed as its kind and its message.
 
@@ -648,6 +654,30 @@ def limit_lines():
     yield _cli(["poly", "analyze", json.dumps({"E": dense})])
 
 
+# 500 < |det E| <= 2000, then |det E| = 2001, and x y + y^2001, whose
+# |det E| is past the bound and whose transpose gives y the weight 0
+SIZE_BOUND_MATRICES = [
+    [[501]], [[6, 0], [0, 284]], [[2, 1], [0, 300]], [[2, 1], [0, 1000]],
+    [[40, 1], [1, 45]], [[10, 0, 0], [0, 10, 0], [0, 0, 10]],
+    [[2, 1, 0], [0, 40, 0], [0, 0, 12]], [[2001]], [[1, 1], [0, 2001]],
+]
+
+
+def size_bound_lines():
+    for E in SIZE_BOUND_MATRICES:
+        yield _cli(["poly", "dual-check", json.dumps({"E": E})])
+    # S5 and S6, each by a transposition and an n-cycle
+    for degree, k in ((5, 3), (6, 2)):
+        g = perm_group(degree, [[1, 0] + list(range(2, degree)),
+                                list(range(1, degree)) + [0]])
+        labels = g.lattice().class_labels
+        payload = {"group": g.presentation, "element": {"coeffs": [
+            {"class": label, "a": c + 1} for c, label in enumerate(labels)]}}
+        yield _cli(["burnside", "rk", json.dumps(payload), "--k", str(k)])
+    yield _cli(["group", "info", json.dumps(
+        {"kind": "diagonal", "phases": [[[1, 1000003]]]})])
+
+
 def main():
     h = hashlib.sha256()
     for line in chain(library_lines(), cli_lines(), group_lines(),
@@ -661,7 +691,7 @@ def main():
                       corpus_solve_lines(), pairing_lines(),
                       diagonal_child_lines(), stored_chi_lines(),
                       rebuilt_complex_lines(), complex_check_lines(),
-                      limit_lines()):
+                      limit_lines(), size_bound_lines()):
         h.update(line.encode() + b"\0")
     print(h.hexdigest())
 

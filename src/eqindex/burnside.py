@@ -29,8 +29,6 @@ from __future__ import annotations
 from .errors import IntegralityError, NotASubgroupError, OrderBoundError, _int
 from .groups import FiniteGroup, Subgroup, commuting, expand, solve_rows
 
-TUPLE_ENUM_BOUND = 10**8
-
 
 class BurnsideElement:
     """An element of B(G): one integer coefficient per class [G/H]."""
@@ -253,8 +251,8 @@ def commuting_class_counts(group: FiniteGroup, k: int) -> tuple:
         return group._tuple_counts[k]
     if k < 0:
         raise ValueError("k must be >= 0")
-    # kept so that outputs do not change; re-deriving it is ROADMAP item 7
-    if k > 3 or group.order ** (k + 1) > TUPLE_ENUM_BOUND:
+    # kept so that outputs do not change; a bound on the work is ROADMAP item 8
+    if k > 3:
         raise OrderBoundError("commuting-tuple enumeration out of bounds")
     lat = group.lattice()
     phi = solve_rows(lat.down, [s.order ** (k + 1) for s in lat.subgroups],

@@ -31,7 +31,6 @@ from .errors import GroupBuildError, NotASubgroupError, OrderBoundError, _int
 
 MAX_ORDER = 2000
 MAX_PERM_DEGREE = 16
-MAX_PHASE_DENOMINATOR = 10**6
 
 
 def _enumerate(identity, generators, compose):
@@ -737,11 +736,7 @@ def _phase(p) -> Fraction:
         p = Fraction(num, den)
     elif not isinstance(p, Fraction):
         p = _int(p, "phase", GroupBuildError)
-    f = Fraction(p) % 1
-    if f.denominator > MAX_PHASE_DENOMINATOR:
-        raise GroupBuildError(
-            f"phase denominator exceeds {MAX_PHASE_DENOMINATOR}")
-    return f
+    return Fraction(p) % 1
 
 
 def build_group(presentation: dict) -> FiniteGroup:
@@ -752,6 +747,9 @@ def build_group(presentation: dict) -> FiniteGroup:
       {"kind": "diagonal", "phases": [[int, Fraction or (num, den)]...]}
       {"kind": "table", "table": [[...]]}
     """
+    if not isinstance(presentation, dict):
+        raise GroupBuildError(
+            f"presentation must be a dict, got {presentation!r}")
     kind = presentation.get("kind")
     if kind == "perm":
         return _build_perm(presentation)

@@ -57,8 +57,6 @@ from .errors import (IntegralityError, InvalidPolynomialError,
 from .groups import (MAX_ORDER, FiniteGroup, diagonal_group_from_integers,
                      canonical_label, over_common_denominator, solve_rows)
 
-DUALITY_ORDER_BOUND = 500
-
 
 # -- exact linear algebra -----------------------------------------------------
 
@@ -150,6 +148,9 @@ def validate(matrix) -> InvertiblePolynomial:
     leaves (0, 1].  The one fraction-free elimination of the dual pair runs
     in between, on [E | I]: det E, adj(E) and the weights adj(E) 1 / det E.
     """
+    if not isinstance(matrix, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in matrix):
+        raise InvalidPolynomialError("exponent matrix must be a list of rows")
     E = tuple(tuple(_int(x, "exponent", InvalidPolynomialError) for x in row)
               for row in matrix)
     n = len(E)
@@ -612,15 +613,14 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
     """Berglund-Huebsch duality consistency: r_0 equality of the df-indices of
     f and its transpose, and r_1 equality across every dual subgroup pair.
 
-    A symmetric E is its own dual: f~ = f and G_{f~} = G_f.  An invalid
+    A symmetric E is its own dual: f~ = f and G_{f~} = G_f.  G_f is built
+    first, so a |det E| past MAX_ORDER is its OrderBoundError; an invalid
     transpose is an InvalidPolynomialError naming E^T.  H -> H^T is a
     bijection onto Sub(G_{f~}) with |H^T| = |G:H|, so in G_{f~}'s canonical
     order (by order, then sorted member ids) the duals of larger H come
     first, and H^T is built only to rank H among subgroups of its order.
     """
-    if abs(f.det) > DUALITY_ORDER_BOUND:
-        raise OrderBoundError(
-            f"duality check limited to |det E| <= {DUALITY_ORDER_BOUND}")
+    gf = symmetry_group(f)
     if f.E == tuple(zip(*f.E)):
         ft = f
     else:
@@ -628,7 +628,6 @@ def duality_check(f: InvertiblePolynomial) -> DualityReport:
             ft = transpose(f)
         except InvalidPolynomialError as exc:
             raise InvalidPolynomialError(f"transpose E^T: {exc}") from None
-    gf = symmetry_group(f)
     annihilator = check_perfect_pairing(f, gf, symmetry_group(ft))
     lat = gf.lattice()
     subs = lat.subgroups

@@ -12,7 +12,8 @@ parent-class oracle looks each member set up in a parent lattice;
 the reduction oracle averages fixed-coset counts over commuting tuples
 directly on cosets; the commuting-tuple oracle enumerates every tuple and
 closes it, and the lattice oracle joins every pair of subgroups, both
-closing by a breadth-first walk of their own; the exact-isotropy oracle
+closing by a breadth-first walk of their own; the commuting-total oracle
+recurses over centralizers in the Cayley table; the exact-isotropy oracle
 assembles chi^G from fixed-point Euler characteristics by Moebius sums, not
 through the table of marks; the fixed-locus oracle reads the keys of every
 member, where the package reads those of recorded generators; the
@@ -346,6 +347,17 @@ def commuting_counts_oracle(group, k) -> list:
                     closure_oracle(table, group.identity, gens))
             counts[classes[gens]] += 1
     return counts
+
+
+def commuting_tuples_oracle(table, elements, m) -> int:
+    """|Hom(Z^m, S)| for the subgroup S on `elements`: the m-tuples of
+    pairwise commuting elements, by the recursion over centralizers
+    |Hom(Z^m, S)| = sum over g in S of |Hom(Z^(m-1), C_S(g))|."""
+    if m == 0:
+        return 1
+    return sum(commuting_tuples_oracle(
+        table, [h for h in elements if table[g][h] == table[h][g]], m - 1)
+        for g in elements)
 
 
 # -- subgroup lattice by all-pairs joins ----------------------------------------

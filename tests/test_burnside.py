@@ -21,6 +21,7 @@ from complex_suite import suite
 from groups_pool import abelian_names, larger, pool, random_elements
 from invertible_family import duality_family
 from oracles import (burnside_product_oracle, commuting_counts_oracle,
+                     commuting_tuples_oracle,
                      expanded_lattice, induce_conjugacy_oracle,
                      marks_coset_oracle, marks_inversion_oracle,
                      r_k_coset_oracle,
@@ -459,6 +460,28 @@ def test_commuting_class_counts_sum_to_element_and_pair_counts():
         assert sum(commuting_class_counts(g, 0)) == g.order, g
         assert sum(commuting_class_counts(g, 1)) == \
             g.order * len(g.element_conjugacy_classes()), g
+
+
+@pytest.mark.parametrize("degree, k, total", [(5, 3, 24720), (6, 2, 66240)],
+                         ids=["S5-k3", "S6-k2"])
+def test_commuting_counts_past_the_old_tuple_bound(degree, k, total):
+    # |G|^(k+1) > 10**8: Hall's phi enumerates no tuples, so only k is capped
+    g = perm_group(degree, [[1, 0] + list(range(2, degree)),
+                            list(range(1, degree)) + [0]])
+    assert g.order ** (k + 1) > 10**8
+    assert sum(commuting_class_counts(g, k)) == total == \
+        commuting_tuples_oracle(g.table, range(g.order), k + 1)
+
+
+def test_abelian_r3_past_the_old_tuple_bound():
+    # Z/12 x Z/12: 144^4 > 10**8; every 4-tuple commutes, so [G/H] has
+    # |H|^3 fixed points on average
+    g = build_group({"kind": "diagonal",
+                     "phases": [[[1, 12], 0], [0, [1, 12]]]})
+    lat = g.lattice()
+    assert g.order == 144 and len(lat.subgroups) == 90
+    for i, sub in enumerate(lat.subgroups):
+        assert r_k(basis_element(g, lat.class_of[i]), 3) == sub.order ** 3
 
 
 def test_k_that_is_not_an_int_is_a_value_error_and_is_not_stored():

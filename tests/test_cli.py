@@ -587,9 +587,10 @@ INPUT_CHECKS = {
     "rational-zero-denominator": (["group", "info"], {
         "kind": "diagonal", "phases": [[{"num": 1, "den": 0}]]}, "InputError",
         "zero denominator"),
+    # a phase 1/q generates an element of order q, so MAX_ORDER bounds q
     "phase-denominator-over-bound": (["group", "info"], {
-        "kind": "diagonal", "phases": [[[1, 1000003]]]}, "GroupBuildError",
-        "phase denominator exceeds"),
+        "kind": "diagonal", "phases": [[[1, 1000003]]]}, "OrderBoundError",
+        "generated order exceeds"),
     "phase-vectors-ragged": (["group", "info"], {
         "kind": "diagonal", "phases": [[[1, 2]], [[1, 2], [1, 3]]]},
         "GroupBuildError", "inconsistent dimension"),

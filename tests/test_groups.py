@@ -128,12 +128,15 @@ def test_zero_dimensional_diagonal_group_is_trivial():
 
 @pytest.mark.parametrize("phases", [
     [[Fraction(1, 999983)]],
+    [[Fraction(1, 1000003)]],
+    [[Fraction(1, 10**30), Fraction(1, 3)]],
     [[Fraction(1, 50), 0], [0, Fraction(1, 41)]],
 ])
 def test_diagonal_order_bound_rejects_at_once(phases):
     # the walk for a generator stops after MAX_ORDER // |H| multiples: an
     # unbounded walk would form all 999983 multiples of 1/999983, and 1/41
-    # must be rejected against |H| = 50, since 41 alone is within the bound
+    # must be rejected against |H| = 50, since 41 alone is within the bound;
+    # the same walk bounds a phase's denominator
     start = time.perf_counter()
     with pytest.raises(OrderBoundError):
         diagonal_group(phases)
@@ -172,6 +175,9 @@ def test_build_group_rejects_non_integers(presentation, field):
     ({"kind": "diagonal", "phases": [["1/2"]]}, "phase"),
     ({"kind": "diagonal", "phases": [[0.5]]}, "phase"),
     ({"kind": "diagonal", "phases": [[(1, 2, 3)]]}, "phase"),
+    # not a dict at all
+    ([1], "^presentation must be a dict"),
+    (None, "^presentation must be a dict"),
 ])
 def test_build_group_rejects_malformed_presentations(presentation, field):
     with pytest.raises(GroupBuildError, match=field):

@@ -750,8 +750,43 @@ def test_duality_r0_example_values():
 
 
 def test_duality_bound():
+    # G_f's own bound, MAX_ORDER = 2000, is the duality check's
     with pytest.raises(OrderBoundError):
-        duality_check(validate([[501]]))
+        duality_check(validate([[2001]]))
+
+
+def test_duality_size_error_comes_before_the_transposes():
+    # x y + y^2001: |det E| = 2001, and its transpose x + x y^2001 gives y
+    # the weight 0
+    f = validate([[1, 1], [0, 2001]])
+    with pytest.raises(InvalidPolynomialError, match="weight"):
+        transpose(f)
+    with pytest.raises(OrderBoundError):
+        duality_check(f)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[501]],
+    [[6, 0], [0, 284]],
+    [[2, 1], [0, 300]],
+    [[2, 1], [0, 1000]],
+    [[40, 1], [1, 45]],
+    [[10, 0, 0], [0, 10, 0], [0, 0, 10]],  # (Z/10)^3, 1024 subgroups
+    [[2, 1, 0], [0, 40, 0], [0, 0, 12]],
+], ids=["fermat-501", "fermats-1704", "chain-600", "chain-2000", "loop-1799",
+        "fermats-1000", "chain-fermat-960"])
+def test_duality_holds_between_the_old_and_the_order_bound(matrix):
+    # criterion 7's assertions on 500 < |det E| <= 2000: MAX_ORDER alone
+    # bounds the duality check
+    f = validate(matrix)
+    assert 500 < abs(f.det) <= 2000
+    start = time.perf_counter()
+    rep = duality_check(f)
+    assert time.perf_counter() - start < 10.0
+    assert rep.orbit_match and rep.all_sign_match
+    assert len(rep.pairs) == len(symmetry_group(f).lattice().subgroups)
+    if f.n % 2 == 0:
+        assert rep.all_match
 
 
 def test_duality_sign_phenomenon_on_one_variable():
@@ -1114,6 +1149,10 @@ def test_non_integral_orbifold_index_is_integrality_error(monkeypatch):
     ([[2, 0], [0, -3]], "^exponents must be non-negative$"),
     # det -1, but both monomials read z_0 as their head
     ([[2, 1], [3, 1]], "^matrix is not a disjoint union"),
+    # not a list of rows
+    (5, "^exponent matrix must be a list of rows$"),
+    ([5], "^exponent matrix must be a list of rows$"),
+    ([[2], 3], "^exponent matrix must be a list of rows$"),
 ])
 def test_validate_rejects_malformed_matrices(matrix, message):
     with pytest.raises(InvalidPolynomialError, match=message):
